@@ -8,7 +8,6 @@ from .bounds import (
     bound_omega_max,
     compare_report,
     delta,
-    lambda_coef,
 )
 from .oracle import (
     Eigenpair,
@@ -58,7 +57,6 @@ __all__ = [
     "bound_omega_max",
     "compare_report",
     "delta",
-    "lambda_coef",
     "parse_tensor",
     "region_K",
     "region_M",

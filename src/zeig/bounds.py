@@ -3,8 +3,8 @@
 The three bounds form a chain: the pairwise partial-row-sum bound
 (omega_max) is at most the pairwise quadratic bound (chain_middle), which
 is at most the plain maximum row sum (gershgorin).  All of them are
-suprema of the matching inclusion regions, so the two routes can be
-cross-checked against each other.
+suprema of the matching inclusion regions, read off the same per-pair
+tables (regions.omega_table, regions.m_table) the regions are built from.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .regions import solve_radial_quadratic
+from .regions import m_table, omega_band, omega_table, ordered_pairs
 from .tensor import DEFAULT_STRUCT_TOL, DenseTensor, RowAggregates
 
 _CHAIN_SLACK = 1e-12
@@ -62,13 +62,6 @@ def _check_pair(agg: RowAggregates, i: int, j: int) -> tuple[int, int]:
     return i - 1, j - 1
 
 
-def _delta0(agg: RowAggregates, i: int, j: int) -> float:
-    R, P = agg.row_sums, agg.partial_sums
-    p = P[i, j]
-    q = P[j, i]
-    c = max(0.0, R[i] - p) * max(0.0, R[j] - q)
-    return solve_radial_quadratic(p, q, c).r_plus
-
 def delta(agg: RowAggregates, i: int, j: int) -> float:
     """Larger root of the pairwise quadratic built from partial row sums.
 
@@ -76,16 +69,8 @@ def delta(agg: RowAggregates, i: int, j: int) -> float:
     transcription of the half-sum-plus-radical form; the two agree
     analytically.
     """
-    i0, j0 = _check_pair(agg, i, j)
-    return _delta0(agg, i0, j0)
-
-
-def lambda_coef(agg: RowAggregates, i: int, j: int) -> float:
-    """Discriminant of the pairwise quadratic behind the chain middle bound."""
-    i0, j0 = _check_pair(agg, i, j)
-    R, P, D = agg.row_sums, agg.partial_sums, agg.diag_abs
-    d = D[i0, j0]
-    return (R[i0] - d - P[j0, i0]) ** 2 + 4.0 * d * max(0.0, R[j0] - P[j0, i0])
+    _, _, roots = omega_band(agg, *_check_pair(agg, i, j))
+    return float(roots.r_plus)
 
 
 def bound_omega_max(agg: RowAggregates) -> OmegaMaxResult:
@@ -95,48 +80,20 @@ def bound_omega_max(agg: RowAggregates) -> OmegaMaxResult:
     part maximizes min(R_i, delta(i, j)).  The attaining pair is the
     lexicographically smallest ordered pair achieving the overall maximum.
     """
-    n = agg.dim
-    if n < 2:
-        raise ValueError("bounds require dim >= 2")
-    R, P = agg.row_sums, agg.partial_sums
-    hat_best = -np.inf
-    tilde_best = -np.inf
-    best = -np.inf
-    best_pair = (1, 2)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            hat_v = min(P[i, j], P[j, i])
-            tilde_v = min(R[i], _delta0(agg, i, j))
-            hat_best = max(hat_best, hat_v)
-            tilde_best = max(tilde_best, tilde_v)
-            v = max(hat_v, tilde_v)
-            if v > best:  # strict: first pair in lexicographic order wins ties
-                best = v
-                best_pair = (i + 1, j + 1)
-    return OmegaMaxResult(float(hat_best), float(tilde_best), float(best), best_pair)
+    table = omega_table(agg)
+    best = np.maximum(table.cap, table.hi)
+    k = int(np.argmax(best))  # first maximum: lexicographic tie-break
+    i, j = ordered_pairs(agg.dim)
+    pair = (int(i[k]) + 1, int(j[k]) + 1)
+    return OmegaMaxResult(float(table.cap.max()), float(table.hi.max()), float(best[k]), pair)
 
 
 def bound_chain_middle(agg: RowAggregates) -> float:
     """Middle bound of the chain: pairwise quadratic on (row sum minus
     trailing diagonal, partial row sum), maximized over ordered pairs."""
-    n = agg.dim
-    if n < 2:
-        raise ValueError("bounds require dim >= 2")
-    R, P, D = agg.row_sums, agg.partial_sums, agg.diag_abs
-    best = -np.inf
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = D[i, j]
-            p = max(0.0, R[i] - d)
-            q = P[j, i]
-            c = d * max(0.0, R[j] - q)
-            r_plus = solve_radial_quadratic(p, q, c).r_plus
-            best = max(best, r_plus, p, q)
-    return float(best)
+    table = m_table(agg)
+    # p and q stay in: the larger root can round one ulp below max(p, q).
+    return float(max(table.hi.max(), table.p.max(), table.q.max()))
 
 
 def bound_gershgorin(agg: RowAggregates) -> float:

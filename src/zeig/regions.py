@@ -9,7 +9,6 @@ quadratic/box union (M) and the tighter pairwise set (Omega).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -25,26 +24,29 @@ class QuadraticRootPair(NamedTuple):
     r_plus: float
 
 
-def solve_radial_quadratic(p: float, q: float, c: float) -> QuadraticRootPair:
+def solve_radial_quadratic(p, q, c) -> QuadraticRootPair:
     """Roots of r^2 - (p + q) r + (p q - c) = 0 for p, q >= 0 and c >= 0.
 
-    The larger root comes from the stable + branch of the quadratic
+    Works elementwise: scalars give scalar roots, arrays give arrays of
+    roots.  The larger root comes from the stable + branch of the quadratic
     formula and the smaller from the product of roots divided by the
     larger, which avoids catastrophic cancellation when c ~ 0 and p ~ q.
     c == 0 short-circuits to exactly (min(p, q), max(p, q)) so that
     degenerate cases (diagonal tensors) stay exact in floating point.
     """
-    if c < 0.0:
-        raise ValueError(f"product bound must be >= 0, got {c} (internal invariant violated)")
-    if c == 0.0:
-        return QuadraticRootPair(min(p, q), max(p, q))
-    disc = math.sqrt((p - q) ** 2 + 4.0 * c)
+    p, q, c = (np.asarray(v, dtype=float) for v in (p, q, c))
+    if np.any(c < 0.0):
+        raise ValueError(f"product bound must be >= 0, got {c.min()} (internal invariant violated)")
+    # float_power calls the C library pow, as Python's float ** does; np.square
+    # rounds differently in the last bit for about 1 in 1,000 inputs, and the
+    # roots are printed to the last bit.
+    disc = np.sqrt(np.float_power(p - q, 2) + 4.0 * c)
     r_plus = 0.5 * ((p + q) + disc)
-    if r_plus > 0.0:
-        r_minus = (p * q - c) / r_plus
-    else:
-        r_minus = r_plus = 0.0
-    return QuadraticRootPair(r_minus, r_plus)
+    exact, positive = c == 0.0, r_plus > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_minus = np.where(exact, np.minimum(p, q), np.where(positive, (p * q - c) / r_plus, 0.0))
+    r_plus = np.where(exact, np.maximum(p, q), np.where(positive, r_plus, 0.0))
+    return QuadraticRootPair(r_minus[()], r_plus[()])
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,11 +146,63 @@ class RadialRegion:
         return "\n".join(lines) + "\n"
 
 
-def _ordered_pairs(n: int):
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                yield i, j
+class PairTable(NamedTuple):
+    """Per-pair quantities of one pairwise inclusion set.
+
+    Entry k belongs to the k-th ordered pair (i, j), i != j, in
+    lexicographic order (see ordered_pairs).  The pair contributes the
+    closed band [lo, hi] and the half-open box [0, cap); p and q are the
+    two centres of its quadratic.  Empty bands (lo > hi) and boxes
+    (cap == 0) contribute nothing.
+    """
+
+    p: np.ndarray
+    q: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    cap: np.ndarray
+
+
+def ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based index arrays (i, j) of the ordered pairs i != j, lexicographic."""
+    if n < 2:
+        raise ValueError("pairwise sets require dim >= 2")
+    return np.nonzero(~np.eye(n, dtype=bool))
+
+
+def omega_band(agg: RowAggregates, i, j) -> tuple[np.ndarray, np.ndarray, QuadraticRootPair]:
+    """Centres and roots of (r - P_i^j)(r - P_j^i) = (R_i - P_i^j)(R_j - P_j^i)."""
+    R, P = agg.row_sums, agg.partial_sums
+    p, q = P[i, j], P[j, i]
+    c = np.maximum(0.0, R[i] - p) * np.maximum(0.0, R[j] - q)
+    return p, q, solve_radial_quadratic(p, q, c)
+
+
+def omega_table(agg: RowAggregates) -> PairTable:
+    """Omega's pairs: band of the partial-row-sum quadratic clipped to [0, R_i],
+    box below min(P_i^j, P_j^i)."""
+    i, j = ordered_pairs(agg.dim)
+    p, q, roots = omega_band(agg, i, j)
+    hi = np.minimum(roots.r_plus, agg.row_sums[i])
+    return PairTable(p, q, np.maximum(0.0, roots.r_minus), hi, np.minimum(p, q))
+
+
+def m_table(agg: RowAggregates) -> PairTable:
+    """M's pairs: band of (r - (R_i - d_ij))(r - P_j^i) = d_ij (R_j - P_j^i),
+    box below min(R_i - d_ij, P_j^i)."""
+    i, j = ordered_pairs(agg.dim)
+    R, P, D = agg.row_sums, agg.partial_sums, agg.diag_abs
+    d = D[i, j]
+    p = np.maximum(0.0, R[i] - d)
+    q = P[j, i]
+    roots = solve_radial_quadratic(p, q, d * np.maximum(0.0, R[j] - q))
+    return PairTable(p, q, np.maximum(0.0, roots.r_minus), roots.r_plus, np.minimum(p, q))
+
+
+def _pair_region(table: PairTable) -> RadialRegion:
+    bands = map(RadialInterval, table.lo.tolist(), table.hi.tolist())
+    boxes = (RadialInterval(0.0, cap, hi_open=True) for cap in table.cap.tolist())
+    return RadialRegion.from_intervals([*bands, *boxes])
 
 
 def region_K(agg: RowAggregates) -> RadialRegion:
@@ -166,22 +220,7 @@ def region_M(agg: RowAggregates) -> RadialRegion:
     together with the half-open box r < min(R_i - d_ij, P_j^i), where d_ij
     is the trailing-diagonal magnitude |a[i, j, ..., j]|.
     """
-    R, P, D = agg.row_sums, agg.partial_sums, agg.diag_abs
-    n = agg.dim
-    if n < 2:
-        raise ValueError("region construction requires dim >= 2")
-    items = []
-    for i, j in _ordered_pairs(n):
-        d = D[i, j]
-        p = max(0.0, R[i] - d)
-        q = P[j, i]
-        c = d * max(0.0, R[j] - P[j, i])
-        roots = solve_radial_quadratic(p, q, c)
-        items.append(RadialInterval(max(0.0, roots.r_minus), roots.r_plus))
-        cap = min(p, q)
-        if cap > 0.0:
-            items.append(RadialInterval(0.0, cap, hi_open=True))
-    return RadialRegion.from_intervals(items)
+    return _pair_region(m_table(agg))
 
 
 def region_Omega(agg: RowAggregates) -> RadialRegion:
@@ -194,21 +233,4 @@ def region_Omega(agg: RowAggregates) -> RadialRegion:
 
     intersected with [0, R_i].
     """
-    R, P = agg.row_sums, agg.partial_sums
-    n = agg.dim
-    if n < 2:
-        raise ValueError("region construction requires dim >= 2")
-    items = []
-    for i, j in _ordered_pairs(n):
-        p = P[i, j]
-        q = P[j, i]
-        c = max(0.0, R[i] - p) * max(0.0, R[j] - q)
-        roots = solve_radial_quadratic(p, q, c)
-        lo = max(0.0, roots.r_minus)
-        hi = min(roots.r_plus, R[i])
-        if lo <= hi:
-            items.append(RadialInterval(lo, hi))
-        cap = min(p, q)
-        if cap > 0.0:
-            items.append(RadialInterval(0.0, cap, hi_open=True))
-    return RadialRegion.from_intervals(items)
+    return _pair_region(omega_table(agg))

@@ -8,7 +8,6 @@ built from.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -18,6 +17,10 @@ import numpy as np
 # Entries like 1/3 are not exactly representable, so structural predicates
 # compare with a small relative tolerance by default.
 DEFAULT_STRUCT_TOL = 1e-10
+
+# Largest dim**order a document may declare: 32 MiB of float64, far above the
+# desk scale the oracle is meant for.
+MAX_ENTRIES = 2**22
 
 _DOCUMENT_FIELDS = {"order", "dim", "default", "entries", "values"}
 
@@ -86,7 +89,7 @@ class DenseTensor:
 
     @property
     def values(self) -> np.ndarray:
-        """Flat row-major copy of the entries (last index fastest)."""
+        """Flat row-major read-only view of the entries (last index fastest)."""
         return self.data.reshape(-1)
 
     def __repr__(self) -> str:
@@ -101,38 +104,11 @@ class DenseTensor:
                 raise IndexError(f"index component {pos + 1} is {k!r}, must be in [1, {self.dim}]")
         return tuple(k - 1 for k in idx)
 
-    def _check_row(self, i: int) -> int:
-        if not (isinstance(i, (int, np.integer)) and 1 <= i <= self.dim):
-            raise IndexError(f"row index {i!r} out of range [1, {self.dim}]")
-        return i - 1
-
     def entry(self, idx) -> float:
         """Entry at a 1-based m-tuple of indices."""
         return float(self.data[self._index_offset(idx)])
 
     # -- aggregates --------------------------------------------------------
-
-    def row_sum(self, i: int) -> float:
-        """Sum of absolute values over every entry whose first index is i."""
-        return float(np.abs(self.data[self._check_row(i)]).sum())
-
-    def partial_row_sum(self, j: int, i: int) -> float:
-        """Row-j absolute sum restricted to index tuples that avoid index i."""
-        j0 = self._check_row(j)
-        i0 = self._check_row(i)
-        if i0 == j0:
-            raise ValueError("partial row sum requires i != j")
-        keep = [k for k in range(self.dim) if k != i0]
-        block = self.data[j0][np.ix_(*([keep] * (self.order - 1)))]
-        return float(np.abs(block).sum())
-
-    def diag_like(self, i: int, j: int) -> float:
-        """|a[i, j, ..., j]| — the row-i entry whose trailing indices all equal j."""
-        i0 = self._check_row(i)
-        j0 = self._check_row(j)
-        if i0 == j0:
-            raise ValueError("diag_like requires i != j")
-        return float(abs(self.data[(i0,) + (j0,) * (self.order - 1)]))
 
     def aggregates(self) -> RowAggregates:
         """All row sums, partial row sums and trailing-diagonal magnitudes."""
@@ -187,60 +163,73 @@ class DenseTensor:
         """
         if tol < 0:
             raise ValueError("tol must be >= 0")
-        groups: dict[tuple, list[float]] = {}
-        for t in itertools.product(range(self.dim), repeat=self.order):
-            groups.setdefault(tuple(sorted(t)), []).append(float(self.data[t]))
-        for vals in groups.values():
-            lo, hi = min(vals), max(vals)
-            scale = max(abs(lo), abs(hi))
-            limit = tol * scale if scale > 0.0 else tol
-            if hi - lo > limit:
-                return False
-        return True
+        classes = _canonical_classes(self.order, self.dim)
+        values = self.data.reshape(-1)
+        hi = np.full(values.size, -np.inf)
+        lo = np.full(values.size, np.inf)
+        np.maximum.at(hi, classes, values)
+        np.minimum.at(lo, classes, values)
+        hi, lo = hi[classes], lo[classes]
+        return not np.any(hi - lo > _limit(tol, np.maximum(np.abs(lo), np.abs(hi))))
 
     def is_weakly_symmetric(self, tol: float = DEFAULT_STRUCT_TOL) -> bool:
         """True when the gradient of the degree-m form equals m times apply().
 
-        Both sides are expanded into exact monomial coefficient maps by
-        iterating every index tuple, then compared coefficient by
-        coefficient (tolerance relative to the largest coefficient of the
-        component, absolute when that is zero).  Deterministic and exact at
-        desk scale, unlike sampling the identity at random points.
+        Both sides are expanded into exact monomial coefficient maps, one
+        coefficient per row i and multiset S of m - 1 indices, and compared
+        coefficient by coefficient (tolerance relative to the largest
+        coefficient of the row, absolute when that is zero):
+
+        * m apply(): m times the sum of a[i, tail] over tails sorting to S;
+        * gradient: (multiplicity of i in S, plus one) times the sum of the
+          permutation class of S with i added.
+
+        Deterministic and exact at desk scale, unlike sampling the identity
+        at random points.
         """
         if tol < 0:
             raise ValueError("tol must be >= 0")
         n, m = self.dim, self.order
-        data = self.data
-        lhs: list[dict[tuple, float]] = [{} for _ in range(n)]
-        rhs: list[dict[tuple, float]] = [{} for _ in range(n)]
-        for t in itertools.product(range(n), repeat=m):
-            v = float(data[t])
-            tail = t[1:]
-            key = tuple(sorted(tail))
-            row = lhs[t[0]]
-            row[key] = row.get(key, 0.0) + m * v
-            for i in set(t):
-                rem = list(t)
-                rem.remove(i)
-                key = tuple(sorted(rem))
-                row = rhs[i]
-                row[key] = row.get(key, 0.0) + t.count(i) * v
-        for i in range(n):
-            coeffs = [abs(v) for v in lhs[i].values()] + [abs(v) for v in rhs[i].values()]
-            scale = max(coeffs, default=0.0)
-            limit = tol * scale if scale > 0.0 else tol
-            for key in lhs[i].keys() | rhs[i].keys():
-                if abs(lhs[i].get(key, 0.0) - rhs[i].get(key, 0.0)) > limit:
-                    return False
-        return True
+        classes = _canonical_classes(m, n)
+        values = self.data.reshape(-1)
+        # Row 0 holds the tuples (0, tail), whose sorted copies are
+        # (0, sorted tail): its class ids are the tails' own canonical ids.
+        tails = classes[: values.size // n]
+        multisets = np.flatnonzero(tails == np.arange(tails.size))
+        row_tail = (np.arange(n)[:, None] * tails.size + tails).reshape(-1)
+        lhs = m * np.bincount(row_tail, weights=values).reshape(n, -1)[:, multisets]
+        class_sums = np.bincount(classes, weights=values)
+        with_i = classes.reshape(n, -1)[:, multisets]  # class of S with i added
+        tail_index = np.array(np.unravel_index(multisets, (n,) * (m - 1)))
+        mult = (tail_index == np.arange(n)[:, None, None]).sum(axis=1)
+        rhs = (mult + 1) * class_sums[with_i]
+        scale = np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
+        return not np.any(np.abs(lhs - rhs) > _limit(tol, scale)[:, None])
+
+
+def _limit(tol: float, scale: np.ndarray) -> np.ndarray:
+    """Tolerance relative to scale, absolute where scale is zero."""
+    return np.where(scale > 0.0, tol * scale, tol)
+
+
+def _canonical_classes(order: int, dim: int) -> np.ndarray:
+    """For every flat index of an order-m, dim-n tensor, the flat index of
+    its sorted index tuple: equal ids mark one permutation class."""
+    shape = (dim,) * order
+    index = np.indices(shape, dtype=np.min_scalar_type(dim - 1)).reshape(order, -1)
+    return np.ravel_multi_index(np.sort(index, axis=0), shape)
 
 
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TensorFormatError(f"{where}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise TensorFormatError(f"{where}: integer is out of the floating-point range") from None
+    if not math.isfinite(number):
         raise TensorFormatError(f"{where}: value must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _require_int(value, where: str) -> int:
@@ -260,7 +249,7 @@ def parse_tensor(text: str) -> DenseTensor:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also integer literals past 4300 digits, deep nesting
         raise TensorFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise TensorFormatError("top-level value must be an object")
@@ -276,6 +265,10 @@ def parse_tensor(text: str) -> DenseTensor:
         raise TensorFormatError(f"order: must be >= 2, got {order}")
     if dim < 2:
         raise TensorFormatError(f"dim: must be >= 2, got {dim}")
+    # dim >= 2, so an order of MAX_ENTRIES.bit_length() or more is already too
+    # large; testing it first keeps dim**order from being computed for a huge order.
+    if order >= MAX_ENTRIES.bit_length() or dim**order > MAX_ENTRIES:
+        raise TensorFormatError(f"dim^order: {dim}^{order} entries exceed the limit of {MAX_ENTRIES}")
     if "entries" in doc and "values" in doc:
         raise TensorFormatError("fields 'entries' and 'values' are mutually exclusive")
     if "values" in doc and "default" in doc:

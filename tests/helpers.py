@@ -121,6 +121,45 @@ def brute_aggregates(tensor):
     return R, P, D
 
 
+def brute_is_symmetric(tensor, tol=1e-10):
+    """Permutation classes as dict keys; each class must agree within tol
+    relative to its largest magnitude (absolute tol for all-zero classes)."""
+    groups = {}
+    for t in itertools.product(range(tensor.dim), repeat=tensor.order):
+        groups.setdefault(tuple(sorted(t)), []).append(float(tensor.data[t]))
+    for vals in groups.values():
+        lo, hi = min(vals), max(vals)
+        scale = max(abs(lo), abs(hi))
+        if hi - lo > (tol * scale if scale > 0.0 else tol):
+            return False
+    return True
+
+
+def brute_is_weakly_symmetric(tensor, tol=1e-10):
+    """Expand the gradient of the degree-m form and m * apply() into monomial
+    coefficient dicts, tuple by tuple, and compare them row by row (tol
+    relative to the row's largest coefficient, absolute when that is zero)."""
+    n, m = tensor.dim, tensor.order
+    lhs = [{} for _ in range(n)]
+    rhs = [{} for _ in range(n)]
+    for t in itertools.product(range(n), repeat=m):
+        v = float(tensor.data[t])
+        key = tuple(sorted(t[1:]))
+        lhs[t[0]][key] = lhs[t[0]].get(key, 0.0) + m * v
+        for i in set(t):
+            rem = list(t)
+            rem.remove(i)
+            key = tuple(sorted(rem))
+            rhs[i][key] = rhs[i].get(key, 0.0) + t.count(i) * v
+    for i in range(n):
+        scale = max(abs(v) for v in [*lhs[i].values(), *rhs[i].values()])
+        limit = tol * scale if scale > 0.0 else tol
+        for key in lhs[i].keys() | rhs[i].keys():
+            if abs(lhs[i].get(key, 0.0) - rhs[i].get(key, 0.0)) > limit:
+                return False
+    return True
+
+
 # -- brute-force region membership (defining inequalities, no intervals) --------
 
 

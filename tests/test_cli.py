@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ DIAG = str(fixture_path("diagonal_123_m3.json"))
 ZERO = str(fixture_path("zero_m2_n2.json"))
 RANK1 = str(fixture_path("rank_one_m4_n2.json"))
 CORRUPT = str(fixture_path("corrupt.json"))
+OVERSIZED = str(fixture_path("oversized_shape.json"))
+HUGE_INT = str(fixture_path("huge_integer.json"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *args):
@@ -209,13 +213,33 @@ def test_verify_json_report(capsys):
     assert render_json(doc) == out
 
 
+# -- golden bytes ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", [["info"], ["bounds"], ["regions", "--set", "all"]])
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_json_output_matches_golden_bytes(capsys, name, command):
+    code, out, _ = run_cli(capsys, command[0], str(fixture_path(f"{name}.json")), *command[1:], "--json")
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.{command[0]}.json").read_bytes()
+
+
 # -- exit-code contract over the fixture corpus --------------------------------------
 
 
 @pytest.mark.parametrize("command", ["info", "bounds", "regions", "eigs", "verify"])
 @pytest.mark.parametrize(
     "path, ok",
-    [(EX1, True), (EX2, True), (DIAG, True), (ZERO, True), (RANK1, True), (CORRUPT, False)],
+    [
+        (EX1, True),
+        (EX2, True),
+        (DIAG, True),
+        (ZERO, True),
+        (RANK1, True),
+        (CORRUPT, False),
+        (OVERSIZED, False),
+        (HUGE_INT, False),
+    ],
 )
 def test_exit_code_contract(capsys, command, path, ok):
     args = [command, path]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,17 @@ def test_solve_quadratic_roots_satisfy_equation(p, q, c):
         assert abs((r - p) * (r - q) - c) <= 1e-10 * scale * scale
     assert roots.r_plus >= max(p, q) - 1e-12 * scale
     assert roots.r_minus <= min(p, q) + 1e-12 * scale
+
+
+def test_solve_quadratic_arrays_match_scalar_formula_bit_for_bit():
+    # bounds and region endpoints are printed to the last bit
+    rng = np.random.default_rng(7)
+    p, q = 10.0 * rng.random(20_000), 10.0 * rng.random(20_000)
+    c = rng.random(20_000) * rng.choice([1e-18, 1e-6, 1.0, 100.0], size=20_000)
+    roots = solve_radial_quadratic(p, q, c)
+    for k, (pk, qk, ck) in enumerate(zip(p.tolist(), q.tolist(), c.tolist())):
+        r_plus = 0.5 * ((pk + qk) + math.sqrt((pk - qk) ** 2 + 4.0 * ck))
+        assert (roots.r_minus[k], roots.r_plus[k]) == ((pk * qk - ck) / r_plus, r_plus)
 
 
 def test_solve_quadratic_is_cancellation_safe():
@@ -169,7 +182,8 @@ def test_csv_export_format():
 
 
 def test_region_K_golden(example1, example2, zero_m2_n2):
-    assert region_K(example1.aggregates()).intervals == (iv(0.0, example1.row_sum(2)),)
+    agg1 = example1.aggregates()
+    assert region_K(agg1).intervals == (iv(0.0, agg1.row_sums[1]),)
     assert region_K(example2.aggregates()).supremum == 14.5
     zero_region = region_K(zero_m2_n2.aggregates())
     assert zero_region.intervals == (iv(0.0, 0.0),)

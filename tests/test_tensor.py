@@ -6,7 +6,10 @@ import pytest
 from zeig.tensor import DenseTensor, TensorFormatError, parse_tensor
 
 from helpers import (
+    brute_aggregates,
     brute_apply,
+    brute_is_symmetric,
+    brute_is_weakly_symmetric,
     brute_partial_row_sum,
     brute_poly_value,
     brute_row_sum,
@@ -56,6 +59,10 @@ def test_parse_dense_values_last_index_fastest():
     assert t.entry((2, 2)) == 4.0
 
 
+def test_parse_accepts_the_largest_allowed_shape():
+    assert parse_tensor('{"order": 2, "dim": 2048}').dim == 2048
+
+
 def test_parse_default_without_entries():
     t = parse_tensor('{"order": 3, "dim": 2, "default": 0.25}')
     assert np.all(t.data == 0.25)
@@ -84,6 +91,14 @@ def test_parse_default_without_entries():
         ('{"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "value": NaN}]}', "value"),
         ('{"order": 2, "dim": 2, "entries": [{"idx": [1, 1]}]}', "entries[0]"),
         ('{"order": 2, "dim": 2, "entries": [{"idx": [1,1], "value": 1, "z": 2}]}', "entries[0]"),
+        ('{"order": 40, "dim": 10}', "limit"),
+        ('{"order": 100000000000000000000, "dim": 2}', "limit"),
+        ('{"order": 10000, "dim": 10, "values": []}', "limit"),
+        ('{"order": 2, "dim": 2049}', "limit"),
+        ('{"order": 2, "dim": 2, "values": [1%s, 2, 3, 4]}' % ("0" * 400), "values[0]"),
+        ('{"order": 2, "dim": 2, "default": -1%s}' % ("0" * 400), "default"),
+        ('{"order": 2, "dim": 2, "default": 1%s}' % ("0" * 5000), "invalid JSON"),
+        ("[" * 100_000 + "]" * 100_000, "invalid JSON"),
     ],
 )
 def test_parse_rejects_malformed_documents(text, fragment):
@@ -144,72 +159,29 @@ def test_entry_rejects_bad_indices(example1):
 # -- row aggregates ------------------------------------------------------------
 
 
-def test_row_sum_golden_values(example1, example2):
-    assert example1.row_sum(2) == pytest.approx(16 / 3, rel=1e-14)
-    assert example1.row_sum(1) == pytest.approx(17 / 6, rel=1e-14)
-    assert example2.row_sum(1) == 14.5
-
-
-def test_row_sum_matches_enumeration():
-    rng = np.random.default_rng(42)
-    for _ in range(5):
-        t = random_tensor(rng, order=3, dim=3, signed=True)
-        for i in range(1, 4):
-            assert t.row_sum(i) == pytest.approx(brute_row_sum(t, i), rel=1e-13)
-
-
-def test_partial_row_sum_golden_values(example1):
-    assert example1.partial_row_sum(2, 1) == 3.0
-    assert example1.partial_row_sum(1, 2) == 0.5
-    d = diagonal_tensor([1, 2, 3], order=3)
-    assert d.partial_row_sum(3, 1) == 3.0
-
-
-def test_partial_row_sum_matches_enumeration():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        t = random_tensor(rng, order=4, dim=3, signed=True)
-        for j in range(1, 4):
-            for i in range(1, 4):
-                if i != j:
-                    assert t.partial_row_sum(j, i) == pytest.approx(
-                        brute_partial_row_sum(t, j, i), rel=1e-13
-                    )
-
-
-def test_partial_row_sum_rejects_equal_indices(example1):
-    with pytest.raises(ValueError):
-        example1.partial_row_sum(1, 1)
-    with pytest.raises(IndexError):
-        example1.partial_row_sum(3, 1)
-
-
-def test_diag_like_golden_values(example1, example2, zero_m2_n2):
-    assert example1.diag_like(1, 2) == THIRD
-    assert example2.diag_like(1, 2) == 0.5
-    assert zero_m2_n2.diag_like(1, 2) == 0.0
-    with pytest.raises(ValueError):
-        example1.diag_like(2, 2)
-
-
-def test_aggregates_match_per_element_operations():
+def test_aggregates_match_enumeration():
     rng = np.random.default_rng(11)
-    for order, dim in [(3, 2), (3, 4), (4, 3)]:
+    for order, dim in [(3, 2), (3, 3), (3, 4), (4, 3)]:
         t = random_tensor(rng, order, dim, signed=True)
         agg = t.aggregates()
-        for i in range(1, dim + 1):
-            assert agg.row_sums[i - 1] == t.row_sum(i)
-            for j in range(1, dim + 1):
-                if i != j:
-                    assert agg.partial_sums[j - 1, i - 1] == t.partial_row_sum(j, i)
-                    assert agg.diag_abs[i - 1, j - 1] == t.diag_like(i, j)
+        R, P, D = brute_aggregates(t)
+        assert agg.row_sums == pytest.approx(R, rel=1e-13)
+        assert agg.partial_sums == pytest.approx(P, rel=1e-13)
+        assert np.array_equal(agg.diag_abs, D)
 
 
-def test_aggregates_golden_examples(example1, zero_m2_n2):
+def test_diag_abs_golden_values(example1, example2, zero_m2_n2):
+    assert example1.aggregates().diag_abs[0, 1] == THIRD
+    assert example2.aggregates().diag_abs[0, 1] == 0.5
+    assert zero_m2_n2.aggregates().diag_abs[0, 1] == 0.0
+
+
+def test_aggregates_golden_examples(example1, example2, zero_m2_n2):
     agg = example1.aggregates()
     assert agg.row_sums == pytest.approx([17 / 6, 16 / 3], rel=1e-14)
     assert agg.partial_sums[1, 0] == 3.0
     assert agg.partial_sums[0, 1] == 0.5
+    assert example2.aggregates().row_sums[0] == 14.5
     zagg = zero_m2_n2.aggregates()
     assert np.all(zagg.row_sums == 0.0)
     assert np.all(zagg.partial_sums == 0.0)
@@ -249,12 +221,13 @@ def test_row_partition_is_exact_for_dyadic_entries():
     rng = np.random.default_rng(19)
     for _ in range(10):
         t = random_dyadic_tensor(rng, order=3, dim=3, signed=True)
+        agg = t.aggregates()
         for j in range(1, 4):
             for i in range(1, 4):
                 if i == j:
                     continue
                 contains_i = brute_row_sum(t, j) - brute_partial_row_sum(t, j, i)
-                assert t.partial_row_sum(j, i) + contains_i == t.row_sum(j)
+                assert agg.partial_sums[j - 1, i - 1] + contains_i == agg.row_sums[j - 1]
 
 
 def test_aggregates_permutation_equivariance():
@@ -385,6 +358,37 @@ def test_weak_symmetry_matches_gradient_sampling():
             e[k] = step
             grad[k] = (t.poly_value(x + e) - t.poly_value(x - e)) / (2 * step)
         assert grad == pytest.approx(3.0 * t.apply(x), rel=1e-6, abs=1e-6)
+
+
+def test_symmetry_predicates_match_brute_references():
+    rng = np.random.default_rng(43)
+    seen = set()
+    for order in (2, 3, 4, 5):
+        for dim in (2, 3, 4):
+            for _ in range(3):
+                sym = random_symmetric_tensor(rng, order, dim, signed=True).data
+                cases = [sym, random_tensor(rng, order, dim, signed=True).data]
+                if order >= 3:
+                    # move v between two orderings of one tail: the row's tail
+                    # sums and every class sum stay put, one class splits
+                    a, b = rng.choice(dim, size=2, replace=False)
+                    rest = tuple(rng.integers(dim, size=order - 3))
+                    row = int(rng.integers(dim))
+                    v = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
+                    weak = np.array(sym)
+                    weak[(row, a, b) + rest] += v
+                    weak[(row, b, a) + rest] -= v
+                    cases.append(weak)
+                for bump in (1e-6, 1e-12, 1e-13):
+                    bumped = np.array(sym)
+                    bumped[tuple(rng.integers(dim, size=order))] += bump
+                    cases.append(bumped)
+                for data in cases:
+                    t = DenseTensor(data)
+                    flags = (brute_is_symmetric(t), brute_is_weakly_symmetric(t))
+                    assert (t.is_symmetric(), t.is_weakly_symmetric()) == flags
+                    seen.add(flags)
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_rank_one_tensor_is_symmetric(rank_one):
