@@ -5,7 +5,9 @@ grid resolution) and Newton's method with seeded random restarts for
 general dimension (finds a subset of the spectrum).  Accepted eigenpairs
 are re-verified post hoc against the residual tolerance rather than
 trusted from the solver loop.  verify_inclusion checks found eigenvalues
-against the three inclusion regions and the closed-form bound.
+against the three inclusion regions and the closed-form bound.  The sweep
+grid and Newton's map and Jacobian use ``tensor.contract``, the one batched
+contraction kernel that also serves ``DenseTensor.apply`` and the aggregates.
 
 Determinism: every restart draws its start point from a sub-seed derived
 from the master seed and the restart index, so results do not depend on
@@ -15,14 +17,13 @@ batching or execution order.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import bound_omega_max
 from .regions import region_K, region_M, region_Omega
-from .tensor import DEFAULT_STRUCT_TOL, DenseTensor
+from .tensor import DEFAULT_STRUCT_TOL, DenseTensor, _canonical_classes, contract
 
 INCLUSION_TOL = 1e-8
 _SWEEP_REFINE_TOL = 1e-13
@@ -71,31 +72,24 @@ def residual(tensor: DenseTensor, value: float, x) -> float:
     return float(np.linalg.norm(tensor.apply(x) - value * x))
 
 
-# -- batched polynomial action ----------------------------------------------
+# -- Newton map ----------------------------------------------------------------
 
 
-def _apply_batch(data: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Row-wise contraction for a batch of vectors: result[b, i]."""
-    m = data.ndim
-    dims = string.ascii_lowercase[:m]
-    sub = dims + "," + ",".join("z" + c for c in dims[1:]) + "->z" + dims[0]
-    return np.einsum(sub, data, *([X] * (m - 1)), optimize=True)
+def _newton_map(data: np.ndarray):
+    """X -> (A x^{m-1}, its Jacobian) for each row x of X.  A averaged over
+    the permutations of its trailing m - 1 slots is an S with the same map and
+    Jacobian (m - 1) S x^{m-2}, so one G = S x^{m-2} gives both: G x, (m - 1) G."""
+    n, m = data.shape[0], data.ndim
+    # S[i, tail] is the mean of A[i, .] over the permutation class of tail.
+    classes = _canonical_classes(m - 1, n)
+    sums = np.stack([np.bincount(classes, weights=row) for row in data.reshape(n, -1)])
+    sym = (sums[:, classes] / np.bincount(classes)[classes]).reshape(data.shape)
 
+    def evaluate(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        G = contract(sym, X, m - 2)
+        return np.einsum("zij,zj->zi", G, X), (m - 1) * G
 
-def _jacobian_batch(data: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Batched Jacobian of the contraction map: result[b, i, k]."""
-    m = data.ndim
-    n = data.shape[0]
-    if m == 2:
-        return np.broadcast_to(data, (len(X), n, n))
-    dims = string.ascii_lowercase[:m]
-    out = None
-    for p in range(1, m):
-        keep = [k for k in range(1, m) if k != p]
-        sub = dims + "," + ",".join("z" + dims[k] for k in keep) + "->z" + dims[0] + dims[p]
-        term = np.einsum(sub, data, *([X] * (m - 2)), optimize=True)
-        out = term if out is None else out + term
-    return out
+    return evaluate
 
 
 # -- deduplication and ordering ----------------------------------------------
@@ -121,11 +115,25 @@ def _dedupe(pairs: list[Eigenpair], tol_lambda: float, tol_x: float) -> list[Eig
     return kept
 
 
+def _rayleigh_pair(tensor: DenseTensor, x: np.ndarray) -> Eigenpair:
+    """x with its Rayleigh value and that value's residual."""
+    ax = tensor.apply(x)
+    value = float(x @ ax)
+    return Eigenpair(value, x, float(np.linalg.norm(ax - value * x)))
+
+
 def _sorted_pairs(pairs: list[Eigenpair]) -> list[Eigenpair]:
     return sorted(pairs, key=lambda p: (-p.value, tuple(p.x)))
 
 
 # -- angle sweep (dim 2) ------------------------------------------------------
+
+
+def _sign_change_candidates(g: np.ndarray) -> np.ndarray:
+    """Grid indices k < len(g) - 1 where a root starts: g[k] is the first zero
+    of a run of zeros, or g changes sign strictly between k and k + 1."""
+    head, prev = g[:-1], np.concatenate(([1.0], g[:-2]))
+    return np.flatnonzero(((head == 0.0) & (prev != 0.0)) | (head * g[1:] < 0.0))
 
 
 def z_eigs_sweep_n2(tensor: DenseTensor, grid_size: int = 100_000) -> list[Eigenpair]:
@@ -142,15 +150,12 @@ def z_eigs_sweep_n2(tensor: DenseTensor, grid_size: int = 100_000) -> list[Eigen
     if grid_size < 100:
         raise ValueError("grid_size must be >= 100")
 
-    def g_of(theta: float) -> float:
-        x = np.array([math.cos(theta), math.sin(theta)])
-        ax = tensor.apply(x)
-        return float(ax[0] * x[1] - ax[1] * x[0])
+    def tangent(X: np.ndarray) -> np.ndarray:
+        AX = contract(tensor.data, X, tensor.order - 1)
+        return AX[:, 0] * X[:, 1] - AX[:, 1] * X[:, 0]
 
     thetas = np.linspace(0.0, 2.0 * math.pi, grid_size + 1)
-    X = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    AX = _apply_batch(tensor.data, X)
-    g = AX[:, 0] * X[:, 1] - AX[:, 1] * X[:, 0]
+    g = tangent(np.stack([np.cos(thetas), np.sin(thetas)], axis=1))
 
     roots: list[float] = []
     if np.all(g == 0.0):
@@ -158,33 +163,23 @@ def z_eigs_sweep_n2(tensor: DenseTensor, grid_size: int = 100_000) -> list[Eigen
         # an eigenvector; report the axis representatives.
         roots = [0.0, 0.5 * math.pi]
     else:
-        for k in range(grid_size):
+        for k in _sign_change_candidates(g):
             if g[k] == 0.0:
-                if k == 0 or g[k - 1] != 0.0:
-                    roots.append(float(thetas[k]))
+                roots.append(float(thetas[k]))
                 continue
-            if g[k] * g[k + 1] < 0.0:
-                a, b = float(thetas[k]), float(thetas[k + 1])
-                fa = float(g[k])
+            a, b, fa = float(thetas[k]), float(thetas[k + 1]), float(g[k])
+            for _ in range(200):
                 mid = 0.5 * (a + b)
-                for _ in range(200):
-                    mid = 0.5 * (a + b)
-                    fm = g_of(mid)
-                    if abs(fm) <= _SWEEP_REFINE_TOL or (b - a) <= 1e-16:
-                        break
-                    if (fm > 0.0) == (fa > 0.0):
-                        a, fa = mid, fm
-                    else:
-                        b = mid
-                roots.append(mid)
+                fm = float(tangent(np.array([[math.cos(mid), math.sin(mid)]]))[0])
+                if abs(fm) <= _SWEEP_REFINE_TOL or (b - a) <= 1e-16:
+                    break
+                if (fm > 0.0) == (fa > 0.0):
+                    a, fa = mid, fm
+                else:
+                    b = mid
+            roots.append(mid)
 
-    found: list[Eigenpair] = []
-    for theta in roots:
-        x = np.array([math.cos(theta), math.sin(theta)])
-        ax = tensor.apply(x)
-        lam = float(x @ ax)
-        res = float(np.linalg.norm(ax - lam * x))
-        found.append(Eigenpair(lam, x, res))
+    found = [_rayleigh_pair(tensor, np.array([math.cos(t), math.sin(t)])) for t in roots]
     cfg = OracleConfig()
     return _sorted_pairs(_dedupe(found, cfg.dedupe_tol_lambda, cfg.dedupe_tol_x))
 
@@ -236,32 +231,27 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
     """
     cfg = config or OracleConfig()
     n = tensor.dim
-    data = tensor.data
     eye = np.eye(n)
+    newton_map = _newton_map(tensor.data)
 
     X = _start_points(n, cfg.restarts, cfg.seed)
-    AX = _apply_batch(data, X)
+    AX, J = newton_map(X)
     lam = np.einsum("zi,zi->z", X, AX)
     order = np.arange(cfg.restarts)
 
-    accepted: dict[int, tuple[np.ndarray, float]] = {}
+    accepted: dict[int, np.ndarray] = {}
     for it in range(cfg.max_iter + 1):
-        if len(order) == 0:
-            break
-        AX = _apply_batch(data, X)
         res = np.linalg.norm(AX - lam[:, None] * X, axis=1)
         good = np.isfinite(res)
         done = good & (res <= cfg.residual_tol)
         for k in np.nonzero(done)[0]:
-            accepted[int(order[k])] = (X[k].copy(), float(lam[k]))
+            accepted[int(order[k])] = X[k].copy()
         active = good & ~done
         if not np.any(active) or it == cfg.max_iter:
             break
-        X, lam, AX, order = X[active], lam[active], AX[active], order[active]
+        X, lam, AX, J, order = X[active], lam[active], AX[active], J[active], order[active]
 
-        J = _jacobian_batch(data, X)
-        B = len(order)
-        full = np.zeros((B, n + 1, n + 1))
+        full = np.zeros((len(order), n + 1, n + 1))
         full[:, :n, :n] = J - lam[:, None, None] * eye
         full[:, :n, n] = -X
         full[:, n, :n] = 2.0 * X
@@ -273,15 +263,10 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
         ok &= np.isfinite(norms) & (norms > 1e-12) & np.isfinite(lam)
         X, lam, order, norms = X[ok], lam[ok], order[ok], norms[ok]
         X = X / norms[:, None]
+        AX, J = newton_map(X)
 
-    found: list[Eigenpair] = []
-    for k in sorted(accepted):
-        x, _ = accepted[k]
-        ax = tensor.apply(x)
-        value = float(x @ ax)  # Rayleigh value for the re-verified residual
-        res = float(np.linalg.norm(ax - value * x))
-        if res <= cfg.residual_tol:
-            found.append(Eigenpair(value, x, res))
+    found = [_rayleigh_pair(tensor, accepted[k]) for k in sorted(accepted)]  # re-verified on A
+    found = [pair for pair in found if pair.residual <= cfg.residual_tol]
     return _sorted_pairs(_dedupe(found, cfg.dedupe_tol_lambda, cfg.dedupe_tol_x))
 
 

@@ -22,6 +22,9 @@ DEFAULT_STRUCT_TOL = 1e-10
 # desk scale the oracle is meant for.
 MAX_ENTRIES = 2**22
 
+# Widest intermediate of one contract() chunk, in float64 items (1 MiB).
+_CONTRACT_ITEMS = 2**17
+
 _DOCUMENT_FIELDS = {"order", "dim", "default", "entries", "values"}
 
 
@@ -115,39 +118,27 @@ class DenseTensor:
         n, m = self.dim, self.order
         absdata = np.abs(self.data)
         row_sums = absdata.reshape(n, -1).sum(axis=1)
-        partial = np.zeros((n, n))
-        diag = np.zeros((n, n))
-        for j in range(n):
-            for i in range(n):
-                if i == j:
-                    continue
-                keep = [k for k in range(n) if k != i]
-                partial[j, i] = absdata[j][np.ix_(*([keep] * (m - 1)))].sum()
-                diag[j, i] = absdata[(j,) + (i,) * (m - 1)]
+        # Contracting every slot with 1 - e_i keeps exactly the tuples avoiding i.
+        partial = contract(absdata, 1.0 - np.eye(n), m - 1).T
+        index = np.arange(n)
+        diag = absdata[(index[:, None],) + (index,) * (m - 1)]
+        partial[index, index] = diag[index, index] = 0.0
         for arr in (row_sums, partial, diag):
             arr.flags.writeable = False
         return RowAggregates(row_sums, partial, diag)
 
     # -- polynomial action -------------------------------------------------
 
-    def _check_vector(self, x) -> np.ndarray:
+    def apply(self, x) -> np.ndarray:
+        """The vector whose i-th component contracts row i with x in every slot."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"vector must have length {self.dim}, got shape {x.shape}")
-        return x
-
-    def apply(self, x) -> np.ndarray:
-        """The vector whose i-th component contracts row i with x in every slot."""
-        x = self._check_vector(x)
-        out = self.data
-        for _ in range(self.order - 1):
-            out = out @ x
-        return out
+        return contract(self.data, x[None], self.order - 1)[0]
 
     def poly_value(self, x) -> float:
         """Full contraction of the tensor with x in all m slots."""
-        x = self._check_vector(x)
-        return float(x @ self.apply(x))
+        return float(np.asarray(x, dtype=float) @ self.apply(x))
 
     # -- structural predicates ----------------------------------------------
 
@@ -205,6 +196,27 @@ class DenseTensor:
         rhs = (mult + 1) * class_sums[with_i]
         scale = np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
         return not np.any(np.abs(lhs - rhs) > _limit(tol, scale)[:, None])
+
+
+def contract(data: np.ndarray, X: np.ndarray, slots: int) -> np.ndarray:
+    """result[b]: the last ``slots`` axes of ``data`` contracted with row b of X.
+
+    One BLAS product takes the last axis, then ``slots - 1`` einsum steps one
+    axis each, over chunks of rows sized to _CONTRACT_ITEMS."""
+    n = data.shape[0]
+    keep = data.shape[: data.ndim - slots]
+    if slots == 0:
+        return np.broadcast_to(data, (len(X),) + keep)
+    flat = data.reshape(-1, n)
+    out = np.empty((len(X), math.prod(keep)))
+    step = max(1, _CONTRACT_ITEMS // len(flat))
+    for lo in range(0, len(X), step):
+        chunk = X[lo : lo + step]
+        acc = flat @ chunk.T
+        for _ in range(slots - 1):
+            acc = np.einsum("kjb,bj->kb", acc.reshape(-1, n, len(chunk)), chunk)
+        out[lo : lo + step] = acc.T
+    return out.reshape((len(X),) + keep)
 
 
 def _limit(tol: float, scale: np.ndarray) -> np.ndarray:

@@ -84,18 +84,25 @@ def brute_partial_row_sum(tensor, j, i):
     return sum(abs(tensor.entry((j,) + t)) for t in itertools.product(others, repeat=m - 1))
 
 
-def brute_apply(tensor, x):
+def brute_contract(tensor, x, slots):
+    """The last `slots` axes contracted with x, by enumerating index tuples."""
     n, m = tensor.dim, tensor.order
-    out = np.zeros(n)
-    for i in range(1, n + 1):
+    x = [float(v) for v in x]
+    entries = iter(tensor.data.reshape(-1).tolist())  # row-major: the tail varies fastest
+    out = []
+    for _ in range(n ** (m - slots)):
         acc = 0.0
-        for t in itertools.product(range(1, n + 1), repeat=m - 1):
-            term = tensor.entry((i,) + t)
-            for c in t:
-                term *= x[c - 1]
+        for tail in itertools.product(range(n), repeat=slots):
+            term = next(entries)
+            for c in tail:
+                term *= x[c]
             acc += term
-        out[i - 1] = acc
-    return out
+        out.append(acc)
+    return np.array(out).reshape((n,) * (m - slots))
+
+
+def brute_apply(tensor, x):
+    return brute_contract(tensor, x, tensor.order - 1)
 
 
 def brute_poly_value(tensor, x):
@@ -205,6 +212,23 @@ def region_endpoints(region):
     for iv in region.intervals:
         out.extend([iv.lo, iv.hi])
     return out
+
+
+# -- angle sweep scan -------------------------------------------------------------
+
+
+def sign_change_indices(g):
+    """The grid indices the angle sweep refines, walked one point at a time:
+    the first zero of every run of zeros, and every strict sign change."""
+    found = []
+    for k in range(len(g) - 1):
+        if g[k] == 0.0:
+            if k == 0 or g[k - 1] != 0.0:
+                found.append(k)
+            continue
+        if g[k] * g[k + 1] < 0.0:
+            found.append(k)
+    return found
 
 
 # -- finite differences -----------------------------------------------------------

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from zeig.bounds import bound_chain_middle, bound_gershgorin, bound_omega_max
-from zeig.oracle import OracleConfig, _jacobian_batch, z_eigs_newton, z_eigs_sweep_n2
+from zeig.oracle import OracleConfig, _newton_map, z_eigs_newton, z_eigs_sweep_n2
 from zeig.regions import region_K, region_M, region_Omega
 
 from helpers import (
@@ -187,7 +187,7 @@ def test_criterion_8_oracle_self_consistency():
         dim = int(rng.integers(2, 4))
         tensor = random_symmetric_tensor(rng, order, dim, signed=True)
         x = rng.normal(size=dim)
-        J = _jacobian_batch(tensor.data, x[None, :])[0]
+        J = _newton_map(tensor.data)(x[None, :])[1][0]
         J_fd = finite_difference_jacobian(tensor, x, step=1e-6)
         scale = max(1.0, float(np.abs(J).max()))
         jac_worst = max(jac_worst, float(np.abs(J - J_fd).max()) / scale)

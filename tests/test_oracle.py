@@ -5,20 +5,23 @@ from zeig.bounds import bound_gershgorin
 from zeig.oracle import (
     Eigenpair,
     OracleConfig,
-    _apply_batch,
-    _jacobian_batch,
+    _newton_map,
+    _sign_change_candidates,
     residual,
     verify_inclusion,
     z_eigs_newton,
     z_eigs_sweep_n2,
 )
-from zeig.tensor import DenseTensor
+from zeig import tensor as tensor_module
+from zeig.tensor import DenseTensor, contract
 
 from helpers import (
+    brute_contract,
     diagonal_tensor,
     finite_difference_jacobian,
     random_symmetric_tensor,
     random_tensor,
+    sign_change_indices,
 )
 
 # frozen from two independent scratch computations (grid+bisection sweep and
@@ -53,29 +56,59 @@ def test_residual_input_validation():
         residual(d, 1.0, [1.0, 1.0, 0.0])  # not unit norm
 
 
-# -- batched contraction helpers ---------------------------------------------------
+# -- batched contraction kernel and the Newton map ------------------------------------
 
 
-def test_apply_batch_matches_single_apply():
+def test_contract_matches_enumeration_for_every_slot_count():
     rng = np.random.default_rng(3)
-    for order, dim in [(2, 3), (3, 2), (4, 3)]:
+    for order, dim in [(2, 3), (3, 2), (4, 3), (3, 4)]:
         t = random_tensor(rng, order, dim, signed=True)
         X = rng.normal(size=(7, dim))
-        batch = _apply_batch(t.data, X)
-        for k in range(7):
-            assert batch[k] == pytest.approx(t.apply(X[k]), rel=1e-12, abs=1e-12)
+        for slots in range(order):
+            batch = contract(t.data, X, slots)
+            assert batch.shape == (7,) + (dim,) * (order - slots)
+            for k in range(7):
+                assert batch[k] == pytest.approx(brute_contract(t, X[k], slots), rel=1e-12, abs=1e-12)
+
+
+def test_contract_batch_spanning_several_chunks():
+    rng = np.random.default_rng(4)
+    order, dim, rows = 5, 9, 64
+    step = tensor_module._CONTRACT_ITEMS // dim ** (order - 1)
+    assert 0 < step < rows  # the batch is split into several chunks
+    t = random_tensor(rng, order, dim, signed=True)
+    X = rng.normal(size=(rows, dim))
+    for slots in range(order):
+        batch = contract(t.data, X, slots)
+        for k in (0, step - 1, step, rows - 1):
+            np.testing.assert_allclose(batch[k], brute_contract(t, X[k], slots), rtol=1e-12, atol=1e-12)
+        singles = np.concatenate([contract(t.data, X[k : k + 1], slots) for k in range(rows)])
+        np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12)
 
 
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(5)
-    for order, dim in [(2, 3), (3, 3), (4, 2)]:
-        t = random_symmetric_tensor(rng, order, dim, signed=True)
-        for _ in range(4):
-            x = rng.normal(size=dim)
-            J = _jacobian_batch(t.data, x[None, :])[0]
-            J_fd = finite_difference_jacobian(t, x)
-            scale = max(1.0, float(np.abs(J).max()))
-            assert np.abs(J - J_fd).max() <= 1e-5 * scale
+    for order, dim in [(2, 3), (3, 3), (4, 2), (3, 2), (4, 3)]:
+        for t in (random_symmetric_tensor(rng, order, dim, signed=True), random_tensor(rng, order, dim, signed=True)):
+            newton_map = _newton_map(t.data)
+            for _ in range(4):
+                x = rng.normal(size=dim)
+                AX, J = newton_map(x[None, :])
+                assert AX[0] == pytest.approx(t.apply(x), rel=1e-12, abs=1e-12)
+                J_fd = finite_difference_jacobian(t, x)
+                scale = max(1.0, float(np.abs(J[0]).max()))
+                assert np.abs(J[0] - J_fd).max() <= 1e-5 * scale
+
+
+def test_sign_change_candidates_match_pointwise_scan():
+    rng = np.random.default_rng(6)
+    for _ in range(3000):
+        size = int(rng.integers(2, 40))
+        g = rng.choice([-2.0, -1.0, 0.0, 0.0, 1.0, 3.0], size=size)
+        if rng.random() < 0.3:  # long runs of zeros, at either end too
+            lo = int(rng.integers(0, size))
+            g[lo : lo + int(rng.integers(1, size + 1))] = 0.0
+        assert _sign_change_candidates(g).tolist() == sign_change_indices(g)
 
 
 # -- angle sweep ---------------------------------------------------------------------

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zeig.tensor import DenseTensor, TensorFormatError, parse_tensor
+from zeig.tensor import MAX_ENTRIES, DenseTensor, TensorFormatError, parse_tensor
 
 from helpers import (
     brute_aggregates,
@@ -105,6 +107,60 @@ def test_parse_rejects_malformed_documents(text, fragment):
     with pytest.raises(TensorFormatError) as excinfo:
         parse_tensor(text)
     assert fragment.lower() in str(excinfo.value).lower()
+
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+_NUMBERS = st.integers(-10, 10) | st.floats(-10.0, 10.0)
+# NaN, infinities, bools, integers past the float range, and non-numbers.
+_BAD_NUMBERS = st.floats() | st.sampled_from([10**400, -(10**400), True]) | _JSON
+# Sizes below 2, sizes the entry limit rejects before anything is allocated,
+# and non-integers.
+_BAD_SIZES = st.integers(-1, 1) | st.integers(MAX_ENTRIES + 1, 10**40) | _JSON_SCALARS
+
+
+@st.composite
+def _tensor_documents(draw):
+    """Documents shaped like the tensor format, valid or broken in any field."""
+    doc = {}
+    for field in ("order", "dim"):
+        kind = draw(st.integers(0, 9))  # 0: missing, 1-2: broken, else small
+        if kind:
+            doc[field] = draw(_BAD_SIZES if kind <= 2 else st.integers(2, 3))
+    order, dim = doc.get("order"), doc.get("dim")
+    small = all(type(v) is int and 0 <= v <= 3 for v in (order, dim))
+    layout = draw(st.sampled_from(["fill", "values", "entries", "both", "extra field"]))
+    if layout in ("values", "both"):
+        count = max(0, (dim**order if small else 4) + draw(st.sampled_from([0, 0, 0, -1, 1])))
+        values = draw(st.lists(_NUMBERS, min_size=count, max_size=count))
+        if values and draw(st.booleans()):
+            values[draw(st.integers(0, count - 1))] = draw(_BAD_NUMBERS)
+        doc["values"] = values
+    if layout in ("entries", "both"):
+        fitting = st.lists(st.integers(0, 4), min_size=order, max_size=order) if small else st.nothing()
+        idx = fitting | fitting | st.lists(st.integers(0, 4) | _JSON_SCALARS, max_size=4)
+        item = st.fixed_dictionaries({"idx": idx, "value": _NUMBERS | _NUMBERS | _BAD_NUMBERS}) | _JSON
+        doc["entries"] = draw(st.lists(item, max_size=4))
+    if draw(st.booleans()):
+        doc["default"] = draw(_NUMBERS | _BAD_NUMBERS)
+    if layout == "extra field":
+        doc[draw(st.text(max_size=4))] = draw(_JSON)
+    return doc
+
+
+@given(_tensor_documents() | _JSON)
+@settings(max_examples=300, deadline=None)
+def test_parse_any_json_document_yields_tensor_or_format_error(doc):
+    try:
+        tensor = parse_tensor(json.dumps(doc))
+    except TensorFormatError:
+        return
+    assert isinstance(tensor, DenseTensor)
+    assert tensor.data.shape == (doc["dim"],) * doc["order"]
 
 
 def test_parse_duplicate_index_tuple_is_hard_error():
