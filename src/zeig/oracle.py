@@ -2,16 +2,18 @@
 
 Two finders: an exhaustive angle sweep for dimension 2 (complete up to
 grid resolution) and Newton's method with seeded random restarts for
-general dimension (finds a subset of the spectrum).  Accepted eigenpairs
-are re-verified post hoc against the residual tolerance rather than
-trusted from the solver loop.  verify_inclusion checks found eigenvalues
-against the three inclusion regions and the closed-form bound.  The sweep
-grid and Newton's map and Jacobian use ``tensor.contract``, the one batched
+general dimension (finds a subset of the spectrum).  Converged restarts
+are first merged into distinct eigenpairs (λ within DEDUPE_TOL_LAMBDA, x
+within DEDUPE_TOL_X up to sign); only the survivors are re-verified on A
+through ``DenseTensor.apply`` against RESIDUAL_TOL rather than trusted from
+the solver loop.  verify_inclusion checks found eigenvalues against the
+three inclusion regions and the closed-form bound.  The sweep grid and
+Newton's map and Jacobian use ``tensor.contract``, the one batched
 contraction kernel that also serves ``DenseTensor.apply`` and the aggregates.
 
-Determinism: every restart draws its start point from a sub-seed derived
-from the master seed and the restart index, so results do not depend on
-batching or execution order.
+Determinism: the start points are the rows of one normal draw from
+``default_rng(seed)``, so restart k starts from a function of (seed, k) only
+and the first k starts do not depend on how many restarts follow.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from .regions import region_K, region_M, region_Omega
 from .tensor import DEFAULT_STRUCT_TOL, DenseTensor, _canonical_classes, contract
 
 INCLUSION_TOL = 1e-8
+MAX_ITER = 200  # Newton steps per restart
+RESIDUAL_TOL = 1e-12  # largest accepted |A x^{m-1} - λ x|
+DEDUPE_TOL_LAMBDA = 1e-8  # eigenpairs this close in λ ...
+DEDUPE_TOL_X = 1e-6  # ... and in x up to sign are one eigenpair
 _SWEEP_REFINE_TOL = 1e-13
 
 
@@ -44,20 +50,11 @@ class Eigenpair:
 @dataclass
 class OracleConfig:
     restarts: int = 1000
-    max_iter: int = 200
-    residual_tol: float = 1e-12
-    dedupe_tol_lambda: float = 1e-8
-    dedupe_tol_x: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        for name in ("residual_tol", "dedupe_tol_lambda", "dedupe_tol_x"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
@@ -95,23 +92,21 @@ def _newton_map(data: np.ndarray):
 # -- deduplication and ordering ----------------------------------------------
 
 
-def _dedupe(pairs: list[Eigenpair], tol_lambda: float, tol_x: float) -> list[Eigenpair]:
-    """Collapse eigenpairs equal up to tolerance and vector sign.
+def _distinct(values: np.ndarray, X: np.ndarray, rank: np.ndarray) -> list[int]:
+    """Indices of one member per cluster of candidates equal in value within
+    DEDUPE_TOL_LAMBDA and in vector, up to sign, within DEDUPE_TOL_X.
 
-    Within a duplicate cluster the pair with the smallest residual wins,
+    Candidates are taken best first (lowest rank, earliest index on ties);
+    each one not yet claimed is kept and claims every candidate it matches,
     so the reported witness is the best available one.
     """
-    kept: list[Eigenpair] = []
-    for cand in pairs:
-        for pos, have in enumerate(kept):
-            if abs(cand.value - have.value) <= tol_lambda and min(
-                np.linalg.norm(cand.x - have.x), np.linalg.norm(cand.x + have.x)
-            ) <= tol_x:
-                if cand.residual < have.residual:
-                    kept[pos] = cand
-                break
-        else:
-            kept.append(cand)
+    unclaimed = np.ones(len(values), dtype=bool)
+    kept = []
+    for k in np.argsort(rank, kind="stable").tolist():
+        if unclaimed[k]:
+            kept.append(k)
+            near = np.minimum(np.linalg.norm(X - X[k], axis=1), np.linalg.norm(X + X[k], axis=1))
+            unclaimed &= (np.abs(values - values[k]) > DEDUPE_TOL_LAMBDA) | (near > DEDUPE_TOL_X)
     return kept
 
 
@@ -180,26 +175,19 @@ def z_eigs_sweep_n2(tensor: DenseTensor, grid_size: int = 100_000) -> list[Eigen
             roots.append(mid)
 
     found = [_rayleigh_pair(tensor, np.array([math.cos(t), math.sin(t)])) for t in roots]
-    cfg = OracleConfig()
-    return _sorted_pairs(_dedupe(found, cfg.dedupe_tol_lambda, cfg.dedupe_tol_x))
+    X = np.array([p.x for p in found]).reshape(-1, 2)
+    keep = _distinct(np.array([p.value for p in found]), X, np.array([p.residual for p in found]))
+    return _sorted_pairs([found[k] for k in keep])
 
 
 # -- Newton with random restarts ----------------------------------------------
 
 
 def _start_points(n: int, restarts: int, seed: int) -> np.ndarray:
-    """Uniform draws on the unit sphere, one sub-seed per restart index."""
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    X = np.empty((restarts, n))
-    for k, child in enumerate(children):
-        v = np.random.default_rng(child).normal(size=n)
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            v = np.zeros(n)
-            v[0] = 1.0
-            norm = 1.0
-        X[k] = v / norm
-    return X
+    """Uniform draws on the unit sphere: the normalized rows of one seeded
+    standard-normal block, so row k depends on (seed, k) only."""
+    X = np.random.default_rng(seed).standard_normal((restarts, n))
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
 def _solve_newton_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,13 +209,14 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
     """Eigenpairs found by Newton's method on the eigen system with the
     unit-norm constraint, from seeded random restarts.
 
-    Each restart starts at a sphere point drawn from its own sub-seed and
-    iterates the full (n+1)-variable Newton step with the exact Jacobian
-    of the contraction map, renormalizing x after every step.  Restarts
-    that fail to reach the residual tolerance within max_iter are dropped;
-    an empty result is legal.  Survivors are re-verified, deduplicated
-    (eigenvalue and eigenvector up to sign) and sorted by eigenvalue
-    descending.
+    Restart k starts at row k of the seeded sphere draw and iterates the
+    full (n+1)-variable Newton step with the exact Jacobian of the
+    contraction map, renormalizing x after every step.  Restarts that fail
+    to reach RESIDUAL_TOL within MAX_ITER steps are dropped; an empty result
+    is legal.  The converged ones are merged into distinct eigenpairs
+    (eigenvalue and eigenvector up to sign; lowest loop residual wins), each
+    survivor is re-verified on A with its Rayleigh value, and the pairs that
+    still meet RESIDUAL_TOL are sorted by eigenvalue descending.
     """
     cfg = config or OracleConfig()
     n = tensor.dim
@@ -238,16 +227,18 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
     AX, J = newton_map(X)
     lam = np.einsum("zi,zi->z", X, AX)
     order = np.arange(cfg.restarts)
+    # Per restart: converged x, Newton λ and loop residual (inf: never converged).
+    final_x, final_lam = np.empty((cfg.restarts, n)), np.empty(cfg.restarts)
+    final_res = np.full(cfg.restarts, np.inf)
 
-    accepted: dict[int, np.ndarray] = {}
-    for it in range(cfg.max_iter + 1):
+    for it in range(MAX_ITER + 1):
         res = np.linalg.norm(AX - lam[:, None] * X, axis=1)
         good = np.isfinite(res)
-        done = good & (res <= cfg.residual_tol)
-        for k in np.nonzero(done)[0]:
-            accepted[int(order[k])] = X[k].copy()
+        done = good & (res <= RESIDUAL_TOL)
+        hit = order[done]
+        final_x[hit], final_lam[hit], final_res[hit] = X[done], lam[done], res[done]
         active = good & ~done
-        if not np.any(active) or it == cfg.max_iter:
+        if not np.any(active) or it == MAX_ITER:
             break
         X, lam, AX, J, order = X[active], lam[active], AX[active], J[active], order[active]
 
@@ -265,9 +256,10 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
         X = X / norms[:, None]
         AX, J = newton_map(X)
 
-    found = [_rayleigh_pair(tensor, accepted[k]) for k in sorted(accepted)]  # re-verified on A
-    found = [pair for pair in found if pair.residual <= cfg.residual_tol]
-    return _sorted_pairs(_dedupe(found, cfg.dedupe_tol_lambda, cfg.dedupe_tol_x))
+    hit = np.flatnonzero(np.isfinite(final_res))
+    keep = hit[_distinct(final_lam[hit], final_x[hit], final_res[hit])]
+    found = [_rayleigh_pair(tensor, x) for x in final_x[keep]]  # re-verified on A
+    return _sorted_pairs([pair for pair in found if pair.residual <= RESIDUAL_TOL])
 
 
 # -- verification --------------------------------------------------------------

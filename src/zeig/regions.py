@@ -200,9 +200,9 @@ def m_table(agg: RowAggregates) -> PairTable:
 
 
 def _pair_region(table: PairTable) -> RadialRegion:
-    bands = map(RadialInterval, table.lo.tolist(), table.hi.tolist())
-    boxes = (RadialInterval(0.0, cap, hi_open=True) for cap in table.cap.tolist())
-    return RadialRegion.from_intervals([*bands, *boxes])
+    # The half-open boxes all start at 0, so their union is the widest one.
+    box = RadialInterval(0.0, float(table.cap.max()), hi_open=True)
+    return RadialRegion.from_intervals([*map(RadialInterval, table.lo.tolist(), table.hi.tolist()), box])
 
 
 def region_K(agg: RowAggregates) -> RadialRegion:

@@ -176,7 +176,9 @@ class DenseTensor:
           permutation class of S with i added.
 
         Deterministic and exact at desk scale, unlike sampling the identity
-        at random points.
+        at random points.  The two sides are floating sums taken in different
+        orders, so at ``tol=0`` an exactly symmetric tensor can be reported as
+        not weakly symmetric; the CLI always uses the default tolerance.
         """
         if tol < 0:
             raise ValueError("tol must be >= 0")
@@ -232,21 +234,23 @@ def _canonical_classes(order: int, dim: int) -> np.ndarray:
     return np.ravel_multi_index(np.sort(index, axis=0), shape)
 
 
-def _require_number(value, where: str) -> float:
+def _require_number(value, where: str, *at) -> float:
+    """value as a finite float.  Errors name the field ``where.format(*at)``,
+    formatted only when raising, as in ``_require_int``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TensorFormatError(f"{where}: expected a number, got {value!r}")
+        raise TensorFormatError(f"{where.format(*at)}: expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
-        raise TensorFormatError(f"{where}: integer is out of the floating-point range") from None
+        raise TensorFormatError(f"{where.format(*at)}: integer is out of the floating-point range") from None
     if not math.isfinite(number):
-        raise TensorFormatError(f"{where}: value must be finite, got {value!r}")
+        raise TensorFormatError(f"{where.format(*at)}: value must be finite, got {value!r}")
     return number
 
 
-def _require_int(value, where: str) -> int:
+def _require_int(value, where: str, *at) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TensorFormatError(f"{where}: expected an integer, got {value!r}")
+        raise TensorFormatError(f"{where.format(*at)}: expected an integer, got {value!r}")
     return value
 
 
@@ -294,7 +298,7 @@ def parse_tensor(text: str) -> DenseTensor:
         expected = dim**order
         if len(values) != expected:
             raise TensorFormatError(f"values: expected {expected} numbers (dim^order), got {len(values)}")
-        flat = [_require_number(v, f"values[{k}]") for k, v in enumerate(values)]
+        flat = [_require_number(v, "values[{}]", k) for k, v in enumerate(values)]
         data = np.array(flat, dtype=float).reshape(shape)
         return DenseTensor(data, copy=False)
 
@@ -305,21 +309,20 @@ def parse_tensor(text: str) -> DenseTensor:
         raise TensorFormatError("entries: expected an array")
     seen: set[tuple] = set()
     for k, item in enumerate(entries):
-        where = f"entries[{k}]"
         if not isinstance(item, dict) or set(item) != {"idx", "value"}:
-            raise TensorFormatError(f"{where}: expected an object with exactly 'idx' and 'value'")
+            raise TensorFormatError(f"entries[{k}]: expected an object with exactly 'idx' and 'value'")
         idx = item["idx"]
         if not isinstance(idx, list) or len(idx) != order:
-            raise TensorFormatError(f"{where}.idx: expected an array of {order} indices")
+            raise TensorFormatError(f"entries[{k}].idx: expected an array of {order} indices")
         offsets = []
         for pos, component in enumerate(idx):
-            component = _require_int(component, f"{where}.idx[{pos}]")
+            component = _require_int(component, "entries[{}].idx[{}]", k, pos)
             if not 1 <= component <= dim:
-                raise TensorFormatError(f"{where}.idx[{pos}]: index {component} out of range [1, {dim}]")
+                raise TensorFormatError(f"entries[{k}].idx[{pos}]: index {component} out of range [1, {dim}]")
             offsets.append(component - 1)
         offsets = tuple(offsets)
         if offsets in seen:
-            raise TensorFormatError(f"{where}.idx: duplicate index tuple {idx}")
+            raise TensorFormatError(f"entries[{k}].idx: duplicate index tuple {idx}")
         seen.add(offsets)
-        data[offsets] = _require_number(item["value"], f"{where}.value")
+        data[offsets] = _require_number(item["value"], "entries[{}].value", k)
     return DenseTensor(data, copy=False)

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from zeig.oracle import Eigenpair
 from zeig.tensor import DenseTensor
 
 
@@ -229,6 +230,29 @@ def sign_change_indices(g):
         if g[k] * g[k + 1] < 0.0:
             found.append(k)
     return found
+
+
+# -- eigenpair deduplication ------------------------------------------------------
+
+
+def brute_dedupe(pairs: list[Eigenpair], tol_lambda: float, tol_x: float) -> list[Eigenpair]:
+    """Collapse eigenpairs equal up to tolerance and vector sign.
+
+    Within a duplicate cluster the pair with the smallest residual wins,
+    so the reported witness is the best available one.
+    """
+    kept: list[Eigenpair] = []
+    for cand in pairs:
+        for pos, have in enumerate(kept):
+            if abs(cand.value - have.value) <= tol_lambda and min(
+                np.linalg.norm(cand.x - have.x), np.linalg.norm(cand.x + have.x)
+            ) <= tol_x:
+                if cand.residual < have.residual:
+                    kept[pos] = cand
+                break
+        else:
+            kept.append(cand)
+    return kept
 
 
 # -- finite differences -----------------------------------------------------------

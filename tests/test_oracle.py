@@ -3,10 +3,14 @@ import pytest
 
 from zeig.bounds import bound_gershgorin
 from zeig.oracle import (
+    DEDUPE_TOL_LAMBDA,
+    DEDUPE_TOL_X,
     Eigenpair,
     OracleConfig,
+    _distinct,
     _newton_map,
     _sign_change_candidates,
+    _start_points,
     residual,
     verify_inclusion,
     z_eigs_newton,
@@ -17,6 +21,7 @@ from zeig.tensor import DenseTensor, contract
 
 from helpers import (
     brute_contract,
+    brute_dedupe,
     diagonal_tensor,
     finite_difference_jacobian,
     random_symmetric_tensor,
@@ -224,16 +229,65 @@ def test_newton_scaling_equivariance():
         assert w == pytest.approx(2.0 * v, rel=1e-8, abs=1e-10)
 
 
-def test_newton_empty_result_is_legal(example2):
-    pairs = z_eigs_newton(example2, OracleConfig(restarts=2, max_iter=1, seed=0))
-    assert pairs == []
+def test_newton_empty_result_is_legal():
+    rotation = DenseTensor([[0.0, -1.0], [1.0, 0.0]])  # 90 degrees: no real eigenvector
+    assert z_eigs_newton(rotation, OracleConfig(restarts=50, seed=0)) == []
+
+
+def test_start_points_unit_prefix_stable_and_seeded():
+    X = _start_points(4, 1000, 7)
+    assert X.shape == (1000, 4)
+    np.testing.assert_allclose(np.linalg.norm(X, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.array_equal(_start_points(4, 13, 7), X[:13])
+    assert not np.any(np.all(_start_points(4, 13, 8) == X[:13], axis=1))
+
+
+def _candidate_set(rng, clusters, members):
+    """Shuffled eigenpair candidates: tight clusters around well-separated
+    centres, members sign-flipped at random, residuals drawn from three
+    values so that ties are common.  Some centres share a value and differ
+    only in vector, some share a vector and differ only in value."""
+    dim = 3
+    centres = []
+    for c in range(clusters):
+        x = rng.normal(size=dim)
+        value = float(rng.integers(-3, 4))
+        if c % 3 == 1 and centres:  # same value as the previous centre, other vector
+            value = centres[-1][0]
+        if c % 3 == 2 and centres:  # same vector as the previous centre, other value
+            x, value = centres[-1][1], centres[-1][0] + 0.5
+        centres.append((value, x / np.linalg.norm(x)))
+    pairs = []
+    for value, x in centres:
+        for _ in range(int(rng.integers(1, members + 1))):
+            y = x + rng.uniform(-1e-8, 1e-8, size=dim)
+            y = (1.0 if rng.random() < 0.5 else -1.0) * y / np.linalg.norm(y)
+            v = value + float(rng.uniform(-1e-10, 1e-10))
+            pairs.append(Eigenpair(v, y, float(rng.choice([1e-15, 2e-15, 5e-14]))))
+    return [pairs[k] for k in rng.permutation(len(pairs))]
+
+
+def test_distinct_matches_brute_dedupe():
+    rng = np.random.default_rng(8)
+    for trial in range(200):
+        pairs = _candidate_set(rng, clusters=int(rng.integers(1, 9)), members=int(rng.integers(1, 7)))
+        values = np.array([p.value for p in pairs])
+        X = np.array([p.x for p in pairs])
+        ranks = np.array([p.residual for p in pairs])
+        kept = _distinct(values, X, ranks)
+        survivors = brute_dedupe(pairs, DEDUPE_TOL_LAMBDA, DEDUPE_TOL_X)
+        expected = [next(k for k, p in enumerate(pairs) if p is q) for q in survivors]
+        assert sorted(kept) == sorted(expected), trial
+        for k in kept:  # the lowest residual of its cluster, the earliest on ties
+            same = (np.abs(values - values[k]) <= DEDUPE_TOL_LAMBDA) & (
+                np.minimum(np.linalg.norm(X - X[k], axis=1), np.linalg.norm(X + X[k], axis=1)) <= DEDUPE_TOL_X
+            )
+            assert all((ranks[j], j) >= (ranks[k], k) for j in np.flatnonzero(same))
 
 
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OracleConfig(residual_tol=0.0)
     with pytest.raises(ValueError):
         OracleConfig(seed=-1)
 
