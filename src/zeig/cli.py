@@ -19,7 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import CHAIN_VIOLATION_WARNING, compare_report
-from .oracle import Eigenpair, OracleConfig, verify_inclusion, z_eigs_newton, z_eigs_sweep_n2
+from .oracle import (
+    MAX_GRID,
+    MAX_RESTARTS,
+    Eigenpair,
+    OracleConfig,
+    verify_inclusion,
+    z_eigs_newton,
+    z_eigs_sweep_n2,
+)
 from .regions import RadialRegion, region_K, region_M, region_Omega
 from .tensor import DenseTensor, TensorFormatError, parse_tensor
 
@@ -111,6 +119,8 @@ def _oracle_config(args) -> OracleConfig:
 def _check_grid(grid: int) -> int:
     if grid < 100:
         raise UsageError("--grid must be >= 100")
+    if grid > MAX_GRID:
+        raise UsageError(f"--grid must be <= {MAX_GRID}")
     return grid
 
 
@@ -305,16 +315,20 @@ def build_parser() -> _ArgumentParser:
     p = sub.add_parser("eigs", parents=[common], help="find Z-eigenpairs")
     p.add_argument("file", help="tensor JSON file")
     p.add_argument("--method", choices=["sweep", "newton"], help="default: sweep when dim = 2, else newton")
-    p.add_argument("--restarts", type=int, default=1000, help="newton restarts (default 1000)")
+    p.add_argument("--restarts", type=int, default=1000,
+                   help=f"newton restarts (default 1000, at most {MAX_RESTARTS})")
     p.add_argument("--seed", type=int, default=0, help="newton master seed (default 0)")
-    p.add_argument("--grid", type=int, default=100_000, help="sweep grid size (default 100000)")
+    p.add_argument("--grid", type=int, default=100_000,
+                   help=f"sweep grid size (default 100000, at most {MAX_GRID})")
     p.set_defaults(func=cmd_eigs)
 
     p = sub.add_parser("verify", parents=[common], help="check found eigenvalues against regions and bounds")
     p.add_argument("file", help="tensor JSON file")
-    p.add_argument("--restarts", type=int, default=1000, help="newton restarts (default 1000)")
+    p.add_argument("--restarts", type=int, default=1000,
+                   help=f"newton restarts (default 1000, at most {MAX_RESTARTS})")
     p.add_argument("--seed", type=int, default=0, help="newton master seed (default 0)")
-    p.add_argument("--grid", type=int, default=100_000, help="sweep grid size (default 100000)")
+    p.add_argument("--grid", type=int, default=100_000,
+                   help=f"sweep grid size (default 100000, at most {MAX_GRID})")
     p.add_argument("--inject-lambda", type=float, default=None, metavar="VALUE",
                    help="fault-injection hook: add a fabricated eigenvalue before verification")
     p.set_defaults(func=cmd_verify)

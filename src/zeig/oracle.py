@@ -29,6 +29,10 @@ from .tensor import DEFAULT_STRUCT_TOL, DenseTensor, _canonical_classes, contrac
 
 INCLUSION_TOL = 1e-8
 MAX_ITER = 200  # Newton steps per restart
+# Largest accepted restart count and sweep grid, checked before anything is
+# allocated: at these sizes a dim-3 order-3 Newton call or a sweep peaks near 100 MB.
+MAX_RESTARTS = 100_000
+MAX_GRID = 1_000_000
 RESIDUAL_TOL = 1e-12  # largest accepted |A x^{m-1} - λ x|
 DEDUPE_TOL_LAMBDA = 1e-8  # eigenpairs this close in λ ...
 DEDUPE_TOL_X = 1e-6  # ... and in x up to sign are one eigenpair
@@ -55,6 +59,8 @@ class OracleConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.restarts > MAX_RESTARTS:
+            raise ValueError(f"restarts must be <= {MAX_RESTARTS}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
@@ -144,6 +150,8 @@ def z_eigs_sweep_n2(tensor: DenseTensor, grid_size: int = 100_000) -> list[Eigen
         raise ValueError(f"angle sweep requires dim = 2, got {tensor.dim}")
     if grid_size < 100:
         raise ValueError("grid_size must be >= 100")
+    if grid_size > MAX_GRID:
+        raise ValueError(f"grid_size must be <= {MAX_GRID}")
 
     def tangent(X: np.ndarray) -> np.ndarray:
         AX = contract(tensor.data, X, tensor.order - 1)

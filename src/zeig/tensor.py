@@ -8,6 +8,8 @@ built from.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -262,6 +264,10 @@ def parse_tensor(text: str) -> DenseTensor:
     ``default`` fill) or densely (``values``, flat row-major with the last
     index fastest).  Unknown fields, duplicate index tuples, out-of-range
     indices and non-finite values are all hard errors.
+
+    A valid document is accepted by whole-array checks.  Only when one of
+    them rejects it is the document walked item by item, to name its first
+    fault in document order.
     """
     try:
         doc = json.loads(text)
@@ -298,15 +304,86 @@ def parse_tensor(text: str) -> DenseTensor:
         expected = dim**order
         if len(values) != expected:
             raise TensorFormatError(f"values: expected {expected} numbers (dim^order), got {len(values)}")
-        flat = [_require_number(v, "values[{}]", k) for k, v in enumerate(values)]
-        data = np.array(flat, dtype=float).reshape(shape)
-        return DenseTensor(data, copy=False)
+        data = _values_in_bulk(values, shape)
+        itemwise = functools.partial(_values_itemwise, values, shape)
+    else:
+        default = _require_number(doc["default"], "default") if "default" in doc else 0.0
+        entries = doc.get("entries", [])
+        if not isinstance(entries, list):
+            raise TensorFormatError("entries: expected an array")
+        data = _entries_in_bulk(entries, shape, default)
+        itemwise = functools.partial(_entries_itemwise, entries, shape, default)
+    if data is not None:
+        try:
+            return DenseTensor(data, copy=False)  # checks finiteness
+        except ValueError:  # a non-finite entry, named by the walk below
+            pass
+    # A check rejected the document: the item-by-item walk raises its first
+    # fault in document order.
+    return DenseTensor(itemwise(), copy=False)
 
-    default = _require_number(doc["default"], "default") if "default" in doc else 0.0
+
+def _values_in_bulk(values: list, shape: tuple) -> np.ndarray | None:
+    """Dense ``values`` as one float array, or None when a check rejects them.
+    Exact types, since ``bool`` is an ``int`` subclass."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        return np.array(values, dtype=float).reshape(shape)
+    except OverflowError:  # an integer beyond the float range
+        return None
+
+
+def _entries_in_bulk(entries: list, shape: tuple, default: float) -> np.ndarray | None:
+    """Sparse ``entries`` scattered over a ``default`` fill, or None when a
+    check rejects them: item shape, exact index and value types, index range
+    and duplicate tuples, each checked once over the whole list."""
     data = np.full(shape, default)
-    entries = doc.get("entries", [])
-    if not isinstance(entries, list):
-        raise TensorFormatError("entries: expected an array")
+    if not entries:
+        return data
+    if not set(map(type, entries)) <= {dict} or set(map(len, entries)) != {2}:
+        return None
+    try:
+        idx = [item["idx"] for item in entries]
+        values = [item["value"] for item in entries]
+    except KeyError:
+        return None
+    if not (
+        set(map(type, idx)) <= {list}
+        and set(map(len, idx)) == {len(shape)}
+        and set(map(type, itertools.chain.from_iterable(idx))) <= {int}
+        and set(map(type, values)) <= {int, float}
+    ):
+        return None
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(idx), dtype=np.int64, count=len(idx) * len(shape))
+        values = np.array(values, dtype=float)
+    except OverflowError:  # an index past int64 or a value past the float range
+        return None
+    del idx  # the intermediates are dropped as soon as used, to lower the peak
+    if flat.min() < 1 or flat.max() > shape[0]:
+        return None
+    linear = np.ravel_multi_index(tuple(flat.reshape(-1, len(shape)).T - 1), shape)
+    del flat
+    seen = np.zeros(data.size, dtype=bool)
+    seen[linear] = True
+    if np.count_nonzero(seen) < linear.size:  # a duplicate index tuple
+        return None
+    data.reshape(-1)[linear] = values
+    return data
+
+
+def _values_itemwise(values: list, shape: tuple) -> np.ndarray:
+    """Dense ``values`` checked one at a time; raises on the first fault."""
+    flat = [_require_number(v, "values[{}]", k) for k, v in enumerate(values)]
+    return np.array(flat, dtype=float).reshape(shape)
+
+
+def _entries_itemwise(entries: list, shape: tuple, default: float) -> np.ndarray:
+    """Sparse ``entries`` checked one at a time, each item's index components
+    before its value; raises on the first fault."""
+    order, dim = len(shape), shape[0]
+    data = np.full(shape, default)
     seen: set[tuple] = set()
     for k, item in enumerate(entries):
         if not isinstance(item, dict) or set(item) != {"idx", "value"}:
@@ -325,4 +402,4 @@ def parse_tensor(text: str) -> DenseTensor:
             raise TensorFormatError(f"entries[{k}].idx: duplicate index tuple {idx}")
         seen.add(offsets)
         data[offsets] = _require_number(item["value"], "entries[{}].value", k)
-    return DenseTensor(data, copy=False)
+    return data

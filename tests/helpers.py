@@ -6,12 +6,13 @@ library's numpy contractions and interval algebra.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
 
 from zeig.oracle import Eigenpair
-from zeig.tensor import DenseTensor
+from zeig.tensor import MAX_ENTRIES, DenseTensor, TensorFormatError
 
 
 # -- generators ----------------------------------------------------------------
@@ -166,6 +167,106 @@ def brute_is_weakly_symmetric(tensor, tol=1e-10):
             if abs(lhs[i].get(key, 0.0) - rhs[i].get(key, 0.0)) > limit:
                 return False
     return True
+
+
+# -- item-by-item parser --------------------------------------------------------
+
+_DOCUMENT_FIELDS = {"order", "dim", "default", "entries", "values"}
+
+
+def _require_number(value, where: str, *at) -> float:
+    """value as a finite float.  Errors name the field ``where.format(*at)``,
+    formatted only when raising, as in ``_require_int``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TensorFormatError(f"{where.format(*at)}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise TensorFormatError(f"{where.format(*at)}: integer is out of the floating-point range") from None
+    if not math.isfinite(number):
+        raise TensorFormatError(f"{where.format(*at)}: value must be finite, got {value!r}")
+    return number
+
+
+def _require_int(value, where: str, *at) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TensorFormatError(f"{where.format(*at)}: expected an integer, got {value!r}")
+    return value
+
+
+def brute_parse_tensor(text: str) -> DenseTensor:
+    """The item-by-item parser: every value, index component and tuple is
+    checked in its own Python step, in document order.
+
+    The document declares ``order`` and ``dim`` and supplies entries either
+    sparsely (``entries`` with 1-based index tuples over an optional
+    ``default`` fill) or densely (``values``, flat row-major with the last
+    index fastest).  Unknown fields, duplicate index tuples, out-of-range
+    indices and non-finite values are all hard errors.
+    """
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also integer literals past 4300 digits, deep nesting
+        raise TensorFormatError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise TensorFormatError("top-level value must be an object")
+    unknown = sorted(set(doc) - _DOCUMENT_FIELDS)
+    if unknown:
+        raise TensorFormatError(f"unknown field(s): {', '.join(unknown)}")
+    for field in ("order", "dim"):
+        if field not in doc:
+            raise TensorFormatError(f"missing required field '{field}'")
+    order = _require_int(doc["order"], "order")
+    dim = _require_int(doc["dim"], "dim")
+    if order < 2:
+        raise TensorFormatError(f"order: must be >= 2, got {order}")
+    if dim < 2:
+        raise TensorFormatError(f"dim: must be >= 2, got {dim}")
+    # dim >= 2, so an order of MAX_ENTRIES.bit_length() or more is already too
+    # large; testing it first keeps dim**order from being computed for a huge order.
+    if order >= MAX_ENTRIES.bit_length() or dim**order > MAX_ENTRIES:
+        raise TensorFormatError(f"dim^order: {dim}^{order} entries exceed the limit of {MAX_ENTRIES}")
+    if "entries" in doc and "values" in doc:
+        raise TensorFormatError("fields 'entries' and 'values' are mutually exclusive")
+    if "values" in doc and "default" in doc:
+        raise TensorFormatError("field 'default' is not allowed alongside 'values'")
+
+    shape = (dim,) * order
+    if "values" in doc:
+        values = doc["values"]
+        if not isinstance(values, list):
+            raise TensorFormatError("values: expected an array")
+        expected = dim**order
+        if len(values) != expected:
+            raise TensorFormatError(f"values: expected {expected} numbers (dim^order), got {len(values)}")
+        flat = [_require_number(v, "values[{}]", k) for k, v in enumerate(values)]
+        data = np.array(flat, dtype=float).reshape(shape)
+        return DenseTensor(data, copy=False)
+
+    default = _require_number(doc["default"], "default") if "default" in doc else 0.0
+    data = np.full(shape, default)
+    entries = doc.get("entries", [])
+    if not isinstance(entries, list):
+        raise TensorFormatError("entries: expected an array")
+    seen: set[tuple] = set()
+    for k, item in enumerate(entries):
+        if not isinstance(item, dict) or set(item) != {"idx", "value"}:
+            raise TensorFormatError(f"entries[{k}]: expected an object with exactly 'idx' and 'value'")
+        idx = item["idx"]
+        if not isinstance(idx, list) or len(idx) != order:
+            raise TensorFormatError(f"entries[{k}].idx: expected an array of {order} indices")
+        offsets = []
+        for pos, component in enumerate(idx):
+            component = _require_int(component, "entries[{}].idx[{}]", k, pos)
+            if not 1 <= component <= dim:
+                raise TensorFormatError(f"entries[{k}].idx[{pos}]: index {component} out of range [1, {dim}]")
+            offsets.append(component - 1)
+        offsets = tuple(offsets)
+        if offsets in seen:
+            raise TensorFormatError(f"entries[{k}].idx: duplicate index tuple {idx}")
+        seen.add(offsets)
+        data[offsets] = _require_number(item["value"], "entries[{}].value", k)
+    return DenseTensor(data, copy=False)
 
 
 # -- brute-force region membership (defining inequalities, no intervals) --------

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from zeig.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, render_json
+from zeig.oracle import MAX_GRID, MAX_RESTARTS
 
 from conftest import fixture_path
 
@@ -250,6 +251,16 @@ def test_exit_code_contract(capsys, command, path, ok):
         assert code == EXIT_OK, err
     else:
         assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["eigs", "verify"])
+@pytest.mark.parametrize("path, flag, limit", [(EX1, "--grid", MAX_GRID), (EX2, "--restarts", MAX_RESTARTS)])
+def test_oversized_oracle_flags_are_usage_errors(capsys, command, path, flag, limit):
+    # Just above the limit, so nothing is allocated: the flag is rejected first.
+    code, out, err = run_cli(capsys, command, path, flag, str(limit + 1))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"<= {limit}" in err
 
 
 def test_no_command_is_usage_error(capsys):

@@ -5,6 +5,8 @@ from zeig.bounds import bound_gershgorin
 from zeig.oracle import (
     DEDUPE_TOL_LAMBDA,
     DEDUPE_TOL_X,
+    MAX_GRID,
+    MAX_RESTARTS,
     Eigenpair,
     OracleConfig,
     _distinct,
@@ -172,6 +174,8 @@ def test_sweep_input_validation(example2, example1):
         z_eigs_sweep_n2(example2, 1_000)  # dim 3
     with pytest.raises(ValueError):
         z_eigs_sweep_n2(example1, 99)
+    with pytest.raises(ValueError, match=str(MAX_GRID)):
+        z_eigs_sweep_n2(example1, MAX_GRID + 1)
 
 
 # -- Newton restarts -------------------------------------------------------------------
@@ -290,6 +294,10 @@ def test_oracle_config_validation():
         OracleConfig(restarts=0)
     with pytest.raises(ValueError):
         OracleConfig(seed=-1)
+    with pytest.raises(ValueError, match=str(MAX_RESTARTS)):
+        OracleConfig(restarts=MAX_RESTARTS + 1)
+    assert OracleConfig().restarts == 1000
+    assert OracleConfig(restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
 
 
 # -- verification ---------------------------------------------------------------------

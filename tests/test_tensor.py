@@ -10,6 +10,7 @@ from zeig.tensor import MAX_ENTRIES, DenseTensor, TensorFormatError, parse_tenso
 from helpers import (
     brute_aggregates,
     brute_apply,
+    brute_parse_tensor,
     brute_is_symmetric,
     brute_is_weakly_symmetric,
     brute_partial_row_sum,
@@ -83,6 +84,7 @@ def test_parse_default_without_entries():
         ('{"order": 2.5, "dim": 2}', "order"),
         ('{"order": 2, "dim": 2, "values": [1, 2, 3]}', "values"),
         ('{"order": 2, "dim": 2, "values": [1, 2, 3, "x"]}', "values[3]"),
+        ('{"order": 2, "dim": 2, "values": [1, true, 3, 4]}', "values[1]"),
         ('{"order": 2, "dim": 2, "values": [1,2,3,4], "entries": []}', "mutually exclusive"),
         ('{"order": 2, "dim": 2, "values": [1,2,3,4], "default": 0}', "default"),
         ('{"order": 2, "dim": 2, "default": true}', "default"),
@@ -90,6 +92,15 @@ def test_parse_default_without_entries():
         ('{"order": 2, "dim": 2, "entries": [{"idx": [1], "value": 1}]}', "idx"),
         ('{"order": 2, "dim": 2, "entries": [{"idx": [1, 3], "value": 1}]}', "out of range"),
         ('{"order": 2, "dim": 2, "entries": [{"idx": [0, 1], "value": 1}]}', "out of range"),
+        ('{"order": 2, "dim": 2, "entries": [{"idx": [1, true], "value": 1}]}', "entries[0].idx[1]"),
+        (  # an index past int64
+            '{"order": 2, "dim": 2, "entries": [{"idx": [1, 18446744073709551617], "value": 1}]}',
+            "out of range",
+        ),
+        (
+            '{"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "value": NaN}, {"idx": [1, 3], "value": 1}]}',
+            "entries[0].value",
+        ),
         ('{"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "value": NaN}]}', "value"),
         ('{"order": 2, "dim": 2, "entries": [{"idx": [1, 1]}]}', "entries[0]"),
         ('{"order": 2, "dim": 2, "entries": [{"idx": [1,1], "value": 1, "z": 2}]}', "entries[0]"),
@@ -115,12 +126,20 @@ _JSON = st.recursive(
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
     max_leaves=8,
 )
-_NUMBERS = st.integers(-10, 10) | st.floats(-10.0, 10.0)
+# Small numbers, then integers and floats over the whole float range.
+_NUMBERS = (
+    st.integers(-10, 10)
+    | st.floats(-10.0, 10.0)
+    | st.integers(-(2**80), 2**80)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
 # NaN, infinities, bools, integers past the float range, and non-numbers.
 _BAD_NUMBERS = st.floats() | st.sampled_from([10**400, -(10**400), True]) | _JSON
 # Sizes below 2, sizes the entry limit rejects before anything is allocated,
 # and non-integers.
 _BAD_SIZES = st.integers(-1, 1) | st.integers(MAX_ENTRIES + 1, 10**40) | _JSON_SCALARS
+# Index components that are not 1-based indices: bools and integers past int64.
+_BAD_INDICES = st.sampled_from([True, False, 2**63, 2**64 + 1, -(2**64)]) | st.integers(-2, 0)
 
 
 @st.composite
@@ -137,14 +156,20 @@ def _tensor_documents(draw):
     if layout in ("values", "both"):
         count = max(0, (dim**order if small else 4) + draw(st.sampled_from([0, 0, 0, -1, 1])))
         values = draw(st.lists(_NUMBERS, min_size=count, max_size=count))
-        if values and draw(st.booleans()):
-            values[draw(st.integers(0, count - 1))] = draw(_BAD_NUMBERS)
+        if values:  # zero, one or several faults; the first must be the one named
+            for k in draw(st.lists(st.integers(0, count - 1), max_size=3)):
+                values[k] = draw(_BAD_NUMBERS)
         doc["values"] = values
     if layout in ("entries", "both"):
-        fitting = st.lists(st.integers(0, 4), min_size=order, max_size=order) if small else st.nothing()
+        if small:
+            valid = st.integers(1, max(dim, 1))
+            component = valid | valid | st.integers(0, 4) | _BAD_INDICES
+            fitting = st.lists(component, min_size=order, max_size=order)
+        else:
+            fitting = st.nothing()
         idx = fitting | fitting | st.lists(st.integers(0, 4) | _JSON_SCALARS, max_size=4)
         item = st.fixed_dictionaries({"idx": idx, "value": _NUMBERS | _NUMBERS | _BAD_NUMBERS}) | _JSON
-        doc["entries"] = draw(st.lists(item, max_size=4))
+        doc["entries"] = draw(st.lists(item, max_size=6))
     if draw(st.booleans()):
         doc["default"] = draw(_NUMBERS | _BAD_NUMBERS)
     if layout == "extra field":
@@ -155,12 +180,18 @@ def _tensor_documents(draw):
 @given(_tensor_documents() | _JSON)
 @settings(max_examples=300, deadline=None)
 def test_parse_any_json_document_yields_tensor_or_format_error(doc):
-    try:
-        tensor = parse_tensor(json.dumps(doc))
-    except TensorFormatError:
-        return
-    assert isinstance(tensor, DenseTensor)
-    assert tensor.data.shape == (doc["dim"],) * doc["order"]
+    def outcome(parse):
+        try:
+            tensor = parse(text)
+        except TensorFormatError as exc:
+            return str(exc)
+        assert isinstance(tensor, DenseTensor)
+        assert tensor.data.shape == (doc["dim"],) * doc["order"]
+        return tensor.data.tobytes()
+
+    text = json.dumps(doc)
+    # The same data bit for bit, or the same message naming the same fault.
+    assert outcome(parse_tensor) == outcome(brute_parse_tensor)
 
 
 def test_parse_duplicate_index_tuple_is_hard_error():
