@@ -7,9 +7,12 @@ are first merged into distinct eigenpairs (λ within DEDUPE_TOL_LAMBDA, x
 within DEDUPE_TOL_X up to sign); only the survivors are re-verified on A
 through ``DenseTensor.apply`` against RESIDUAL_TOL rather than trusted from
 the solver loop.  verify_inclusion checks found eigenvalues against the
-three inclusion regions and the closed-form bound.  The sweep grid and
-Newton's map and Jacobian use ``tensor.contract``, the one batched
-contraction kernel that also serves ``DenseTensor.apply`` and the aggregates.
+three inclusion regions and the closed-form bound.  The sweep grid uses
+``tensor.contract``, the batched contraction kernel that also serves
+``DenseTensor.apply`` and the aggregates.  Newton's map and Jacobian come
+from one GEMM per step, the degree-(m-2) monomials of the iterates times the
+tensor folded over their permutation classes, over blocks of restarts whose
+size keeps memory within BUDGET.
 
 Determinism: the start points are the rows of one normal draw from
 ``default_rng(seed)``, so restart k starts from a function of (seed, k) only
@@ -33,6 +36,8 @@ MAX_ITER = 200  # Newton steps per restart
 # allocated: at these sizes a dim-3 order-3 Newton call or a sweep peaks near 100 MB.
 MAX_RESTARTS = 100_000
 MAX_GRID = 1_000_000
+# Float64 items (8 MiB) in the widest array of one block of Newton restarts.
+BUDGET = 2**20
 RESIDUAL_TOL = 1e-12  # largest accepted |A x^{m-1} - λ x|
 DEDUPE_TOL_LAMBDA = 1e-8  # eigenpairs this close in λ ...
 DEDUPE_TOL_X = 1e-6  # ... and in x up to sign are one eigenpair
@@ -81,15 +86,29 @@ def residual(tensor: DenseTensor, value: float, x) -> float:
 def _newton_map(data: np.ndarray):
     """X -> (A x^{m-1}, its Jacobian) for each row x of X.  A averaged over
     the permutations of its trailing m - 1 slots is an S with the same map and
-    Jacobian (m - 1) S x^{m-2}, so one G = S x^{m-2} gives both: G x, (m - 1) G."""
+    Jacobian (m - 1) S x^{m-2}, so one G = S x^{m-2} gives both: G x, (m - 1) G.
+
+    S is symmetric in its last m - 2 slots, so G is one GEMM: the row's
+    degree-(m-2) monomials, one per multiset of those slots, times W, the
+    (i, j) blocks of S summed over each multiset's permutation class."""
     n, m = data.shape[0], data.ndim
     # S[i, tail] is the mean of A[i, .] over the permutation class of tail.
     classes = _canonical_classes(m - 1, n)
     sums = np.stack([np.bincount(classes, weights=row) for row in data.reshape(n, -1)])
-    sym = (sums[:, classes] / np.bincount(classes)[classes]).reshape(data.shape)
+    sym = (sums[:, classes] / np.bincount(classes)[classes]).reshape(n * n, -1)
+    # The tuples (0, tail) sort to (0, sorted tail), so the first n^(m-2)
+    # class ids are the last m - 2 slots' own: one representative per class,
+    # whose column of S, times the class size, is the class sum.
+    tails = classes[: sym.shape[1]]
+    reps = np.flatnonzero(tails == np.arange(tails.size))
+    W = sym[:, reps].T * np.bincount(tails)[reps][:, None]
+    columns = np.indices((n,) * (m - 2)).reshape(m - 2, tails.size)[:, reps]
 
     def evaluate(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        G = contract(sym, X, m - 2)
+        P = np.ones((len(X), len(reps)))
+        for column in columns:
+            P *= X[:, column]
+        G = (P @ W).reshape(len(X), n, n)
         return np.einsum("zij,zj->zi", G, X), (m - 1) * G
 
     return evaluate
@@ -213,31 +232,15 @@ def _solve_newton_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.nd
         return steps, ok
 
 
-def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> list[Eigenpair]:
-    """Eigenpairs found by Newton's method on the eigen system with the
-    unit-norm constraint, from seeded random restarts.
-
-    Restart k starts at row k of the seeded sphere draw and iterates the
-    full (n+1)-variable Newton step with the exact Jacobian of the
-    contraction map, renormalizing x after every step.  Restarts that fail
-    to reach RESIDUAL_TOL within MAX_ITER steps are dropped; an empty result
-    is legal.  The converged ones are merged into distinct eigenpairs
-    (eigenvalue and eigenvector up to sign; lowest loop residual wins), each
-    survivor is re-verified on A with its Rayleigh value, and the pairs that
-    still meet RESIDUAL_TOL are sorted by eigenvalue descending.
-    """
-    cfg = config or OracleConfig()
-    n = tensor.dim
+def _newton_block(newton_map, X: np.ndarray, final_x, final_lam, final_res) -> None:
+    """Iterate the restarts starting at the rows of X.  Restart k that
+    converges writes its x, Newton λ and loop residual to row k of final_x,
+    final_lam and final_res; the rows of the others are left as they are."""
+    n = X.shape[1]
     eye = np.eye(n)
-    newton_map = _newton_map(tensor.data)
-
-    X = _start_points(n, cfg.restarts, cfg.seed)
     AX, J = newton_map(X)
     lam = np.einsum("zi,zi->z", X, AX)
-    order = np.arange(cfg.restarts)
-    # Per restart: converged x, Newton λ and loop residual (inf: never converged).
-    final_x, final_lam = np.empty((cfg.restarts, n)), np.empty(cfg.restarts)
-    final_res = np.full(cfg.restarts, np.inf)
+    order = np.arange(len(X))
 
     for it in range(MAX_ITER + 1):
         res = np.linalg.norm(AX - lam[:, None] * X, axis=1)
@@ -263,6 +266,36 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
         X, lam, order, norms = X[ok], lam[ok], order[ok], norms[ok]
         X = X / norms[:, None]
         AX, J = newton_map(X)
+
+
+def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> list[Eigenpair]:
+    """Eigenpairs found by Newton's method on the eigen system with the
+    unit-norm constraint, from seeded random restarts.
+
+    Restart k starts at row k of the seeded sphere draw and iterates the
+    full (n+1)-variable Newton step with the exact Jacobian of the
+    contraction map, renormalizing x after every step.  Restarts that fail
+    to reach RESIDUAL_TOL within MAX_ITER steps are dropped; an empty result
+    is legal.  The restarts run in consecutive blocks whose widest array (the
+    Newton systems or the monomials) holds at most BUDGET items, or of one
+    restart when that alone exceeds it, so memory does not grow with the
+    restart count.  The converged restarts of all
+    blocks are merged into distinct eigenpairs (eigenvalue and eigenvector up
+    to sign; lowest loop residual wins), each survivor is re-verified on A
+    with its Rayleigh value, and the pairs that still meet RESIDUAL_TOL are
+    sorted by eigenvalue descending.
+    """
+    cfg = config or OracleConfig()
+    n, m = tensor.dim, tensor.order
+    newton_map = _newton_map(tensor.data)
+    starts = _start_points(n, cfg.restarts, cfg.seed)
+    # Per restart: converged x, Newton λ and loop residual (inf: never converged).
+    final_x, final_lam = np.empty((cfg.restarts, n)), np.empty(cfg.restarts)
+    final_res = np.full(cfg.restarts, np.inf)
+    block = max(1, BUDGET // max((n + 1) ** 2, math.comb(n + m - 3, m - 2)))
+    for lo in range(0, cfg.restarts, block):
+        rows = slice(lo, lo + block)
+        _newton_block(newton_map, starts[rows], final_x[rows], final_lam[rows], final_res[rows])
 
     hit = np.flatnonzero(np.isfinite(final_res))
     keep = hit[_distinct(final_lam[hit], final_x[hit], final_res[hit])]

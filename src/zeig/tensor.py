@@ -24,6 +24,11 @@ DEFAULT_STRUCT_TOL = 1e-10
 # desk scale the oracle is meant for.
 MAX_ENTRIES = 2**22
 
+# Largest accepted entry magnitude.  A row holds at most MAX_ENTRIES / 2 =
+# 2^21 entries, so a row sum R stays below 2.1e106 and the region quadratics,
+# which reach 5 R^2 < 2.2e213, stay finite.
+MAX_ABS_VALUE = 1e100
+
 # Widest intermediate of one contract() chunk, in float64 items (1 MiB).
 _CONTRACT_ITEMS = 2**17
 
@@ -206,7 +211,10 @@ def contract(data: np.ndarray, X: np.ndarray, slots: int) -> np.ndarray:
     """result[b]: the last ``slots`` axes of ``data`` contracted with row b of X.
 
     One BLAS product takes the last axis, then ``slots - 1`` einsum steps one
-    axis each, over chunks of rows sized to _CONTRACT_ITEMS."""
+    axis each, over chunks of rows sized to _CONTRACT_ITEMS.  Serves the
+    (m-1)-slot contractions of A: ``DenseTensor.apply``, the partial row sums
+    and the dim-2 sweep; Newton's map is a GEMM over monomials of its own
+    (``oracle._newton_map``)."""
     n = data.shape[0]
     keep = data.shape[: data.ndim - slots]
     if slots == 0:
@@ -247,6 +255,8 @@ def _require_number(value, where: str, *at) -> float:
         raise TensorFormatError(f"{where.format(*at)}: integer is out of the floating-point range") from None
     if not math.isfinite(number):
         raise TensorFormatError(f"{where.format(*at)}: value must be finite, got {value!r}")
+    if abs(number) > MAX_ABS_VALUE:
+        raise TensorFormatError(f"{where.format(*at)}: magnitude must be <= {MAX_ABS_VALUE:g}, got {value!r}")
     return number
 
 
@@ -263,7 +273,8 @@ def parse_tensor(text: str) -> DenseTensor:
     sparsely (``entries`` with 1-based index tuples over an optional
     ``default`` fill) or densely (``values``, flat row-major with the last
     index fastest).  Unknown fields, duplicate index tuples, out-of-range
-    indices and non-finite values are all hard errors.
+    indices, non-finite values and values of magnitude above MAX_ABS_VALUE
+    are all hard errors.
 
     A valid document is accepted by whole-array checks.  Only when one of
     them rejects it is the document walked item by item, to name its first
@@ -313,11 +324,9 @@ def parse_tensor(text: str) -> DenseTensor:
             raise TensorFormatError("entries: expected an array")
         data = _entries_in_bulk(entries, shape, default)
         itemwise = functools.partial(_entries_itemwise, entries, shape, default)
-    if data is not None:
-        try:
-            return DenseTensor(data, copy=False)  # checks finiteness
-        except ValueError:  # a non-finite entry, named by the walk below
-            pass
+    # NaN fails the comparison too, so this also checks finiteness.
+    if data is not None and np.abs(data).max() <= MAX_ABS_VALUE:
+        return DenseTensor(data, copy=False)
     # A check rejected the document: the item-by-item walk raises its first
     # fault in document order.
     return DenseTensor(itemwise(), copy=False)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from zeig.oracle import Eigenpair
-from zeig.tensor import MAX_ENTRIES, DenseTensor, TensorFormatError
+from zeig.tensor import MAX_ABS_VALUE, MAX_ENTRIES, DenseTensor, TensorFormatError
 
 
 # -- generators ----------------------------------------------------------------
@@ -107,6 +107,25 @@ def brute_apply(tensor, x):
     return brute_contract(tensor, x, tensor.order - 1)
 
 
+def brute_jacobian(tensor, x):
+    """J[i, k] = d(A x^{m-1})_i / dx_k: the product rule on every index tuple,
+    one term per tail slot holding k."""
+    n, m = tensor.dim, tensor.order
+    x = [float(v) for v in x]
+    entries = iter(tensor.data.reshape(-1).tolist())  # row-major: the tail varies fastest
+    J = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for tail in itertools.product(range(n), repeat=m - 1):
+            a = next(entries)
+            for s, k in enumerate(tail):
+                term = a
+                for r, c in enumerate(tail):
+                    if r != s:
+                        term *= x[c]
+                J[i][k] += term
+    return np.array(J)
+
+
 def brute_poly_value(tensor, x):
     total = 0.0
     for t in itertools.product(range(1, tensor.dim + 1), repeat=tensor.order):
@@ -185,6 +204,8 @@ def _require_number(value, where: str, *at) -> float:
         raise TensorFormatError(f"{where.format(*at)}: integer is out of the floating-point range") from None
     if not math.isfinite(number):
         raise TensorFormatError(f"{where.format(*at)}: value must be finite, got {value!r}")
+    if abs(number) > MAX_ABS_VALUE:
+        raise TensorFormatError(f"{where.format(*at)}: magnitude must be <= {MAX_ABS_VALUE:g}, got {value!r}")
     return number
 
 
@@ -202,7 +223,8 @@ def brute_parse_tensor(text: str) -> DenseTensor:
     sparsely (``entries`` with 1-based index tuples over an optional
     ``default`` fill) or densely (``values``, flat row-major with the last
     index fastest).  Unknown fields, duplicate index tuples, out-of-range
-    indices and non-finite values are all hard errors.
+    indices, non-finite values and values of magnitude above MAX_ABS_VALUE
+    are all hard errors.
     """
     try:
         doc = json.loads(text)

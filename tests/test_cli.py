@@ -18,6 +18,7 @@ RANK1 = str(fixture_path("rank_one_m4_n2.json"))
 CORRUPT = str(fixture_path("corrupt.json"))
 OVERSIZED = str(fixture_path("oversized_shape.json"))
 HUGE_INT = str(fixture_path("huge_integer.json"))
+HUGE_VALUES = str(fixture_path("huge_values.json"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -251,6 +252,16 @@ def test_exit_code_contract(capsys, command, path, ok):
         assert code == EXIT_OK, err
     else:
         assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["info", "bounds", "regions", "eigs", "verify"])
+def test_entry_magnitude_past_the_limit_is_input_error(capsys, command):
+    # Without the limit, entries of 1e300 overflow the region quadratics (inf
+    # and nan bounds, a spurious chain violation) behind numpy RuntimeWarnings.
+    code, out, err = run_cli(capsys, command, HUGE_VALUES)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {HUGE_VALUES}: values[0]: magnitude must be <= 1e+100, got 1e+300\n"
 
 
 @pytest.mark.parametrize("command", ["eigs", "verify"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from zeig.bounds import bound_gershgorin
+from zeig import oracle
 from zeig.oracle import (
     DEDUPE_TOL_LAMBDA,
     DEDUPE_TOL_X,
@@ -22,8 +23,10 @@ from zeig import tensor as tensor_module
 from zeig.tensor import DenseTensor, contract
 
 from helpers import (
+    brute_apply,
     brute_contract,
     brute_dedupe,
+    brute_jacobian,
     diagonal_tensor,
     finite_difference_jacobian,
     random_symmetric_tensor,
@@ -91,6 +94,30 @@ def test_contract_batch_spanning_several_chunks():
             np.testing.assert_allclose(batch[k], brute_contract(t, X[k], slots), rtol=1e-12, atol=1e-12)
         singles = np.concatenate([contract(t.data, X[k : k + 1], slots) for k in range(rows)])
         np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12)
+
+
+def test_newton_map_matches_enumeration():
+    rng = np.random.default_rng(8)
+    for order in range(2, 6):
+        for dim in range(2, 7):
+            t = random_tensor(rng, order, dim, signed=True)  # neither symmetric nor weakly symmetric
+            X = rng.normal(size=(3, dim))
+            AX, J = _newton_map(t.data)(X)
+            for k in range(3):
+                for got, want in ((AX[k], brute_apply(t, X[k])), (J[k], brute_jacobian(t, X[k]))):
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_newton_map_batch_matches_rows():
+    rng = np.random.default_rng(9)
+    for order, dim in [(2, 4), (3, 5), (4, 6), (5, 4)]:
+        newton_map = _newton_map(random_tensor(rng, order, dim, signed=True).data)
+        X = rng.normal(size=(257, dim))
+        batch = newton_map(X)
+        rows = [newton_map(X[k : k + 1]) for k in range(257)]
+        for part in range(2):
+            singles = np.concatenate([row[part] for row in rows])
+            np.testing.assert_allclose(batch[part], singles, rtol=1e-12, atol=1e-12 * np.abs(singles).max())
 
 
 def test_jacobian_matches_finite_differences():
@@ -231,6 +258,28 @@ def test_newton_scaling_equivariance():
     assert len(base) == len(doubled)
     for v, w in zip(base, doubled):
         assert w == pytest.approx(2.0 * v, rel=1e-8, abs=1e-10)
+
+
+def test_newton_restart_blocks_find_the_same_eigenvalues(monkeypatch):
+    rng = np.random.default_rng(43)
+    cfg = OracleConfig(restarts=300, seed=4)
+    # The last 200 restarts find eigenpairs the first 100 miss on both tensors.
+    for t in (random_symmetric_tensor(rng, order=4, dim=6), random_tensor(rng, order=3, dim=6, signed=True)):
+        whole = eigenvalues(z_eigs_newton(t, cfg))
+        blocks = []
+        run_block = oracle._newton_block
+
+        def counted_block(newton_map, X, *out):
+            blocks.append(len(X))
+            run_block(newton_map, X, *out)
+
+        monkeypatch.setattr(oracle, "BUDGET", 100 * (t.dim + 1) ** 2)  # blocks of 100 restarts
+        monkeypatch.setattr(oracle, "_newton_block", counted_block)
+        split = eigenvalues(z_eigs_newton(t, cfg))
+        monkeypatch.undo()
+        assert blocks == [100, 100, 100]
+        assert len(split) == len(whole) > 0
+        np.testing.assert_allclose(split, whole, rtol=0, atol=1e-12)
 
 
 def test_newton_empty_result_is_legal():

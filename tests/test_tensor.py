@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeig.tensor import MAX_ENTRIES, DenseTensor, TensorFormatError, parse_tensor
+from zeig.tensor import MAX_ABS_VALUE, MAX_ENTRIES, DenseTensor, TensorFormatError, parse_tensor
 
 from helpers import (
     brute_aggregates,
@@ -66,6 +66,11 @@ def test_parse_accepts_the_largest_allowed_shape():
     assert parse_tensor('{"order": 2, "dim": 2048}').dim == 2048
 
 
+def test_parse_accepts_the_largest_allowed_magnitude():
+    t = parse_tensor(json.dumps({"order": 2, "dim": 2, "values": [MAX_ABS_VALUE, -MAX_ABS_VALUE, 0, 1]}))
+    assert t.data.tolist() == [[MAX_ABS_VALUE, -MAX_ABS_VALUE], [0.0, 1.0]]
+
+
 def test_parse_default_without_entries():
     t = parse_tensor('{"order": 3, "dim": 2, "default": 0.25}')
     assert np.all(t.data == 0.25)
@@ -111,6 +116,10 @@ def test_parse_default_without_entries():
         ('{"order": 2, "dim": 2, "values": [1%s, 2, 3, 4]}' % ("0" * 400), "values[0]"),
         ('{"order": 2, "dim": 2, "default": -1%s}' % ("0" * 400), "default"),
         ('{"order": 2, "dim": 2, "default": 1%s}' % ("0" * 5000), "invalid JSON"),
+        ('{"order": 2, "dim": 2, "values": [1, 1.0000000000000002e100, 3, 1e300]}', "values[1]: magnitude"),
+        ('{"order": 2, "dim": 2, "values": [1%s, 2, 3, 4]}' % ("0" * 101), "values[0]: magnitude"),
+        ('{"order": 2, "dim": 2, "entries": [{"idx": [2, 1], "value": -1e101}]}', "entries[0].value: magnitude"),
+        ('{"order": 2, "dim": 2, "default": -1e300}', "default: magnitude"),
         ("[" * 100_000 + "]" * 100_000, "invalid JSON"),
     ],
 )
@@ -133,8 +142,9 @@ _NUMBERS = (
     | st.integers(-(2**80), 2**80)
     | st.floats(allow_nan=False, allow_infinity=False)
 )
-# NaN, infinities, bools, integers past the float range, and non-numbers.
-_BAD_NUMBERS = st.floats() | st.sampled_from([10**400, -(10**400), True]) | _JSON
+# NaN, infinities, bools, integers past the float range, magnitudes past
+# MAX_ABS_VALUE, and non-numbers.
+_BAD_NUMBERS = st.floats() | st.sampled_from([10**400, -(10**400), 1e101, -(10**101), True]) | _JSON
 # Sizes below 2, sizes the entry limit rejects before anything is allocated,
 # and non-integers.
 _BAD_SIZES = st.integers(-1, 1) | st.integers(MAX_ENTRIES + 1, 10**40) | _JSON_SCALARS
