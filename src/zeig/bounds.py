@@ -31,6 +31,7 @@ class BoundReport:
     chain_middle: float
     gershgorin: float
     attaining_pair: tuple[int, int]
+    bound_applies: bool  # nonnegative and weakly symmetric: the bounds are certified
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -101,8 +102,9 @@ def bound_gershgorin(agg: RowAggregates) -> float:
     return float(np.max(agg.row_sums))
 
 
-def compare_report(tensor: DenseTensor, tol: float = DEFAULT_STRUCT_TOL) -> BoundReport:
-    """All three bounds plus structural checks, as one report.
+def compare_report(tensor: DenseTensor, agg: RowAggregates, tol: float = DEFAULT_STRUCT_TOL) -> BoundReport:
+    """All three bounds of the tensor with aggregates agg plus structural
+    checks, as one report.
 
     The bound values are certified spectral-radius bounds only for weakly
     symmetric nonnegative tensors; when either check fails they are still
@@ -110,14 +112,14 @@ def compare_report(tensor: DenseTensor, tol: float = DEFAULT_STRUCT_TOL) -> Boun
     ordering is re-verified on the computed values; a violation would mean
     an internal defect and is flagged with a distinguished warning.
     """
-    agg = tensor.aggregates()
     om = bound_omega_max(agg)
     middle = bound_chain_middle(agg)
     gersh = bound_gershgorin(agg)
+    nonnegative, weakly_symmetric = tensor.is_nonnegative(), tensor.is_weakly_symmetric(tol)
     warnings = []
-    if not tensor.is_nonnegative():
+    if not nonnegative:
         warnings.append("tensor has negative entries; bounds are formal quantities only")
-    if not tensor.is_weakly_symmetric(tol):
+    if not weakly_symmetric:
         warnings.append("tensor is not weakly symmetric; bounds are formal quantities only")
     if om.omega_max > middle + _CHAIN_SLACK or middle > gersh + _CHAIN_SLACK:
         warnings.append(CHAIN_VIOLATION_WARNING)
@@ -128,5 +130,6 @@ def compare_report(tensor: DenseTensor, tol: float = DEFAULT_STRUCT_TOL) -> Boun
         chain_middle=middle,
         gershgorin=gersh,
         attaining_pair=om.attaining_pair,
+        bound_applies=nonnegative and weakly_symmetric,
         warnings=warnings,
     )

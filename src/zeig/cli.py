@@ -19,15 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import CHAIN_VIOLATION_WARNING, compare_report
-from .oracle import (
-    MAX_GRID,
-    MAX_RESTARTS,
-    Eigenpair,
-    OracleConfig,
-    verify_inclusion,
-    z_eigs_newton,
-    z_eigs_sweep_n2,
-)
+from .oracle import MAX_RESTARTS, Eigenpair, OracleConfig, verify_inclusion, z_eigs_newton, z_eigs_sweep_n2
 from .regions import RadialRegion, region_K, region_M, region_Omega
 from .tensor import DenseTensor, TensorFormatError, parse_tensor
 
@@ -116,14 +108,6 @@ def _oracle_config(args) -> OracleConfig:
         raise UsageError(str(exc)) from None
 
 
-def _check_grid(grid: int) -> int:
-    if grid < 100:
-        raise UsageError("--grid must be >= 100")
-    if grid > MAX_GRID:
-        raise UsageError(f"--grid must be <= {MAX_GRID}")
-    return grid
-
-
 # -- commands ------------------------------------------------------------------
 
 
@@ -157,7 +141,7 @@ def cmd_info(args) -> int:
 
 def cmd_bounds(args) -> int:
     tensor = _load_tensor(args.file)
-    report = compare_report(tensor)
+    report = compare_report(tensor, tensor.aggregates())
     if args.json:
         sys.stdout.write(render_json(report.to_dict()))
     else:
@@ -216,7 +200,7 @@ def _run_oracle(tensor: DenseTensor, method: str, args) -> list[Eigenpair]:
     if method == "sweep":
         if tensor.dim != 2:
             raise UsageError(f"method 'sweep' requires dim = 2, tensor has dim {tensor.dim}")
-        return z_eigs_sweep_n2(tensor, _check_grid(args.grid))
+        return z_eigs_sweep_n2(tensor)
     return z_eigs_newton(tensor, _oracle_config(args))
 
 
@@ -236,7 +220,8 @@ def cmd_eigs(args) -> int:
 
 def cmd_verify(args) -> int:
     tensor = _load_tensor(args.file)
-    bound_report = compare_report(tensor)
+    agg = tensor.aggregates()
+    bound_report = compare_report(tensor, agg)
     chain_ok = CHAIN_VIOLATION_WARNING not in bound_report.warnings
     method = "sweep" if tensor.dim == 2 else "newton"
     pairs = _run_oracle(tensor, method, args)
@@ -246,7 +231,7 @@ def cmd_verify(args) -> int:
         x = np.zeros(tensor.dim)
         x[0] = 1.0
         pairs = pairs + [Eigenpair(float(args.inject_lambda), x, 0.0)]
-    report = verify_inclusion(tensor, pairs)
+    report = verify_inclusion(agg, pairs, bound_report.bound_applies)
     ok = report.all_passed and chain_ok
     if args.json:
         doc = {
@@ -318,8 +303,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--restarts", type=int, default=1000,
                    help=f"newton restarts (default 1000, at most {MAX_RESTARTS})")
     p.add_argument("--seed", type=int, default=0, help="newton master seed (default 0)")
-    p.add_argument("--grid", type=int, default=100_000,
-                   help=f"sweep grid size (default 100000, at most {MAX_GRID})")
     p.set_defaults(func=cmd_eigs)
 
     p = sub.add_parser("verify", parents=[common], help="check found eigenvalues against regions and bounds")
@@ -327,8 +310,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--restarts", type=int, default=1000,
                    help=f"newton restarts (default 1000, at most {MAX_RESTARTS})")
     p.add_argument("--seed", type=int, default=0, help="newton master seed (default 0)")
-    p.add_argument("--grid", type=int, default=100_000,
-                   help=f"sweep grid size (default 100000, at most {MAX_GRID})")
     p.add_argument("--inject-lambda", type=float, default=None, metavar="VALUE",
                    help="fault-injection hook: add a fabricated eigenvalue before verification")
     p.set_defaults(func=cmd_verify)

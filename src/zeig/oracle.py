@@ -1,18 +1,17 @@
 """Desk-scale Z-eigenpair ground truth.
 
-Two finders: an exhaustive angle sweep for dimension 2 (complete up to
-grid resolution) and Newton's method with seeded random restarts for
-general dimension (finds a subset of the spectrum).  Converged restarts
-are first merged into distinct eigenpairs (λ within DEDUPE_TOL_LAMBDA, x
-within DEDUPE_TOL_X up to sign); only the survivors are re-verified on A
-through ``DenseTensor.apply`` against RESIDUAL_TOL rather than trusted from
-the solver loop.  verify_inclusion checks found eigenvalues against the
-three inclusion regions and the closed-form bound.  The sweep grid uses
-``tensor.contract``, the batched contraction kernel that also serves
-``DenseTensor.apply`` and the aggregates.  Newton's map and Jacobian come
-from one GEMM per step, the degree-(m-2) monomials of the iterates times the
-tensor folded over their permutation classes, over blocks of restarts whose
-size keeps memory within BUDGET.
+Two finders: for dimension 2 an exact solve, the real roots of one
+polynomial of degree m, multiple roots included; for general dimension
+Newton's method with seeded random restarts (finds a subset of the
+spectrum).  Every reported pair is re-verified on A through
+``DenseTensor.apply`` against RESIDUAL_TOL rather than trusted from the
+solver; Newton's converged restarts are first merged into distinct
+eigenpairs (λ within DEDUPE_TOL_LAMBDA, x within DEDUPE_TOL_X up to sign).
+verify_inclusion checks found eigenvalues against the three inclusion
+regions and the closed-form bound.  Newton's map and Jacobian come from one
+GEMM per step, the degree-(m-2) monomials of the iterates times the tensor
+folded over their permutation classes, over blocks of restarts whose size
+keeps memory within BUDGET.
 
 Determinism: the start points are the rows of one normal draw from
 ``default_rng(seed)``, so restart k starts from a function of (seed, k) only
@@ -28,20 +27,21 @@ import numpy as np
 
 from .bounds import bound_omega_max
 from .regions import region_K, region_M, region_Omega
-from .tensor import DEFAULT_STRUCT_TOL, DenseTensor, _canonical_classes, contract
+from .tensor import DenseTensor, RowAggregates, _canonical_classes
 
 INCLUSION_TOL = 1e-8
 MAX_ITER = 200  # Newton steps per restart
-# Largest accepted restart count and sweep grid, checked before anything is
-# allocated: at these sizes a dim-3 order-3 Newton call or a sweep peaks near 100 MB.
+# Largest accepted restart count, checked before anything is allocated: at
+# this size a dim-3 order-3 Newton call peaks near 100 MB.
 MAX_RESTARTS = 100_000
-MAX_GRID = 1_000_000
 # Float64 items (8 MiB) in the widest array of one block of Newton restarts.
 BUDGET = 2**20
 RESIDUAL_TOL = 1e-12  # largest accepted |A x^{m-1} - λ x|
 DEDUPE_TOL_LAMBDA = 1e-8  # eigenpairs this close in λ ...
 DEDUPE_TOL_X = 1e-6  # ... and in x up to sign are one eigenpair
-_SWEEP_REFINE_TOL = 1e-13
+# np.roots returns a k-fold root as a ring of radius ~eps^(1/k) (0.18 at k = 21).
+_ROOT_IMAG = 0.25  # largest imaginary part of a root taken as near-real
+_POLISH_STEPS = 50  # Newton steps per derivative of g
 
 
 @dataclass(frozen=True)
@@ -146,64 +146,83 @@ def _sorted_pairs(pairs: list[Eigenpair]) -> list[Eigenpair]:
     return sorted(pairs, key=lambda p: (-p.value, tuple(p.x)))
 
 
-# -- angle sweep (dim 2) ------------------------------------------------------
+# -- exact solve (dim 2) -------------------------------------------------------
 
 
-def _sign_change_candidates(g: np.ndarray) -> np.ndarray:
-    """Grid indices k < len(g) - 1 where a root starts: g[k] is the first zero
-    of a run of zeros, or g changes sign strictly between k and k + 1."""
-    head, prev = g[:-1], np.concatenate(([1.0], g[:-2]))
-    return np.flatnonzero(((head == 0.0) & (prev != 0.0)) | (head * g[1:] < 0.0))
+def _tangent_form(data: np.ndarray) -> np.ndarray:
+    """Coefficients h of the tangent g(x) = (A x^{m-1})_1 x_2 - (A x^{m-1})_2 x_1
+    of a dim-2 tensor, a form of degree m: g(x) = sum_j h[j] x_1^(m-j) x_2^j."""
+    ones = np.zeros(1, dtype=np.intp)  # per tail, how many of its indices are 2
+    for _ in range(data.ndim - 1):
+        ones = np.concatenate([ones, ones + 1])
+    c1, c2 = (np.bincount(ones, weights=row, minlength=data.ndim) for row in data.reshape(2, -1))
+    return np.append(0.0, c1) - np.append(c2, 0.0)
 
 
-def z_eigs_sweep_n2(tensor: DenseTensor, grid_size: int = 100_000) -> list[Eigenpair]:
-    """All eigenpairs of a dimension-2 tensor by sweeping the unit circle.
+def _form_at(h: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The form h at (cos t, sin t) for each angle t."""
+    j = np.arange(len(h))
+    return (np.cos(theta)[:, None] ** j[::-1] * np.sin(theta)[:, None] ** j) @ h
 
-    Parametrizes x = (cos t, sin t), scans the tangential component
-    g(t) = apply(x)_1 sin t - apply(x)_2 cos t on a uniform grid over
-    [0, 2*pi), and refines every sign change by bisection until
-    |g| <= 1e-13.  For a unit vector the residual of the Rayleigh pair
-    equals |g(t)|, so accepted residuals inherit that tolerance.
-    """
+
+def _derivative(h: np.ndarray) -> np.ndarray:
+    """The form whose value at (cos t, sin t) is d/dt of the form h there."""
+    j = np.arange(len(h))
+    return np.append(0.0, -(j[::-1] * h)[:-1]) + np.append((j * h)[1:], 0.0)
+
+
+def _polish(h: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Each angle moved onto the root of g near it.  g fixes a (k+1)-fold root
+    only to ~eps^(1/(k+1)), where λ can be off by far more than
+    DEDUPE_TOL_LAMBDA, but the k-th derivative has a simple root there: so
+    an angle goes on to the roots of g', g'', ... while |g| <= RESIDUAL_TOL.
+    Newton's method on each takes only steps under one radian that lower |f|."""
+    live, f = np.arange(len(theta)), h
+    for k in range(len(h) - 1):
+        slope_form, t = _derivative(f), theta[live]
+        value = _form_at(f, t)
+        for _ in range(_POLISH_STEPS):
+            slope = _form_at(slope_form, t)
+            trial = t - np.divide(value, slope, out=np.zeros_like(value), where=np.abs(slope) > np.abs(value))
+            trial_value = _form_at(f, trial)
+            better = np.abs(trial_value) < np.abs(value)
+            if not np.any(better):
+                break
+            t, value = np.where(better, trial, t), np.where(better, trial_value, value)
+        ok = np.abs(_form_at(h, t)) <= RESIDUAL_TOL
+        moved = ok | (k == 0)  # Newton on g itself only ever lowers |g|
+        theta[live[moved]] = t[moved]
+        live, f = live[ok], slope_form
+    return theta
+
+
+def z_eigs_sweep_n2(tensor: DenseTensor) -> list[Eigenpair]:
+    """All eigenpairs of a dimension-2 tensor: a unit x is an eigenvector iff
+    the tangent g(x) vanishes, and its Rayleigh pair has residual |g(x)|.
+
+    The near-real roots of g are polished, with -x added for odd m since
+    (λ, x) -> (-λ, -x); each Rayleigh pair is verified on A against
+    RESIDUAL_TOL, and the survivors are merged with _distinct, as Newton's
+    are: polishing has moved every root of a cluster onto the same point.
+    If g vanishes identically, the axes stand for the eigenvectors, which
+    are every direction."""
     if tensor.dim != 2:
-        raise ValueError(f"angle sweep requires dim = 2, got {tensor.dim}")
-    if grid_size < 100:
-        raise ValueError("grid_size must be >= 100")
-    if grid_size > MAX_GRID:
-        raise ValueError(f"grid_size must be <= {MAX_GRID}")
-
-    def tangent(X: np.ndarray) -> np.ndarray:
-        AX = contract(tensor.data, X, tensor.order - 1)
-        return AX[:, 0] * X[:, 1] - AX[:, 1] * X[:, 0]
-
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid_size + 1)
-    g = tangent(np.stack([np.cos(thetas), np.sin(thetas)], axis=1))
-
-    roots: list[float] = []
-    if np.all(g == 0.0):
-        # Degenerate tangent field (e.g. the zero tensor): every direction is
-        # an eigenvector; report the axis representatives.
-        roots = [0.0, 0.5 * math.pi]
-    else:
-        for k in _sign_change_candidates(g):
-            if g[k] == 0.0:
-                roots.append(float(thetas[k]))
-                continue
-            a, b, fa = float(thetas[k]), float(thetas[k + 1]), float(g[k])
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                fm = float(tangent(np.array([[math.cos(mid), math.sin(mid)]]))[0])
-                if abs(fm) <= _SWEEP_REFINE_TOL or (b - a) <= 1e-16:
-                    break
-                if (fm > 0.0) == (fa > 0.0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            roots.append(mid)
-
-    found = [_rayleigh_pair(tensor, np.array([math.cos(t), math.sin(t)])) for t in roots]
-    X = np.array([p.x for p in found]).reshape(-1, 2)
-    keep = _distinct(np.array([p.value for p in found]), X, np.array([p.residual for p in found]))
+        raise ValueError(f"dim-2 solve requires dim = 2, got {tensor.dim}")
+    h = _tangent_form(tensor.data)
+    if not np.any(h):
+        return _sorted_pairs([_rayleigh_pair(tensor, x) for x in np.eye(2)])
+    # Roots in the charts x ~ (1, u) and x ~ (v, 1) with |u|, |v| <= 1: g(v, 1)
+    # has the coefficients of g(1, u) reversed.  Coefficients below the rounding
+    # of the largest are noise; zeroing them keeps np.roots' companion finite.
+    clean = np.where(np.abs(h) > np.finfo(float).eps * np.abs(h).max(), h, 0.0)
+    u, v = (r[(np.abs(r.imag) <= _ROOT_IMAG) & (np.abs(r.real) <= 1.0 + 1e-6)].real
+            for r in (np.roots(clean[::-1]), np.roots(clean)))
+    theta = _polish(h, np.concatenate([np.arctan2(u, 1.0), np.arctan2(1.0, v)]))
+    X = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    X = np.concatenate([X, -X]) if tensor.order % 2 else X
+    found = [pair for pair in (_rayleigh_pair(tensor, x) for x in X) if pair.residual <= RESIDUAL_TOL]
+    values, residuals = np.array([p.value for p in found]), np.array([p.residual for p in found])
+    keep = _distinct(values, np.array([p.x for p in found]).reshape(-1, 2), residuals)
     return _sorted_pairs([found[k] for k in keep])
 
 
@@ -353,18 +372,16 @@ class VerificationReport:
 
 
 def verify_inclusion(
-    tensor: DenseTensor, pairs: list[Eigenpair], tol: float = INCLUSION_TOL
+    agg: RowAggregates, pairs: list[Eigenpair], bound_applies: bool, tol: float = INCLUSION_TOL
 ) -> VerificationReport:
-    """Check every eigenvalue magnitude against the three region closures,
-    and against the closed-form bound when the tensor is weakly symmetric
-    and nonnegative."""
-    agg = tensor.aggregates()
+    """Check every eigenvalue magnitude against the three region closures of
+    the tensor with aggregates agg, and against the closed-form bound when it
+    applies (the tensor is weakly symmetric and nonnegative)."""
     omega = region_Omega(agg)
     m_region = region_M(agg)
     k_region = region_K(agg)
     om = bound_omega_max(agg)
-    applies = tensor.is_nonnegative() and tensor.is_weakly_symmetric(DEFAULT_STRUCT_TOL)
-    report = VerificationReport(omega_max=om.omega_max, bound_applies=applies)
+    report = VerificationReport(omega_max=om.omega_max, bound_applies=bound_applies)
     for pair in pairs:
         r = abs(pair.value)
         report.checks.append(
@@ -373,7 +390,7 @@ def verify_inclusion(
                 in_omega=omega.contains(r, tol),
                 in_m=m_region.contains(r, tol),
                 in_k=k_region.contains(r, tol),
-                within_omega_max=(r <= om.omega_max + tol) if applies else None,
+                within_omega_max=(r <= om.omega_max + tol) if bound_applies else None,
             )
         )
     return report

@@ -126,7 +126,7 @@ class DenseTensor:
         absdata = np.abs(self.data)
         row_sums = absdata.reshape(n, -1).sum(axis=1)
         # Contracting every slot with 1 - e_i keeps exactly the tuples avoiding i.
-        partial = contract(absdata, 1.0 - np.eye(n), m - 1).T
+        partial = contract(absdata, 1.0 - np.eye(n)).T
         index = np.arange(n)
         diag = absdata[(index[:, None],) + (index,) * (m - 1)]
         partial[index, index] = diag[index, index] = 0.0
@@ -141,7 +141,7 @@ class DenseTensor:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"vector must have length {self.dim}, got shape {x.shape}")
-        return contract(self.data, x[None], self.order - 1)[0]
+        return contract(self.data, x[None])[0]
 
     def poly_value(self, x) -> float:
         """Full contraction of the tensor with x in all m slots."""
@@ -207,28 +207,25 @@ class DenseTensor:
         return not np.any(np.abs(lhs - rhs) > _limit(tol, scale)[:, None])
 
 
-def contract(data: np.ndarray, X: np.ndarray, slots: int) -> np.ndarray:
-    """result[b]: the last ``slots`` axes of ``data`` contracted with row b of X.
+def contract(data: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """result[b]: every axis of ``data`` but the first contracted with row b of X.
 
-    One BLAS product takes the last axis, then ``slots - 1`` einsum steps one
-    axis each, over chunks of rows sized to _CONTRACT_ITEMS.  Serves the
-    (m-1)-slot contractions of A: ``DenseTensor.apply``, the partial row sums
-    and the dim-2 sweep; Newton's map is a GEMM over monomials of its own
-    (``oracle._newton_map``)."""
+    One BLAS product takes the last axis, then m - 2 einsum steps one axis
+    each, over chunks of rows sized to _CONTRACT_ITEMS.  Serves
+    ``DenseTensor.apply`` and the partial row sums; Newton's map is a GEMM
+    over monomials of its own (``oracle._newton_map``) and the dim-2 solve
+    reads A's polynomial coefficients directly (``oracle._tangent_form``)."""
     n = data.shape[0]
-    keep = data.shape[: data.ndim - slots]
-    if slots == 0:
-        return np.broadcast_to(data, (len(X),) + keep)
     flat = data.reshape(-1, n)
-    out = np.empty((len(X), math.prod(keep)))
+    out = np.empty((len(X), n))
     step = max(1, _CONTRACT_ITEMS // len(flat))
     for lo in range(0, len(X), step):
         chunk = X[lo : lo + step]
         acc = flat @ chunk.T
-        for _ in range(slots - 1):
+        for _ in range(data.ndim - 2):
             acc = np.einsum("kjb,bj->kb", acc.reshape(-1, n, len(chunk)), chunk)
         out[lo : lo + step] = acc.T
-    return out.reshape((len(X),) + keep)
+    return out
 
 
 def _limit(tol: float, scale: np.ndarray) -> np.ndarray:

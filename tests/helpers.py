@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from zeig.oracle import Eigenpair
+from zeig.oracle import DEDUPE_TOL_LAMBDA, DEDUPE_TOL_X, Eigenpair
 from zeig.tensor import MAX_ABS_VALUE, MAX_ENTRIES, DenseTensor, TensorFormatError
 
 
@@ -338,7 +338,7 @@ def region_endpoints(region):
     return out
 
 
-# -- angle sweep scan -------------------------------------------------------------
+# -- angle sweep (dim-2 reference) ------------------------------------------------
 
 
 def sign_change_indices(g):
@@ -353,6 +353,64 @@ def sign_change_indices(g):
         if g[k] * g[k + 1] < 0.0:
             found.append(k)
     return found
+
+
+def sign_change_candidates(g):
+    """sign_change_indices in whole-array form: g[k] is the first zero of a
+    run of zeros, or g changes sign strictly between k and k + 1."""
+    head, prev = g[:-1], np.concatenate(([1.0], g[:-2]))
+    return np.flatnonzero(((head == 0.0) & (prev != 0.0)) | (head * g[1:] < 0.0))
+
+
+def brute_tangent(tensor, X):
+    """g = (A x^{m-1})_1 x_2 - (A x^{m-1})_2 x_1 at each row x of X, summed
+    one index tuple at a time."""
+    ax = np.zeros((len(X), 2))
+    for idx in itertools.product(range(2), repeat=tensor.order):
+        ax[:, idx[0]] += tensor.data[idx] * np.prod(X[:, list(idx[1:])], axis=1)
+    return ax[:, 0] * X[:, 1] - ax[:, 1] * X[:, 0]
+
+
+def brute_sweep_n2(tensor, grid_size=100_000):
+    """Eigenpairs of a dimension-2 tensor by sweeping the unit circle.
+
+    Scans g(t) at x = (cos t, sin t) on a uniform grid over [0, 2*pi) and
+    refines every sign change by bisection until |g| <= 1e-13; for a unit
+    vector the residual of the Rayleigh pair equals |g(t)|.  Complete up to
+    grid resolution for roots where g changes sign, blind to the others
+    (even multiplicity).  A g that is zero up to rounding everywhere gives
+    a sign change at nearly every grid point: keep such tensors away.
+    """
+    thetas = np.linspace(0.0, 2.0 * math.pi, grid_size + 1)
+    g = brute_tangent(tensor, np.stack([np.cos(thetas), np.sin(thetas)], axis=1))
+    roots = []
+    if np.all(g == 0.0):  # every direction is an eigenvector; the axes stand for them
+        roots = [0.0, 0.5 * math.pi]
+    else:
+        for k in sign_change_candidates(g):
+            if g[k] == 0.0:
+                roots.append(float(thetas[k]))
+                continue
+            a, b, fa = float(thetas[k]), float(thetas[k + 1]), float(g[k])
+            for _ in range(200):
+                mid = 0.5 * (a + b)
+                fm = float(brute_tangent(tensor, np.array([[math.cos(mid), math.sin(mid)]]))[0])
+                if abs(fm) <= 1e-13 or (b - a) <= 1e-16:
+                    break
+                if (fm > 0.0) == (fa > 0.0):
+                    a, fa = mid, fm
+                else:
+                    b = mid
+            roots.append(mid)
+    found = []
+    for t in roots:
+        x = np.array([math.cos(t), math.sin(t)])
+        ax = brute_apply(tensor, x)
+        value = float(x @ ax)
+        found.append(Eigenpair(value, x, float(np.linalg.norm(ax - value * x))))
+    found.sort(key=lambda p: p.residual)
+    kept = brute_dedupe(found, DEDUPE_TOL_LAMBDA, DEDUPE_TOL_X)
+    return sorted(kept, key=lambda p: (-p.value, tuple(p.x)))
 
 
 # -- eigenpair deduplication ------------------------------------------------------

@@ -163,7 +163,7 @@ def test_bounds_scale_linearly():
 
 
 def test_compare_report_example1(example1):
-    report = compare_report(example1)
+    report = compare_report(example1, example1.aggregates())
     assert report.omega_max == pytest.approx(EX1_OMEGA_MAX, rel=1e-13)
     assert report.chain_middle == pytest.approx(31 / 6, rel=1e-13)
     assert report.gershgorin == pytest.approx(16 / 3, rel=1e-14)
@@ -172,7 +172,7 @@ def test_compare_report_example1(example1):
 
 
 def test_compare_report_example2(example2):
-    report = compare_report(example2)
+    report = compare_report(example2, example2.aggregates())
     assert report.omega_max == pytest.approx(11.7268, abs=5e-4)
     assert report.omega_max < report.chain_middle < report.gershgorin == 14.5
     assert report.warnings == []
@@ -181,8 +181,10 @@ def test_compare_report_example2(example2):
 def test_compare_report_warns_on_negative_entries():
     data = np.full((2, 2, 2), 0.5)
     data[0, 1, 1] = -0.5
-    report = compare_report(DenseTensor(data))
+    t = DenseTensor(data)
+    report = compare_report(t, t.aggregates())
     assert any("negative" in w for w in report.warnings)
+    assert not report.bound_applies
     assert report.omega_max > 0.0  # still computed
     assert CHAIN_VIOLATION_WARNING not in report.warnings
 
@@ -190,12 +192,14 @@ def test_compare_report_warns_on_negative_entries():
 def test_compare_report_warns_on_weak_symmetry_failure():
     data = np.zeros((2, 2, 2))
     data[0, 0, 1] = 1.0
-    report = compare_report(DenseTensor(data))
+    t = DenseTensor(data)
+    report = compare_report(t, t.aggregates())
     assert any("weakly symmetric" in w for w in report.warnings)
+    assert not report.bound_applies
 
 
 def test_report_serialization_keys(example1):
-    doc = compare_report(example1).to_dict()
+    doc = compare_report(example1, example1.aggregates()).to_dict()
     assert list(doc) == [
         "omega_max",
         "omega_hat_max",

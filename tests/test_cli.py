@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from zeig.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, render_json
-from zeig.oracle import MAX_GRID, MAX_RESTARTS
+from zeig.oracle import MAX_RESTARTS
 
 from conftest import fixture_path
 
@@ -15,6 +15,7 @@ EX2 = str(fixture_path("example2.json"))
 DIAG = str(fixture_path("diagonal_123_m3.json"))
 ZERO = str(fixture_path("zero_m2_n2.json"))
 RANK1 = str(fixture_path("rank_one_m4_n2.json"))
+ONES22 = str(fixture_path("ones_m22_n2.json"))
 CORRUPT = str(fixture_path("corrupt.json"))
 OVERSIZED = str(fixture_path("oversized_shape.json"))
 HUGE_INT = str(fixture_path("huge_integer.json"))
@@ -173,7 +174,12 @@ def test_eigs_sweep_requires_dim2(capsys):
 
 
 def test_eigs_bad_grid_and_restarts(capsys):
-    assert run_cli(capsys, "eigs", EX1, "--method", "sweep", "--grid", "10")[0] == EXIT_USAGE
+    # The dim-2 solve is exact: there is no grid to set.
+    for command in ("eigs", "verify"):
+        code, out, err = run_cli(capsys, command, EX1, "--grid", "100000")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "unrecognized arguments: --grid" in err
     assert run_cli(capsys, "eigs", EX2, "--restarts", "0")[0] == EXIT_USAGE
 
 
@@ -195,6 +201,16 @@ def test_verify_example1_passes(capsys):
 def test_verify_example2_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", EX2, "--restarts", "300")
     assert code == EXIT_OK
+
+
+def test_verify_all_ones_order_22(capsys):
+    # g = (x_1 + x_2)^21 (x_2 - x_1): the root at λ = 0 is 21-fold.
+    code, out, _ = run_cli(capsys, "verify", ONES22, "--json")
+    assert code == EXIT_OK
+    values = [p["lambda"] for p in json.loads(out)["eigenpairs"]]
+    assert len(values) == 2
+    assert values[0] == pytest.approx(2048.0, rel=1e-12)
+    assert values[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_verify_injected_escape_fails(capsys):
@@ -265,13 +281,12 @@ def test_entry_magnitude_past_the_limit_is_input_error(capsys, command):
 
 
 @pytest.mark.parametrize("command", ["eigs", "verify"])
-@pytest.mark.parametrize("path, flag, limit", [(EX1, "--grid", MAX_GRID), (EX2, "--restarts", MAX_RESTARTS)])
-def test_oversized_oracle_flags_are_usage_errors(capsys, command, path, flag, limit):
+def test_oversized_oracle_flags_are_usage_errors(capsys, command):
     # Just above the limit, so nothing is allocated: the flag is rejected first.
-    code, out, err = run_cli(capsys, command, path, flag, str(limit + 1))
+    code, out, err = run_cli(capsys, command, EX2, "--restarts", str(MAX_RESTARTS + 1))
     assert code == EXIT_USAGE
     assert out == ""
-    assert f"<= {limit}" in err
+    assert f"<= {MAX_RESTARTS}" in err
 
 
 def test_no_command_is_usage_error(capsys):

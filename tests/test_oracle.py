@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from zeig.bounds import bound_gershgorin
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zeig.bounds import bound_gershgorin, compare_report
 from zeig import oracle
 from zeig.oracle import (
     DEDUPE_TOL_LAMBDA,
     DEDUPE_TOL_X,
-    MAX_GRID,
     MAX_RESTARTS,
+    RESIDUAL_TOL,
     Eigenpair,
     OracleConfig,
     _distinct,
     _newton_map,
-    _sign_change_candidates,
     _start_points,
     residual,
     verify_inclusion,
@@ -22,15 +24,18 @@ from zeig.oracle import (
 from zeig import tensor as tensor_module
 from zeig.tensor import DenseTensor, contract
 
+from conftest import load_fixture
 from helpers import (
     brute_apply,
     brute_contract,
     brute_dedupe,
     brute_jacobian,
+    brute_sweep_n2,
     diagonal_tensor,
     finite_difference_jacobian,
     random_symmetric_tensor,
     random_tensor,
+    sign_change_candidates,
     sign_change_indices,
 )
 
@@ -42,6 +47,11 @@ EX2_TOP_EIGENVALUE = 6.558213362199448
 
 def eigenvalues(pairs):
     return [p.value for p in pairs]
+
+
+def verify(tensor, pairs):
+    agg = tensor.aggregates()
+    return verify_inclusion(agg, pairs, compare_report(tensor, agg).bound_applies)
 
 
 # -- residual -------------------------------------------------------------------
@@ -69,16 +79,15 @@ def test_residual_input_validation():
 # -- batched contraction kernel and the Newton map ------------------------------------
 
 
-def test_contract_matches_enumeration_for_every_slot_count():
+def test_contract_matches_enumeration():
     rng = np.random.default_rng(3)
     for order, dim in [(2, 3), (3, 2), (4, 3), (3, 4)]:
         t = random_tensor(rng, order, dim, signed=True)
         X = rng.normal(size=(7, dim))
-        for slots in range(order):
-            batch = contract(t.data, X, slots)
-            assert batch.shape == (7,) + (dim,) * (order - slots)
-            for k in range(7):
-                assert batch[k] == pytest.approx(brute_contract(t, X[k], slots), rel=1e-12, abs=1e-12)
+        batch = contract(t.data, X)
+        assert batch.shape == (7, dim)
+        for k in range(7):
+            assert batch[k] == pytest.approx(brute_contract(t, X[k], order - 1), rel=1e-12, abs=1e-12)
 
 
 def test_contract_batch_spanning_several_chunks():
@@ -88,12 +97,11 @@ def test_contract_batch_spanning_several_chunks():
     assert 0 < step < rows  # the batch is split into several chunks
     t = random_tensor(rng, order, dim, signed=True)
     X = rng.normal(size=(rows, dim))
-    for slots in range(order):
-        batch = contract(t.data, X, slots)
-        for k in (0, step - 1, step, rows - 1):
-            np.testing.assert_allclose(batch[k], brute_contract(t, X[k], slots), rtol=1e-12, atol=1e-12)
-        singles = np.concatenate([contract(t.data, X[k : k + 1], slots) for k in range(rows)])
-        np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12)
+    batch = contract(t.data, X)
+    for k in (0, step - 1, step, rows - 1):
+        np.testing.assert_allclose(batch[k], brute_contract(t, X[k], order - 1), rtol=1e-12, atol=1e-12)
+    singles = np.concatenate([contract(t.data, X[k : k + 1]) for k in range(rows)])
+    np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12)
 
 
 def test_newton_map_matches_enumeration():
@@ -142,15 +150,15 @@ def test_sign_change_candidates_match_pointwise_scan():
         if rng.random() < 0.3:  # long runs of zeros, at either end too
             lo = int(rng.integers(0, size))
             g[lo : lo + int(rng.integers(1, size + 1))] = 0.0
-        assert _sign_change_candidates(g).tolist() == sign_change_indices(g)
+        assert sign_change_candidates(g).tolist() == sign_change_indices(g)
 
 
-# -- angle sweep ---------------------------------------------------------------------
+# -- exact dim-2 solve ---------------------------------------------------------------
 
 
 def test_sweep_diagonal_axis_eigenpairs():
     t = diagonal_tensor([2, 5], order=4)
-    values = eigenvalues(z_eigs_sweep_n2(t, 10_000))
+    values = eigenvalues(z_eigs_sweep_n2(t))
     assert any(abs(v - 2.0) <= 1e-10 for v in values)
     assert any(abs(v - 5.0) <= 1e-10 for v in values)
     # the mixed-direction critical point at 10/7 also shows up
@@ -158,7 +166,7 @@ def test_sweep_diagonal_axis_eigenpairs():
 
 
 def test_sweep_example1_golden_spectrum(example1):
-    pairs = z_eigs_sweep_n2(example1, 100_000)
+    pairs = z_eigs_sweep_n2(example1)
     got = sorted(eigenvalues(pairs))
     assert got == pytest.approx(sorted(EX1_EIGENVALUES), abs=1e-9)
     for p in pairs:
@@ -168,7 +176,7 @@ def test_sweep_example1_golden_spectrum(example1):
 
 
 def test_sweep_rank_one_finds_unit_eigenvalue(rank_one):
-    pairs = z_eigs_sweep_n2(rank_one, 10_000)
+    pairs = z_eigs_sweep_n2(rank_one)
     best = min(pairs, key=lambda p: abs(p.value - 1.0))
     assert best.value == pytest.approx(1.0, abs=1e-10)
     assert min(
@@ -179,7 +187,7 @@ def test_sweep_rank_one_finds_unit_eigenvalue(rank_one):
 
 def test_sweep_even_order_collapses_antipodal_pairs():
     t = diagonal_tensor([2, 5], order=4)
-    pairs = z_eigs_sweep_n2(t, 10_000)
+    pairs = z_eigs_sweep_n2(t)
     for a in range(len(pairs)):
         for b in range(a + 1, len(pairs)):
             same_value = abs(pairs[a].value - pairs[b].value) <= 1e-8
@@ -191,18 +199,43 @@ def test_sweep_even_order_collapses_antipodal_pairs():
 
 
 def test_sweep_zero_tensor_degenerate(zero_m2_n2):
-    pairs = z_eigs_sweep_n2(zero_m2_n2, 1_000)
+    pairs = z_eigs_sweep_n2(zero_m2_n2)
     assert pairs
     assert all(p.value == 0.0 and p.residual == 0.0 for p in pairs)
 
 
-def test_sweep_input_validation(example2, example1):
+def test_sweep_input_validation(example2):
     with pytest.raises(ValueError):
-        z_eigs_sweep_n2(example2, 1_000)  # dim 3
-    with pytest.raises(ValueError):
-        z_eigs_sweep_n2(example1, 99)
-    with pytest.raises(ValueError, match=str(MAX_GRID)):
-        z_eigs_sweep_n2(example1, MAX_GRID + 1)
+        z_eigs_sweep_n2(example2)  # dim 3
+
+
+def test_sweep_finds_the_tangential_root_of_a_rotated_jordan_block():
+    # [[1, 1], [0, 1]] rotated by 0.3 rad: g has a double root, where it does
+    # not change sign, at the one eigenvector (cos 0.3, sin 0.3).
+    pairs = z_eigs_sweep_n2(load_fixture("jordan_rot_m2_n2.json"))
+    assert len(pairs) == 1
+    assert pairs[0].value == pytest.approx(1.0, abs=1e-8)
+    assert pairs[0].residual <= RESIDUAL_TOL
+    assert abs(pairs[0].x @ [np.cos(0.3), np.sin(0.3)]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sweep_reports_a_sevenfold_root_once():
+    # All ones at order 8: A x^7 = (x_1 + x_2)^7 (1, 1), so g = (x_1 + x_2)^7 (x_2 - x_1)
+    # has a simple root at λ = 16 and a sevenfold one at λ = 0.
+    values = eigenvalues(z_eigs_sweep_n2(load_fixture("ones_m8_n2.json")))
+    assert len(values) == 2
+    assert values[0] == pytest.approx(16.0, abs=1e-12)
+    assert values[1] == pytest.approx(0.0, abs=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), order=st.integers(2, 6), signed=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_sweep_matches_the_grid_scan_reference(seed, order, signed):
+    t = random_tensor(np.random.default_rng(seed), order, 2, signed=signed)
+    pairs = z_eigs_sweep_n2(t)
+    assert all(p.residual <= RESIDUAL_TOL for p in pairs)
+    for ref in brute_sweep_n2(t):
+        assert any(abs(ref.value - p.value) <= 1e-8 for p in pairs), ref
 
 
 # -- Newton restarts -------------------------------------------------------------------
@@ -226,7 +259,7 @@ def test_newton_example2_respects_reported_bound(example2):
 
 def test_newton_agrees_with_sweep_on_example1(example1):
     newton_values = sorted(eigenvalues(z_eigs_newton(example1, OracleConfig(restarts=400, seed=3))))
-    sweep_values = sorted(eigenvalues(z_eigs_sweep_n2(example1, 50_000)))
+    sweep_values = sorted(eigenvalues(z_eigs_sweep_n2(example1)))
     assert newton_values == pytest.approx(sweep_values, abs=1e-8)
 
 
@@ -353,8 +386,8 @@ def test_oracle_config_validation():
 
 
 def test_verify_inclusion_example1_sweep(example1):
-    pairs = z_eigs_sweep_n2(example1, 50_000)
-    report = verify_inclusion(example1, pairs)
+    pairs = z_eigs_sweep_n2(example1)
+    report = verify(example1, pairs)
     assert report.bound_applies
     assert report.all_passed
     assert report.failures() == []
@@ -363,20 +396,20 @@ def test_verify_inclusion_example1_sweep(example1):
 def test_verify_inclusion_diagonal_equality_at_tolerance():
     t = diagonal_tensor([1, 2, 3], order=4)
     pairs = z_eigs_newton(t, OracleConfig(restarts=500, seed=3))
-    report = verify_inclusion(t, pairs)
+    report = verify(t, pairs)
     assert report.all_passed
     assert max(abs(p.value) for p in pairs) == pytest.approx(report.omega_max, abs=1e-9)
 
 
 def test_verify_inclusion_zero_tensor_manual_pair(zero_m2_n2):
     pair = Eigenpair(0.0, np.array([1.0, 0.0]), 0.0)
-    report = verify_inclusion(zero_m2_n2, [pair])
+    report = verify(zero_m2_n2, [pair])
     assert report.all_passed
 
 
 def test_verify_inclusion_flags_escaped_eigenvalue(example1):
     rogue = Eigenpair(10.0 * bound_gershgorin(example1.aggregates()), np.array([1.0, 0.0]), 0.0)
-    report = verify_inclusion(example1, [rogue])
+    report = verify(example1, [rogue])
     assert not report.all_passed
     check = report.failures()[0]
     assert not check.in_omega and not check.in_m and not check.in_k
@@ -388,7 +421,7 @@ def test_verify_inclusion_skips_bound_when_hypothesis_fails():
     data[0, 1, 1] = -0.5
     t = DenseTensor(data)
     pair = Eigenpair(0.1, np.array([1.0, 0.0]), 0.0)
-    report = verify_inclusion(t, [pair])
+    report = verify(t, [pair])
     assert not report.bound_applies
     assert report.checks[0].within_omega_max is None
 
@@ -400,13 +433,13 @@ def test_inclusion_on_random_symmetric_nonnegative_tensors():
         dim = int(rng.integers(2, 4))
         t = random_symmetric_tensor(rng, order, dim)
         pairs = z_eigs_newton(t, OracleConfig(restarts=300, seed=k))
-        report = verify_inclusion(t, pairs)
+        report = verify(t, pairs)
         assert report.bound_applies
         assert report.all_passed
 
 
 def test_eigenpair_serialization_shape(example1):
-    pair = z_eigs_sweep_n2(example1, 10_000)[0]
+    pair = z_eigs_sweep_n2(example1)[0]
     doc = pair.to_dict()
     assert list(doc) == ["lambda", "x", "residual"]
     assert isinstance(doc["x"], list) and len(doc["x"]) == 2

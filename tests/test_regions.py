@@ -223,7 +223,7 @@ def test_region_Omega_diagonal_structure():
 
 def test_region_Omega_contains_sweep_eigenvalues(example1):
     region = region_Omega(example1.aggregates())
-    for pair in z_eigs_sweep_n2(example1, 10_000):
+    for pair in z_eigs_sweep_n2(example1):
         assert region.contains(abs(pair.value), tol=1e-8)
 
 
