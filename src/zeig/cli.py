@@ -19,7 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import CHAIN_VIOLATION_WARNING, compare_report
-from .oracle import MAX_RESTARTS, Eigenpair, OracleConfig, verify_inclusion, z_eigs_newton, z_eigs_sweep_n2
+from .oracle import (
+    MAX_RESTARTS,
+    Eigenpair,
+    OracleConfig,
+    verify_inclusion,
+    z_eigs_newton,
+    z_eigs_sweep_n2,
+)
 from .regions import RadialRegion, region_K, region_M, region_Omega
 from .tensor import DenseTensor, TensorFormatError, parse_tensor
 

@@ -4,9 +4,10 @@ Two finders: for dimension 2 an exact solve, the real roots of one
 polynomial of degree m, multiple roots included; for general dimension
 Newton's method with seeded random restarts (finds a subset of the
 spectrum).  Every reported pair is re-verified on A through
-``DenseTensor.apply`` against RESIDUAL_TOL rather than trusted from the
-solver; Newton's converged restarts are first merged into distinct
-eigenpairs (λ within DEDUPE_TOL_LAMBDA, x within DEDUPE_TOL_X up to sign).
+``DenseTensor.apply`` against RESIDUAL_TOL (in dim 2, per unit of the sum
+of |A|'s entries) rather than trusted from the solver; Newton's converged
+restarts are first merged into distinct eigenpairs (λ within
+DEDUPE_TOL_LAMBDA, x within DEDUPE_TOL_X up to sign).
 verify_inclusion checks found eigenvalues against the three inclusion
 regions and the closed-form bound.  Newton's map and Jacobian come from one
 GEMM per step, the degree-(m-2) monomials of the iterates times the tensor
@@ -149,80 +150,88 @@ def _sorted_pairs(pairs: list[Eigenpair]) -> list[Eigenpair]:
 # -- exact solve (dim 2) -------------------------------------------------------
 
 
-def _tangent_form(data: np.ndarray) -> np.ndarray:
+def _tangent_form(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients h of the tangent g(x) = (A x^{m-1})_1 x_2 - (A x^{m-1})_2 x_1
-    of a dim-2 tensor, a form of degree m: g(x) = sum_j h[j] x_1^(m-j) x_2^j."""
-    ones = np.zeros(1, dtype=np.intp)  # per tail, how many of its indices are 2
-    for _ in range(data.ndim - 1):
-        ones = np.concatenate([ones, ones + 1])
-    c1, c2 = (np.bincount(ones, weights=row, minlength=data.ndim) for row in data.reshape(2, -1))
-    return np.append(0.0, c1) - np.append(c2, 0.0)
+    of a dim-2 tensor, a form of degree m: g(x) = sum_j h[j] x_1^(m-j) x_2^j,
+    and b, the same form for |A| with its two terms added, which bounds the
+    terms of h.  Each row's coefficient j sums the tails holding j indices 2,
+    pairwise over one slot at a time, so it carries at most m - 1 roundings."""
+    rows = []
+    for array in (data, np.abs(data)):
+        F = array.reshape(2, -1, 1)
+        for _ in range(data.ndim - 1):
+            F = F.reshape(2, -1, 2, F.shape[-1])  # last slot of the tail: index 1 or 2
+            zero = np.zeros(F.shape[:2] + (1,))
+            F = np.concatenate([F[:, :, 0], zero], axis=2) + np.concatenate([zero, F[:, :, 1]], axis=2)
+        rows.append(F[:, 0])
+    (c1, c2), (a1, a2) = rows
+    return np.append(0.0, c1) - np.append(c2, 0.0), np.append(0.0, a1) + np.append(a2, 0.0)
 
 
-def _form_at(h: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The form h at (cos t, sin t) for each angle t."""
-    j = np.arange(len(h))
-    return (np.cos(theta)[:, None] ** j[::-1] * np.sin(theta)[:, None] ** j) @ h
+def _poly_newton(f: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """t moved by Newton's method on the polynomial f, taking only steps under
+    1 that lower |f|."""
+    slope_form, value = np.polyder(f), np.polyval(f, t)
+    for _ in range(_POLISH_STEPS):
+        slope = np.polyval(slope_form, t)
+        trial = t - np.divide(value, slope, out=np.zeros_like(value), where=np.abs(slope) > np.abs(value))
+        trial_value = np.polyval(f, trial)
+        better = np.abs(trial_value) < np.abs(value)
+        if not np.any(better):
+            break
+        t, value = np.where(better, trial, t), np.where(better, trial_value, value)
+    return t
 
 
-def _derivative(h: np.ndarray) -> np.ndarray:
-    """The form whose value at (cos t, sin t) is d/dt of the form h there."""
-    j = np.arange(len(h))
-    return np.append(0.0, -(j[::-1] * h)[:-1]) + np.append((j * h)[1:], 0.0)
+def _chart_roots(p: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """The real roots u in [-1, 1] of p(u) = g(1, u), coefficients highest
+    first, each polished onto the exact root near it; |p - computed p| <=
+    noise(|u|) coefficientwise, for every derivative too.
 
-
-def _polish(h: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Each angle moved onto the root of g near it.  g fixes a (k+1)-fold root
-    only to ~eps^(1/(k+1)), where λ can be off by far more than
-    DEDUPE_TOL_LAMBDA, but the k-th derivative has a simple root there: so
-    an angle goes on to the roots of g', g'', ... while |g| <= RESIDUAL_TOL.
-    Newton's method on each takes only steps under one radian that lower |f|."""
-    live, f = np.arange(len(theta)), h
-    for k in range(len(h) - 1):
-        slope_form, t = _derivative(f), theta[live]
-        value = _form_at(f, t)
-        for _ in range(_POLISH_STEPS):
-            slope = _form_at(slope_form, t)
-            trial = t - np.divide(value, slope, out=np.zeros_like(value), where=np.abs(slope) > np.abs(value))
-            trial_value = _form_at(f, trial)
-            better = np.abs(trial_value) < np.abs(value)
-            if not np.any(better):
-                break
-            t, value = np.where(better, trial, t), np.where(better, trial_value, value)
-        ok = np.abs(_form_at(h, t)) <= RESIDUAL_TOL
-        moved = ok | (k == 0)  # Newton on g itself only ever lowers |g|
-        theta[live[moved]] = t[moved]
-        live, f = live[ok], slope_form
-    return theta
+    Coefficients below the rounding of the largest are zeroed, which keeps
+    np.roots' companion finite.  p fixes a (k+1)-fold root only to
+    ~eps^(1/(k+1)), where λ can be off by far more than DEDUPE_TOL_LAMBDA,
+    but p^(k) has a simple root there: so a root goes on to the root of p',
+    p'', ... near it while that is still, within noise, a root of the
+    derivative before."""
+    r = np.roots(np.where(np.abs(p) > np.finfo(float).eps * np.abs(p).max(), p, 0.0))
+    u = _poly_newton(p, r[(np.abs(r.imag) <= _ROOT_IMAG) & (np.abs(r.real) <= 1.0 + 1e-6)].real)
+    live, f = np.arange(len(u)), p
+    for _ in range(len(p) - 2):
+        t = _poly_newton(np.polyder(f), u[live])
+        ok = np.abs(np.polyval(f, t)) <= np.polyval(noise, np.abs(t))
+        u[live[ok]] = t[ok]
+        live, f, noise = live[ok], np.polyder(f), np.polyder(noise)
+    return u
 
 
 def z_eigs_sweep_n2(tensor: DenseTensor) -> list[Eigenpair]:
     """All eigenpairs of a dimension-2 tensor: a unit x is an eigenvector iff
     the tangent g(x) vanishes, and its Rayleigh pair has residual |g(x)|.
 
-    The near-real roots of g are polished, with -x added for odd m since
-    (λ, x) -> (-λ, -x); each Rayleigh pair is verified on A against
-    RESIDUAL_TOL, and the survivors are merged with _distinct, as Newton's
-    are: polishing has moved every root of a cluster onto the same point.
-    If g vanishes identically, the axes stand for the eigenvectors, which
-    are every direction."""
+    The real roots of g are taken in the charts x ~ (1, u) and x ~ (v, 1)
+    with |u|, |v| <= 1, where g(v, 1) has the coefficients of g(1, u)
+    reversed; -x is added for odd m since (λ, x) -> (-λ, -x).  Rounding
+    grows with the tensor, so the checks are relative to S, the sum of |A|'s
+    entries, which bounds |λ|: each Rayleigh pair is verified on A against
+    RESIDUAL_TOL * S, and the survivors are merged with _distinct on λ / S,
+    as Newton's are: polishing has moved every root of a cluster onto the
+    same point.  If g vanishes within its rounding, the axes stand for the
+    eigenvectors, which are every direction."""
     if tensor.dim != 2:
         raise ValueError(f"dim-2 solve requires dim = 2, got {tensor.dim}")
-    h = _tangent_form(tensor.data)
-    if not np.any(h):
+    h, bound = _tangent_form(tensor.data)
+    # m - 1 roundings in each coefficient, one in h's difference, 2m in Horner's rule
+    noise, scale = 3 * tensor.order * np.finfo(float).eps * bound, float(bound.sum())
+    if np.all(np.abs(h) <= noise):
         return _sorted_pairs([_rayleigh_pair(tensor, x) for x in np.eye(2)])
-    # Roots in the charts x ~ (1, u) and x ~ (v, 1) with |u|, |v| <= 1: g(v, 1)
-    # has the coefficients of g(1, u) reversed.  Coefficients below the rounding
-    # of the largest are noise; zeroing them keeps np.roots' companion finite.
-    clean = np.where(np.abs(h) > np.finfo(float).eps * np.abs(h).max(), h, 0.0)
-    u, v = (r[(np.abs(r.imag) <= _ROOT_IMAG) & (np.abs(r.real) <= 1.0 + 1e-6)].real
-            for r in (np.roots(clean[::-1]), np.roots(clean)))
-    theta = _polish(h, np.concatenate([np.arctan2(u, 1.0), np.arctan2(1.0, v)]))
-    X = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    u, v = _chart_roots(h[::-1], noise[::-1]), _chart_roots(h, noise)
+    X = np.concatenate([np.stack([np.ones_like(u), u], axis=1), np.stack([v, np.ones_like(v)], axis=1)])
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
     X = np.concatenate([X, -X]) if tensor.order % 2 else X
-    found = [pair for pair in (_rayleigh_pair(tensor, x) for x in X) if pair.residual <= RESIDUAL_TOL]
+    found = [pair for pair in (_rayleigh_pair(tensor, x) for x in X) if pair.residual <= RESIDUAL_TOL * scale]
     values, residuals = np.array([p.value for p in found]), np.array([p.residual for p in found])
-    keep = _distinct(values, np.array([p.x for p in found]).reshape(-1, 2), residuals)
+    keep = _distinct(values / scale, np.array([p.x for p in found]).reshape(-1, 2), residuals)
     return _sorted_pairs([found[k] for k in keep])
 
 

@@ -228,6 +228,31 @@ def test_sweep_reports_a_sevenfold_root_once():
     assert values[1] == pytest.approx(0.0, abs=1e-12)
 
 
+def assert_scaled_spectrum(tensor, scale):
+    # s A has the eigenpairs (s λ, x): the solve's tolerances scale with A.
+    pairs = z_eigs_sweep_n2(tensor)
+    scaled = z_eigs_sweep_n2(DenseTensor(tensor.data * scale))
+    assert len(scaled) == len(pairs)
+    for p, q in zip(pairs, scaled):
+        assert q.value / scale == pytest.approx(p.value, abs=1e-9)
+        assert min(np.linalg.norm(q.x - p.x), np.linalg.norm(q.x + p.x)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "name, scale",
+    [(name, scale) for name in ("example1.json", "jordan_rot_m2_n2.json", "ones_m8_n2.json") for scale in (1e-6, 1e6, 1e12)]
+    + [("ones_m22_n2.json", 1e-6)],  # rounding in the coefficients splits its 21-fold root
+)
+def test_sweep_spectrum_scales_with_the_tensor(name, scale):
+    assert_scaled_spectrum(load_fixture(name), scale)
+
+
+@given(seed=st.integers(0, 2**32 - 1), order=st.integers(2, 6), exponent=st.integers(-9, 9))
+@settings(max_examples=30, deadline=None)
+def test_sweep_spectrum_of_random_tensors_scales_with_the_tensor(seed, order, exponent):
+    assert_scaled_spectrum(random_tensor(np.random.default_rng(seed), order, 2, signed=True), 10.0**exponent)
+
+
 @given(seed=st.integers(0, 2**32 - 1), order=st.integers(2, 6), signed=st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_sweep_matches_the_grid_scan_reference(seed, order, signed):
