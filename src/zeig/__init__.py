@@ -2,19 +2,16 @@
 
 from .bounds import (
     BoundReport,
-    OmegaMaxResult,
     bound_chain_middle,
     bound_gershgorin,
     bound_omega_max,
     compare_report,
-    delta,
 )
 from .oracle import (
     Eigenpair,
     OracleConfig,
     PairCheck,
     VerificationReport,
-    residual,
     verify_inclusion,
     z_eigs_newton,
     z_eigs_sweep_n2,
@@ -43,7 +40,6 @@ __all__ = [
     "DenseTensor",
     "DEFAULT_STRUCT_TOL",
     "Eigenpair",
-    "OmegaMaxResult",
     "OracleConfig",
     "PairCheck",
     "QuadraticRootPair",
@@ -56,12 +52,10 @@ __all__ = [
     "bound_gershgorin",
     "bound_omega_max",
     "compare_report",
-    "delta",
     "parse_tensor",
     "region_K",
     "region_M",
     "region_Omega",
-    "residual",
     "solve_radial_quadratic",
     "verify_inclusion",
     "z_eigs_newton",

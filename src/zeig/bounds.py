@@ -10,11 +10,10 @@ tables (regions.omega_table, regions.m_table) the regions are built from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .regions import m_table, omega_band, omega_table, ordered_pairs
+from .regions import m_table, omega_table, ordered_pairs
 from .tensor import DEFAULT_STRUCT_TOL, DenseTensor, RowAggregates
 
 _CHAIN_SLACK = 1e-12
@@ -46,47 +45,12 @@ class BoundReport:
         }
 
 
-class OmegaMaxResult(NamedTuple):
-    omega_hat_max: float
-    omega_tilde_max: float
-    omega_max: float
-    attaining_pair: tuple[int, int]
-
-
-def _check_pair(agg: RowAggregates, i: int, j: int) -> tuple[int, int]:
-    n = agg.dim
-    for name, k in (("i", i), ("j", j)):
-        if not 1 <= k <= n:
-            raise IndexError(f"index {name}={k} out of range [1, {n}]")
-    if i == j:
-        raise ValueError("indices must differ")
-    return i - 1, j - 1
-
-
-def delta(agg: RowAggregates, i: int, j: int) -> float:
-    """Larger root of the pairwise quadratic built from partial row sums.
-
-    Computed through the shared stable root kernel rather than a literal
-    transcription of the half-sum-plus-radical form; the two agree
-    analytically.
-    """
-    _, _, roots = omega_band(agg, *_check_pair(agg, i, j))
-    return float(roots.r_plus)
-
-
-def bound_omega_max(agg: RowAggregates) -> OmegaMaxResult:
-    """Supremum of the Omega region in closed form.
-
-    The hat part maximizes min(P_i^j, P_j^i) over ordered pairs; the tilde
-    part maximizes min(R_i, delta(i, j)).  The attaining pair is the
-    lexicographically smallest ordered pair achieving the overall maximum.
-    """
+def bound_omega_max(agg: RowAggregates) -> float:
+    """Supremum of the Omega region in closed form: the largest box cap
+    min(P_i^j, P_j^i) or band top min(R_i, delta(i, j)) over ordered pairs,
+    delta being the larger root of the pair's quadratic."""
     table = omega_table(agg)
-    best = np.maximum(table.cap, table.hi)
-    k = int(np.argmax(best))  # first maximum: lexicographic tie-break
-    i, j = ordered_pairs(agg.dim)
-    pair = (int(i[k]) + 1, int(j[k]) + 1)
-    return OmegaMaxResult(float(table.cap.max()), float(table.hi.max()), float(best[k]), pair)
+    return float(max(table.cap.max(), table.hi.max()))
 
 
 def bound_chain_middle(agg: RowAggregates) -> float:
@@ -112,7 +76,10 @@ def compare_report(tensor: DenseTensor, agg: RowAggregates, tol: float = DEFAULT
     ordering is re-verified on the computed values; a violation would mean
     an internal defect and is flagged with a distinguished warning.
     """
-    om = bound_omega_max(agg)
+    table = omega_table(agg)
+    best = np.maximum(table.cap, table.hi)
+    k = int(np.argmax(best))  # first maximum: the lexicographically smallest attaining pair
+    i, j = ordered_pairs(agg.dim)
     middle = bound_chain_middle(agg)
     gersh = bound_gershgorin(agg)
     nonnegative, weakly_symmetric = tensor.is_nonnegative(), tensor.is_weakly_symmetric(tol)
@@ -121,15 +88,15 @@ def compare_report(tensor: DenseTensor, agg: RowAggregates, tol: float = DEFAULT
         warnings.append("tensor has negative entries; bounds are formal quantities only")
     if not weakly_symmetric:
         warnings.append("tensor is not weakly symmetric; bounds are formal quantities only")
-    if om.omega_max > middle + _CHAIN_SLACK or middle > gersh + _CHAIN_SLACK:
+    if best[k] > middle + _CHAIN_SLACK or middle > gersh + _CHAIN_SLACK:
         warnings.append(CHAIN_VIOLATION_WARNING)
     return BoundReport(
-        omega_max=om.omega_max,
-        omega_hat_max=om.omega_hat_max,
-        omega_tilde_max=om.omega_tilde_max,
+        omega_max=float(best[k]),
+        omega_hat_max=float(table.cap.max()),
+        omega_tilde_max=float(table.hi.max()),
         chain_middle=middle,
         gershgorin=gersh,
-        attaining_pair=om.attaining_pair,
+        attaining_pair=(int(i[k]) + 1, int(j[k]) + 1),
         bound_applies=nonnegative and weakly_symmetric,
         warnings=warnings,
     )

@@ -2,8 +2,9 @@
 
 Commands: info, bounds, regions, eigs, verify.  Every command accepts
 --json for machine-readable output.  Exit codes: 0 success / all checks
-pass, 1 usage or input error, 2 verification failure (an eigenvalue
-escaped a region or the bound chain ordering failed).
+pass, 1 usage or input error or a stdout closed by its reader, 2
+verification failure (an eigenvalue escaped a region or the bound chain
+ordering failed).
 
 Machine formats print floats with 17 significant digits so that reports
 round-trip bit-exactly; human tables use 6 significant digits.
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -106,6 +109,16 @@ def _load_tensor(path: str) -> DenseTensor:
         return parse_tensor(text)
     except TensorFormatError as exc:
         raise UsageError(f"{path}: {exc}") from None
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # not a number either: the same message
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _oracle_config(args) -> OracleConfig:
@@ -317,8 +330,8 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--restarts", type=int, default=1000,
                    help=f"newton restarts (default 1000, at most {MAX_RESTARTS})")
     p.add_argument("--seed", type=int, default=0, help="newton master seed (default 0)")
-    p.add_argument("--inject-lambda", type=float, default=None, metavar="VALUE",
-                   help="fault-injection hook: add a fabricated eigenvalue before verification")
+    p.add_argument("--inject-lambda", type=_finite_float, default=None, metavar="VALUE",
+                   help="fault-injection hook: add a fabricated finite eigenvalue before verification")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -337,10 +350,16 @@ def main(argv=None) -> int:
         print("error: a command is required (info, bounds, regions, eigs, verify)", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout early fails it here, not at exit
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # Unflushed output would fail again when the interpreter exits.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

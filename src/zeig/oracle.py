@@ -71,16 +71,6 @@ class OracleConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 
-def residual(tensor: DenseTensor, value: float, x) -> float:
-    """Euclidean norm of apply(x) - value * x for a unit vector x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (tensor.dim,):
-        raise ValueError(f"vector must have length {tensor.dim}, got shape {x.shape}")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
-        raise ValueError("x must be a unit vector")
-    return float(np.linalg.norm(tensor.apply(x) - value * x))
-
-
 # -- Newton map ----------------------------------------------------------------
 
 
@@ -389,8 +379,8 @@ def verify_inclusion(
     omega = region_Omega(agg)
     m_region = region_M(agg)
     k_region = region_K(agg)
-    om = bound_omega_max(agg)
-    report = VerificationReport(omega_max=om.omega_max, bound_applies=bound_applies)
+    omega_max = bound_omega_max(agg)
+    report = VerificationReport(omega_max=omega_max, bound_applies=bound_applies)
     for pair in pairs:
         r = abs(pair.value)
         report.checks.append(
@@ -399,7 +389,7 @@ def verify_inclusion(
                 in_omega=omega.contains(r, tol),
                 in_m=m_region.contains(r, tol),
                 in_k=k_region.contains(r, tol),
-                within_omega_max=(r <= om.omega_max + tol) if bound_applies else None,
+                within_omega_max=(r <= omega_max + tol) if bound_applies else None,
             )
         )
     return report

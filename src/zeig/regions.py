@@ -58,13 +58,6 @@ class RadialInterval:
     lo_open: bool = False
     hi_open: bool = False
 
-    def is_empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        if self.lo == self.hi:
-            return self.lo_open or self.hi_open
-        return False
-
     def contains(self, r: float, tol: float = 0.0) -> bool:
         if tol > 0.0:
             return self.lo - tol <= r <= self.hi + tol
@@ -91,29 +84,8 @@ class RadialRegion:
 
     @classmethod
     def from_intervals(cls, items: Iterable[RadialInterval]) -> "RadialRegion":
-        kept = [iv for iv in items if not iv.is_empty()]
-        for iv in kept:
-            if iv.lo < 0.0:
-                raise ValueError(f"interval extends below the radius axis: {iv}")
-        kept.sort(key=lambda iv: (iv.lo, iv.lo_open))
-        merged: list[RadialInterval] = []
-        for iv in kept:
-            if not merged:
-                merged.append(iv)
-                continue
-            cur = merged[-1]
-            touches = iv.lo < cur.hi or (iv.lo == cur.hi and not (iv.lo_open and cur.hi_open))
-            if not touches:
-                merged.append(iv)
-                continue
-            if iv.hi > cur.hi:
-                hi, hi_open = iv.hi, iv.hi_open
-            elif iv.hi < cur.hi:
-                hi, hi_open = cur.hi, cur.hi_open
-            else:
-                hi, hi_open = cur.hi, cur.hi_open and iv.hi_open
-            merged[-1] = RadialInterval(cur.lo, hi, cur.lo_open, hi_open)
-        return cls(tuple(merged))
+        cols = np.array([(iv.lo, iv.hi, iv.lo_open, iv.hi_open) for iv in items], dtype=float).reshape(-1, 4)
+        return cls(_union(cols[:, 0], cols[:, 1], cols[:, 2] != 0.0, cols[:, 3] != 0.0))
 
     @property
     def is_empty(self) -> bool:
@@ -146,6 +118,38 @@ class RadialRegion:
         return "\n".join(lines) + "\n"
 
 
+def _union(lo, hi, lo_open=False, hi_open=False) -> tuple[RadialInterval, ...]:
+    """Normalized union of the intervals with endpoint arrays lo and hi and
+    openness flags lo_open and hi_open (a scalar flag holds for all).
+
+    The non-empty intervals are sorted by (lo, lo_open), closed starts
+    first, and each one's running end is the largest (hi, closed) among it
+    and those before it.  An interval starts a new piece where its lo is past
+    the running end before it, or equals that end with both ends open; a
+    piece ends at the running end of its last interval.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    lo_open, hi_open = (np.broadcast_to(np.asarray(flag, dtype=bool), lo.shape) for flag in (lo_open, hi_open))
+    keep = ~((lo > hi) | ((lo == hi) & (lo_open | hi_open)))
+    lo, hi, lo_open, hi_open = lo[keep], hi[keep], lo_open[keep], hi_open[keep]
+    if np.any(lo < 0.0):
+        bad = RadialInterval(*(a[np.argmax(lo < 0.0)].item() for a in (lo, hi, lo_open, hi_open)))
+        raise ValueError(f"interval extends below the radius axis: {bad}")
+    order = np.lexsort((lo_open, lo))
+    lo, hi, lo_open, hi_open = lo[order], hi[order], lo_open[order], hi_open[order]
+    by_end = np.lexsort((~hi_open, hi))  # ascending (hi, closed)
+    # argsort(by_end) ranks each interval's end; the running max of the ranks
+    # names the interval holding each running end
+    end = by_end[np.maximum.accumulate(np.argsort(by_end))]
+    end_hi, end_open = hi[end], hi_open[end]
+    start = np.ones(len(lo), dtype=bool)
+    start[1:] = (lo[1:] > end_hi[:-1]) | ((lo[1:] == end_hi[:-1]) & lo_open[1:] & end_open[:-1])
+    first, last = np.flatnonzero(start), np.flatnonzero(np.append(start[1:], True)[: len(lo)])
+    return tuple(
+        map(RadialInterval, lo[first].tolist(), end_hi[last].tolist(), lo_open[first].tolist(), end_open[last].tolist())
+    )
+
+
 class PairTable(NamedTuple):
     """Per-pair quantities of one pairwise inclusion set.
 
@@ -170,21 +174,14 @@ def ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(~np.eye(n, dtype=bool))
 
 
-def omega_band(agg: RowAggregates, i, j) -> tuple[np.ndarray, np.ndarray, QuadraticRootPair]:
-    """Centres and roots of (r - P_i^j)(r - P_j^i) = (R_i - P_i^j)(R_j - P_j^i)."""
+def omega_table(agg: RowAggregates) -> PairTable:
+    """Omega's pairs: band of (r - P_i^j)(r - P_j^i) = (R_i - P_i^j)(R_j - P_j^i)
+    clipped to [0, R_i], box below min(P_i^j, P_j^i)."""
+    i, j = ordered_pairs(agg.dim)
     R, P = agg.row_sums, agg.partial_sums
     p, q = P[i, j], P[j, i]
-    c = np.maximum(0.0, R[i] - p) * np.maximum(0.0, R[j] - q)
-    return p, q, solve_radial_quadratic(p, q, c)
-
-
-def omega_table(agg: RowAggregates) -> PairTable:
-    """Omega's pairs: band of the partial-row-sum quadratic clipped to [0, R_i],
-    box below min(P_i^j, P_j^i)."""
-    i, j = ordered_pairs(agg.dim)
-    p, q, roots = omega_band(agg, i, j)
-    hi = np.minimum(roots.r_plus, agg.row_sums[i])
-    return PairTable(p, q, np.maximum(0.0, roots.r_minus), hi, np.minimum(p, q))
+    roots = solve_radial_quadratic(p, q, np.maximum(0.0, R[i] - p) * np.maximum(0.0, R[j] - q))
+    return PairTable(p, q, np.maximum(0.0, roots.r_minus), np.minimum(roots.r_plus, R[i]), np.minimum(p, q))
 
 
 def m_table(agg: RowAggregates) -> PairTable:
@@ -201,13 +198,13 @@ def m_table(agg: RowAggregates) -> PairTable:
 
 def _pair_region(table: PairTable) -> RadialRegion:
     # The half-open boxes all start at 0, so their union is the widest one.
-    box = RadialInterval(0.0, float(table.cap.max()), hi_open=True)
-    return RadialRegion.from_intervals([*map(RadialInterval, table.lo.tolist(), table.hi.tolist()), box])
+    lo, hi = np.append(table.lo, 0.0), np.append(table.hi, table.cap.max())
+    return RadialRegion(_union(lo, hi, False, np.arange(lo.size) == lo.size - 1))
 
 
 def region_K(agg: RowAggregates) -> RadialRegion:
     """Radial trace of the union of the n single-row disks: [0, max row sum]."""
-    return RadialRegion.from_intervals([RadialInterval(0.0, float(np.max(agg.row_sums)))])
+    return RadialRegion(_union([0.0], [np.max(agg.row_sums)]))
 
 
 def region_M(agg: RowAggregates) -> RadialRegion:

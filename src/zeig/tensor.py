@@ -1,6 +1,6 @@
-"""Dense real tensors with 1-based index semantics.
+"""Dense real tensors, read from JSON documents with 1-based indices.
 
-Provides storage, parsing, elementwise access, structural predicates
+Provides storage, parsing, the contraction with a vector, structural predicates
 (nonnegativity, symmetry, weak symmetry) and the row / partial-row
 aggregates that every inclusion region and spectral-radius bound is
 built from.
@@ -65,10 +65,9 @@ class RowAggregates:
 class DenseTensor:
     """Order-m, dimension-n real tensor with dense row-major storage.
 
-    The backing array has shape ``(n,) * m`` in C order, so the flat
-    ``values`` layout varies the last index fastest.  Indices are 1-based
-    at the API boundary, matching the usual mathematical convention.
-    Instances are immutable; all methods are pure functions of the data.
+    The backing array ``data`` has shape ``(n,) * m`` in C order, so its
+    flat layout varies the last index fastest, as a document's ``values``
+    do.  Instances are immutable; all methods are pure functions of the data.
     """
 
     __slots__ = ("data",)
@@ -97,26 +96,8 @@ class DenseTensor:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def values(self) -> np.ndarray:
-        """Flat row-major read-only view of the entries (last index fastest)."""
-        return self.data.reshape(-1)
-
     def __repr__(self) -> str:
         return f"DenseTensor(order={self.order}, dim={self.dim})"
-
-    def _index_offset(self, idx) -> tuple:
-        idx = tuple(idx)
-        if len(idx) != self.order:
-            raise IndexError(f"index tuple must have {self.order} components, got {len(idx)}")
-        for pos, k in enumerate(idx):
-            if not (isinstance(k, (int, np.integer)) and 1 <= k <= self.dim):
-                raise IndexError(f"index component {pos + 1} is {k!r}, must be in [1, {self.dim}]")
-        return tuple(k - 1 for k in idx)
-
-    def entry(self, idx) -> float:
-        """Entry at a 1-based m-tuple of indices."""
-        return float(self.data[self._index_offset(idx)])
 
     # -- aggregates --------------------------------------------------------
 
@@ -142,10 +123,6 @@ class DenseTensor:
         if x.shape != (self.dim,):
             raise ValueError(f"vector must have length {self.dim}, got shape {x.shape}")
         return contract(self.data, x[None])[0]
-
-    def poly_value(self, x) -> float:
-        """Full contraction of the tensor with x in all m slots."""
-        return float(np.asarray(x, dtype=float) @ self.apply(x))
 
     # -- structural predicates ----------------------------------------------
 

@@ -74,16 +74,16 @@ def rank_one_tensor(x, order):
 
 
 def brute_row_sum(tensor, i):
+    """Row i (1-based) summed in absolute value."""
     n, m = tensor.dim, tensor.order
-    return sum(
-        abs(tensor.entry((i,) + t)) for t in itertools.product(range(1, n + 1), repeat=m - 1)
-    )
+    return sum(abs(float(tensor.data[(i - 1,) + t])) for t in itertools.product(range(n), repeat=m - 1))
 
 
 def brute_partial_row_sum(tensor, j, i):
+    """Row j summed in absolute value over the tuples avoiding index i (1-based)."""
     n, m = tensor.dim, tensor.order
-    others = [k for k in range(1, n + 1) if k != i]
-    return sum(abs(tensor.entry((j,) + t)) for t in itertools.product(others, repeat=m - 1))
+    others = [k for k in range(n) if k != i - 1]
+    return sum(abs(float(tensor.data[(j - 1,) + t])) for t in itertools.product(others, repeat=m - 1))
 
 
 def brute_contract(tensor, x, slots):
@@ -128,10 +128,10 @@ def brute_jacobian(tensor, x):
 
 def brute_poly_value(tensor, x):
     total = 0.0
-    for t in itertools.product(range(1, tensor.dim + 1), repeat=tensor.order):
-        term = tensor.entry(t)
+    for t in itertools.product(range(tensor.dim), repeat=tensor.order):
+        term = float(tensor.data[t])
         for c in t:
-            term *= x[c - 1]
+            term *= x[c]
         total += term
     return total
 
@@ -145,7 +145,7 @@ def brute_aggregates(tensor):
         for i in range(1, n + 1):
             if i != j:
                 P[j - 1, i - 1] = brute_partial_row_sum(tensor, j, i)
-                D[j - 1, i - 1] = abs(tensor.entry((j,) + (i,) * (tensor.order - 1)))
+                D[j - 1, i - 1] = abs(float(tensor.data[(j - 1,) + (i - 1,) * (tensor.order - 1)]))
     return R, P, D
 
 

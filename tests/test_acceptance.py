@@ -37,7 +37,7 @@ def _chain_ensemble(count, seed, signed):
 def test_criterion_1_example1_golden_values(example1):
     start = time.perf_counter()
     agg = example1.aggregates()
-    omega_max = bound_omega_max(agg).omega_max
+    omega_max = bound_omega_max(agg)
     gersh = bound_gershgorin(agg)
     ok = abs(omega_max - 4.3971) <= 1e-4 and abs(gersh - 5.3333) <= 1e-4
     _report(1, "example 1 golden values", ok, time.perf_counter() - start,
@@ -49,7 +49,7 @@ def test_criterion_1_example1_golden_values(example1):
 def test_criterion_2_example2_golden_values(example2):
     start = time.perf_counter()
     agg = example2.aggregates()
-    omega_max = bound_omega_max(agg).omega_max
+    omega_max = bound_omega_max(agg)
     gersh = bound_gershgorin(agg)
     ok = abs(omega_max - 11.7268) <= 5e-4 and abs(gersh - 14.5) <= 1e-12
     _report(2, "example 2 golden values", ok, time.perf_counter() - start,
@@ -63,7 +63,7 @@ def test_criterion_3_chain_inequality_on_1000_tensors():
     violations = []
     for k, tensor in enumerate(_chain_ensemble(1000, seed=20240311, signed=False)):
         agg = tensor.aggregates()
-        omega_max = bound_omega_max(agg).omega_max
+        omega_max = bound_omega_max(agg)
         middle = bound_chain_middle(agg)
         gersh = bound_gershgorin(agg)
         if omega_max > middle + 1e-12 or middle > gersh + 1e-12:
@@ -110,7 +110,7 @@ def test_criterion_5_region_bound_duality():
     tensors += list(_chain_ensemble(50, seed=8089, signed=True))
     for tensor in tensors:
         agg = tensor.aggregates()
-        worst = max(worst, abs(bound_omega_max(agg).omega_max - region_Omega(agg).supremum))
+        worst = max(worst, abs(bound_omega_max(agg) - region_Omega(agg).supremum))
         worst = max(worst, abs(bound_chain_middle(agg) - region_M(agg).supremum))
         worst = max(worst, abs(bound_gershgorin(agg) - region_K(agg).supremum))
     ok = worst <= 1e-10
@@ -126,7 +126,7 @@ def test_criterion_6_oracle_inclusion(example1):
     def check(tensor, pairs, label):
         agg = tensor.aggregates()
         omega = region_Omega(agg)
-        omega_max = bound_omega_max(agg).omega_max
+        omega_max = bound_omega_max(agg)
         for pair in pairs:
             magnitude = abs(pair.value)
             if not omega.contains(magnitude, tol=1e-8):
@@ -155,7 +155,7 @@ def test_criterion_7_diagonal_exactness():
         order = int(rng.choice([3, 4, 5]))
         dim = int(rng.integers(2, 5))
         diag = rng.uniform(-3.0, 3.0, size=dim)
-        omega_max = bound_omega_max(diagonal_tensor(diag, order).aggregates()).omega_max
+        omega_max = bound_omega_max(diagonal_tensor(diag, order).aggregates())
         expected = float(np.max(np.abs(diag)))
         if omega_max != expected:
             failures.append((k, omega_max, expected))

@@ -10,9 +10,8 @@ from zeig.bounds import (
     bound_gershgorin,
     bound_omega_max,
     compare_report,
-    delta,
 )
-from zeig.regions import region_K, region_M, region_Omega
+from zeig.regions import omega_table, ordered_pairs, region_K, region_M, region_Omega
 from zeig.tensor import DenseTensor
 
 from helpers import brute_aggregates, brute_delta, diagonal_tensor, random_tensor
@@ -21,70 +20,64 @@ EX1_OMEGA_MAX = 4.3970633623780984
 EX2_OMEGA_MAX = 11.726812023536855  # (10 + sqrt(181)) / 2
 
 
-def test_delta_golden_values(example1, example2):
-    agg1 = example1.aggregates()
-    assert delta(agg1, 2, 1) == pytest.approx(EX1_OMEGA_MAX, rel=1e-14)
-    agg2 = example2.aggregates()
-    assert delta(agg2, 1, 2) == pytest.approx(11.7268, abs=5e-4)  # reported value
-    assert delta(agg2, 1, 2) == pytest.approx(EX2_OMEGA_MAX, rel=1e-14)
+def band_tops(agg):
+    """Omega's band top min(R_i, delta(i, j)) of each ordered pair (i, j), 1-based."""
+    i, j = ordered_pairs(agg.dim)
+    return dict(zip(zip((i + 1).tolist(), (j + 1).tolist()), omega_table(agg).hi.tolist()))
 
 
-def test_delta_matches_literal_closed_form():
+def test_band_top_golden_values(example1, example2):
+    assert band_tops(example1.aggregates())[2, 1] == pytest.approx(EX1_OMEGA_MAX, rel=1e-14)
+    top = band_tops(example2.aggregates())[1, 2]
+    assert top == pytest.approx(11.7268, abs=5e-4)  # reported value
+    assert top == pytest.approx(EX2_OMEGA_MAX, rel=1e-14)
+
+
+def test_band_top_matches_literal_closed_form():
     rng = np.random.default_rng(5)
     for _ in range(10):
         t = random_tensor(rng, order=3, dim=4)
-        agg = t.aggregates()
+        tops = band_tops(t.aggregates())
         R, P, _ = brute_aggregates(t)
-        for i in range(1, 5):
-            for j in range(1, 5):
-                if i != j:
-                    assert delta(agg, i, j) == pytest.approx(
-                        brute_delta(R, P, i - 1, j - 1), rel=1e-12
-                    )
+        assert len(tops) == 12
+        for (i, j), top in tops.items():
+            assert top == pytest.approx(min(R[i - 1], brute_delta(R, P, i - 1, j - 1)), rel=1e-12)
 
 
-def test_delta_collapses_for_diagonal_tensors():
+def test_band_top_collapses_for_diagonal_tensors():
+    # R_i = P_i^j = |d_i|: delta(i, j) is exactly max(|d_i|, |d_j|), clipped to |d_i|
     d = [1, -2, 3]
-    agg = diagonal_tensor(d, order=3).aggregates()
-    for i in range(1, 4):
-        for j in range(1, 4):
-            if i != j:
-                assert delta(agg, i, j) == max(abs(d[i - 1]), abs(d[j - 1]))
-
-
-def test_delta_rejects_bad_indices(example1):
-    agg = example1.aggregates()
-    with pytest.raises(ValueError):
-        delta(agg, 1, 1)
-    with pytest.raises(IndexError):
-        delta(agg, 0, 1)
+    for (i, j), top in band_tops(diagonal_tensor(d, order=3).aggregates()).items():
+        assert top == min(abs(d[i - 1]), max(abs(d[i - 1]), abs(d[j - 1])))
 
 
 def test_bound_omega_max_example1(example1):
-    result = bound_omega_max(example1.aggregates())
-    assert result.omega_hat_max == 0.5
-    assert result.omega_tilde_max == pytest.approx(EX1_OMEGA_MAX, rel=1e-14)
-    assert result.omega_max == pytest.approx(4.3971, abs=1e-4)  # reported value
-    assert result.attaining_pair == (2, 1)
+    agg = example1.aggregates()
+    assert bound_omega_max(agg) == pytest.approx(4.3971, abs=1e-4)  # reported value
+    report = compare_report(example1, agg)
+    assert report.omega_hat_max == 0.5
+    assert report.omega_tilde_max == pytest.approx(EX1_OMEGA_MAX, rel=1e-14)
+    assert report.omega_max == bound_omega_max(agg)
+    assert report.attaining_pair == (2, 1)
 
 
 def test_bound_omega_max_example2(example2):
-    result = bound_omega_max(example2.aggregates())
-    assert result.omega_max == pytest.approx(11.7268, abs=5e-4)  # reported value
-    assert result.omega_max == pytest.approx(EX2_OMEGA_MAX, rel=1e-14)
-    assert result.omega_hat_max == 5.5
-    assert result.attaining_pair == (1, 2)
+    agg = example2.aggregates()
+    assert bound_omega_max(agg) == pytest.approx(11.7268, abs=5e-4)  # reported value
+    assert bound_omega_max(agg) == pytest.approx(EX2_OMEGA_MAX, rel=1e-14)
+    report = compare_report(example2, agg)
+    assert report.omega_hat_max == 5.5
+    assert report.attaining_pair == (1, 2)
 
 
 def test_bound_omega_max_diagonal_exact():
-    result = bound_omega_max(diagonal_tensor([1, 2, 3], order=4).aggregates())
-    assert result.omega_max == 3.0
+    assert bound_omega_max(diagonal_tensor([1, 2, 3], order=4).aggregates()) == 3.0
 
 
 def test_bound_omega_max_tie_breaks_lexicographically():
     # constant tensor: every ordered pair attains the maximum
     t = DenseTensor(np.full((3, 3, 3), 1.0))
-    assert bound_omega_max(t.aggregates()).attaining_pair == (1, 2)
+    assert compare_report(t, t.aggregates()).attaining_pair == (1, 2)
 
 
 def test_bound_chain_middle_golden(example1, example2, zero_m2_n2):
@@ -125,11 +118,12 @@ def _random_ensemble(count, seed, signed):
 def test_chain_holds_on_random_nonnegative_tensors():
     for t in _random_ensemble(100, seed=11, signed=False):
         agg = t.aggregates()
-        result = bound_omega_max(agg)
+        report = compare_report(t, agg)
         mid = bound_chain_middle(agg)
         top = bound_gershgorin(agg)
-        assert result.omega_max == max(result.omega_hat_max, result.omega_tilde_max)
-        assert result.omega_max <= mid + 1e-12
+        assert report.omega_max == bound_omega_max(agg)
+        assert report.omega_max == max(report.omega_hat_max, report.omega_tilde_max)
+        assert report.omega_max <= mid + 1e-12
         assert mid <= top + 1e-12
 
 
@@ -137,7 +131,7 @@ def test_bounds_equal_region_suprema():
     for signed in (False, True):
         for t in _random_ensemble(50, seed=13 if signed else 17, signed=signed):
             agg = t.aggregates()
-            assert bound_omega_max(agg).omega_max == pytest.approx(
+            assert bound_omega_max(agg) == pytest.approx(
                 region_Omega(agg).supremum, abs=1e-10
             )
             assert bound_chain_middle(agg) == pytest.approx(region_M(agg).supremum, abs=1e-10)
@@ -149,17 +143,16 @@ def test_bounds_scale_linearly():
     t = random_tensor(rng, order=4, dim=3)
     agg = t.aggregates()
     for c in (2.0, 0.3721):
-        scaled_agg = DenseTensor(c * t.data).aggregates()
-        assert bound_omega_max(scaled_agg).omega_max == pytest.approx(
-            c * bound_omega_max(agg).omega_max, rel=1e-12
-        )
+        scaled = DenseTensor(c * t.data)
+        scaled_agg = scaled.aggregates()
+        assert bound_omega_max(scaled_agg) == pytest.approx(c * bound_omega_max(agg), rel=1e-12)
         assert bound_chain_middle(scaled_agg) == pytest.approx(
             c * bound_chain_middle(agg), rel=1e-12
         )
         assert bound_gershgorin(scaled_agg) == pytest.approx(
             c * bound_gershgorin(agg), rel=1e-12
         )
-        assert bound_omega_max(scaled_agg).attaining_pair == bound_omega_max(agg).attaining_pair
+        assert compare_report(scaled, scaled_agg).attaining_pair == compare_report(t, agg).attaining_pair
 
 
 def test_compare_report_example1(example1):

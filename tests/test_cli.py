@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ CORRUPT = str(fixture_path("corrupt.json"))
 OVERSIZED = str(fixture_path("oversized_shape.json"))
 HUGE_INT = str(fixture_path("huge_integer.json"))
 HUGE_VALUES = str(fixture_path("huge_values.json"))
+JORDAN = str(fixture_path("jordan_rot_m2_n2.json"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -220,6 +222,15 @@ def test_verify_injected_escape_fails(capsys):
     assert "not in Omega" in out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "abc"])
+def test_verify_injected_lambda_must_be_finite(capsys, value):
+    # a non-finite value would be written into the --json report as bare nan/inf
+    code, out, err = run_cli(capsys, "verify", EX1, "--inject-lambda", value, "--json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: argument --inject-lambda: expected a finite number, got {value!r}\n"
+
+
 def test_verify_json_report(capsys):
     code, out, _ = run_cli(capsys, "verify", EX2, "--restarts", "300", "--json")
     assert code == EXIT_OK
@@ -303,3 +314,17 @@ def test_cli_runs_as_module(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["omega_max"] == pytest.approx(4.3971, abs=1e-4)
+
+
+@pytest.mark.parametrize("args", [["info", EX1], ["eigs", JORDAN, "--method", "newton"]])
+def test_closed_stdout_exits_1_without_a_traceback(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "zeig.cli", *args], stdout=write_end, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == EXIT_USAGE
+    assert result.stderr == ""

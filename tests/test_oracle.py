@@ -16,7 +16,6 @@ from zeig.oracle import (
     _distinct,
     _newton_map,
     _start_points,
-    residual,
     verify_inclusion,
     z_eigs_newton,
     z_eigs_sweep_n2,
@@ -52,28 +51,6 @@ def eigenvalues(pairs):
 def verify(tensor, pairs):
     agg = tensor.aggregates()
     return verify_inclusion(agg, pairs, compare_report(tensor, agg).bound_applies)
-
-
-# -- residual -------------------------------------------------------------------
-
-
-def test_residual_exact_eigenpairs(rank_one):
-    d = diagonal_tensor([1, 2, 3], order=3)
-    assert residual(d, 2.0, [0.0, 1.0, 0.0]) == 0.0
-    assert residual(rank_one, 1.0, [0.6, 0.8]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_residual_for_wrong_eigenvalue():
-    d = diagonal_tensor([1, 2, 3], order=3)
-    assert residual(d, 2.0, [1.0, 0.0, 0.0]) == 1.0
-
-
-def test_residual_input_validation():
-    d = diagonal_tensor([1, 2, 3], order=3)
-    with pytest.raises(ValueError):
-        residual(d, 1.0, [1.0, 0.0])  # dimension mismatch
-    with pytest.raises(ValueError):
-        residual(d, 1.0, [1.0, 1.0, 0.0])  # not unit norm
 
 
 # -- batched contraction kernel and the Newton map ------------------------------------
@@ -293,7 +270,7 @@ def test_newton_results_sorted_and_verified(example2):
     assert eigenvalues(pairs) == sorted(eigenvalues(pairs), reverse=True)
     for p in pairs:
         assert p.residual <= 1e-12
-        assert residual(example2, p.value, p.x) == p.residual
+        assert np.linalg.norm(example2.apply(p.x) - p.value * p.x) == p.residual
 
 
 def test_newton_is_deterministic(example2):

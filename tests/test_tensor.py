@@ -33,33 +33,30 @@ THIRD = 0.3333333333333333
 def test_parse_example1_overrides_on_default_fill(example1):
     assert example1.order == 4
     assert example1.dim == 2
-    assert example1.entry((1, 1, 1, 1)) == 0.5
-    assert example1.entry((2, 2, 2, 2)) == 3.0
-    assert example1.entry((1, 2, 1, 2)) == THIRD
-    assert example1.entry((2, 1, 1, 2)) == THIRD
+    assert example1.data[0, 0, 0, 0] == 0.5
+    assert example1.data[1, 1, 1, 1] == 3.0
+    assert example1.data[0, 1, 0, 1] == THIRD
+    assert example1.data[1, 0, 0, 1] == THIRD
 
 
 def test_parse_example2_slice_convention(example2):
     # a_{ijk} = slice k, row i, column j
     assert example2.order == 3
     assert example2.dim == 3
-    assert example2.entry((1, 1, 3)) == 3.0
-    assert example2.entry((1, 2, 2)) == 0.5
-    assert example2.entry((2, 1, 1)) == 2.5
-    assert example2.entry((3, 1, 3)) == 2.0
+    assert example2.data[0, 0, 2] == 3.0
+    assert example2.data[0, 1, 1] == 0.5
+    assert example2.data[1, 0, 0] == 2.5
+    assert example2.data[2, 0, 2] == 2.0
 
 
 def test_parse_empty_fill_is_zero_tensor():
     t = parse_tensor('{"order": 2, "dim": 2}')
-    assert t.values.tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert t.data.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_parse_dense_values_last_index_fastest():
     t = parse_tensor('{"order": 2, "dim": 2, "values": [1, 2, 3, 4]}')
-    assert t.entry((1, 1)) == 1.0
-    assert t.entry((1, 2)) == 2.0
-    assert t.entry((2, 1)) == 3.0
-    assert t.entry((2, 2)) == 4.0
+    assert t.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_parse_accepts_the_largest_allowed_shape():
@@ -235,24 +232,6 @@ def test_tensor_data_is_immutable(example1):
         example1.data[0, 0, 0, 0] = 9.0
 
 
-# -- entry access ------------------------------------------------------------
-
-
-def test_entry_golden_values(example1, zero_m2_n2):
-    assert example1.entry((1, 1, 1, 1)) == 0.5
-    assert example1.entry((1, 2, 1, 2)) == THIRD
-    assert zero_m2_n2.entry((2, 1)) == 0.0
-
-
-def test_entry_rejects_bad_indices(example1):
-    with pytest.raises(IndexError):
-        example1.entry((1, 1, 1))
-    with pytest.raises(IndexError):
-        example1.entry((1, 1, 1, 3))
-    with pytest.raises(IndexError):
-        example1.entry((0, 1, 1, 1))
-
-
 # -- row aggregates ------------------------------------------------------------
 
 
@@ -378,20 +357,12 @@ def test_apply_rejects_wrong_length(example1):
         example1.apply([1.0, 2.0, 3.0])
 
 
-def test_poly_value_golden_values(example1):
-    d = diagonal_tensor([1, 2, 3], order=4)
-    assert d.poly_value([0.0, 0.0, 1.0]) == 3.0
-    assert example1.poly_value([0.0, 0.0]) == 0.0
-    assert example1.poly_value([1.0, 0.0]) == 0.5
-
-
-def test_poly_value_is_dot_of_apply():
+def test_apply_dotted_with_x_is_the_form():
     rng = np.random.default_rng(17)
     for _ in range(10):
         t = random_tensor(rng, 3, 3, signed=True)
         x = rng.normal(size=3)
-        assert t.poly_value(x) == pytest.approx(float(x @ t.apply(x)), rel=1e-12, abs=1e-12)
-        assert t.poly_value(x) == pytest.approx(brute_poly_value(t, x), rel=1e-11, abs=1e-11)
+        assert float(x @ t.apply(x)) == pytest.approx(brute_poly_value(t, x), rel=1e-11, abs=1e-11)
 
 
 # -- structural predicates --------------------------------------------------------
@@ -453,7 +424,7 @@ def test_weak_symmetry_matches_gradient_sampling():
         for k in range(3):
             e = np.zeros(3)
             e[k] = step
-            grad[k] = (t.poly_value(x + e) - t.poly_value(x - e)) / (2 * step)
+            grad[k] = (brute_poly_value(t, x + e) - brute_poly_value(t, x - e)) / (2 * step)
         assert grad == pytest.approx(3.0 * t.apply(x), rel=1e-6, abs=1e-6)
 
 
