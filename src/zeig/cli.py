@@ -76,6 +76,9 @@ def _render(value, indent: int, level: int, out: list[str]) -> None:
         if not value:
             out.append("[]")
             return
+        if all(type(item) is float for item in value):  # one join; numpy scalars go the long way
+            out.append("[\n" + ",\n".join(f"{pad}{v:.17g}" for v in value) + "\n" + close_pad + "]")
+            return
         out.append("[\n")
         for k, item in enumerate(value):
             out.append(pad)

@@ -12,7 +12,9 @@ verify_inclusion checks found eigenvalues against the three inclusion
 regions and the closed-form bound.  Newton's map and Jacobian come from one
 GEMM per step, the degree-(m-2) monomials of the iterates times the tensor
 folded over their permutation classes, over blocks of restarts whose size
-keeps memory within BUDGET.
+keeps memory within BUDGET.  A block allocates its bordered Newton systems
+once: each step writes the active restarts' systems into the leading rows in
+place, and the active rows are compacted only when a restart leaves.
 
 Determinism: the start points are the rows of one normal draw from
 ``default_rng(seed)``, so restart k starts from a function of (seed, k) only
@@ -96,11 +98,12 @@ def _newton_map(data: np.ndarray):
     columns = np.indices((n,) * (m - 2)).reshape(m - 2, tails.size)[:, reps]
 
     def evaluate(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        P = np.ones((len(X), len(reps)))
-        for column in columns:
+        # np.take keeps P C-ordered: X[:, cols] is F-ordered and changes the GEMM's sums.
+        P = np.take(X, columns[0], axis=1) if m > 2 else np.ones((len(X), 1))
+        for column in columns[1:]:
             P *= X[:, column]
         G = (P @ W).reshape(len(X), n, n)
-        return np.einsum("zij,zj->zi", G, X), (m - 1) * G
+        return np.einsum("zij,zj->zi", G, X), np.multiply(G, m - 1, out=G)
 
     return evaluate
 
@@ -116,13 +119,18 @@ def _distinct(values: np.ndarray, X: np.ndarray, rank: np.ndarray) -> list[int]:
     each one not yet claimed is kept and claims every candidate it matches,
     so the reported witness is the best available one.
     """
+    # Matches lie in the sorted-value window λ ± 2 DEDUPE_TOL_LAMBDA; the 2 covers rounding.
+    by_value = np.argsort(values, kind="stable")
+    lo = np.searchsorted(values[by_value], values - 2 * DEDUPE_TOL_LAMBDA, "left")
+    hi = np.searchsorted(values[by_value], values + 2 * DEDUPE_TOL_LAMBDA, "right")
     unclaimed = np.ones(len(values), dtype=bool)
     kept = []
     for k in np.argsort(rank, kind="stable").tolist():
         if unclaimed[k]:
             kept.append(k)
-            near = np.minimum(np.linalg.norm(X - X[k], axis=1), np.linalg.norm(X + X[k], axis=1))
-            unclaimed &= (np.abs(values - values[k]) > DEDUPE_TOL_LAMBDA) | (near > DEDUPE_TOL_X)
+            w = by_value[lo[k] : hi[k]]
+            near = np.minimum(np.linalg.norm(X[w] - X[k], axis=1), np.linalg.norm(X[w] + X[k], axis=1))
+            unclaimed[w] &= (np.abs(values[w] - values[k]) > DEDUPE_TOL_LAMBDA) | (near > DEDUPE_TOL_X)
     return kept
 
 
@@ -235,16 +243,22 @@ def _start_points(n: int, restarts: int, seed: int) -> np.ndarray:
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
-def _solve_newton_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched linear solves; items with singular systems are flagged out."""
-    ok = np.ones(len(J), dtype=bool)
+def _solve_newton_steps(J: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched solves of J s = b (b: (k, n, 1)); singular systems are flagged out.  If
+    the batch raises, those with a zero LU pivot (slogdet sign 0) are solved one at a
+    time and the rest as one batch; all one at a time only if that still raises."""
     try:
-        return np.linalg.solve(J, -F[..., None])[..., 0], ok
+        return np.linalg.solve(J, b)[..., 0], np.ones(len(J), dtype=bool)
     except np.linalg.LinAlgError:
-        steps = np.zeros_like(F)
-        for k in range(len(J)):
+        steps, ok = np.zeros(b.shape[:2]), np.linalg.slogdet(J)[0] != 0
+        try:
+            steps[ok] = np.linalg.solve(J[ok], b[ok])[..., 0]
+            one_by_one = np.flatnonzero(~ok)
+        except np.linalg.LinAlgError:
+            one_by_one = range(len(J))
+        for k in one_by_one:
             try:
-                steps[k] = np.linalg.solve(J[k], -F[k])
+                steps[k], ok[k] = np.linalg.solve(J[k], b[k])[:, 0], True
             except np.linalg.LinAlgError:
                 ok[k] = False
         return steps, ok
@@ -254,35 +268,43 @@ def _newton_block(newton_map, X: np.ndarray, final_x, final_lam, final_res) -> N
     """Iterate the restarts starting at the rows of X.  Restart k that
     converges writes its x, Newton λ and loop residual to row k of final_x,
     final_lam and final_res; the rows of the others are left as they are."""
-    n = X.shape[1]
-    eye = np.eye(n)
+    rows, n = X.shape
+    # Active restart k's bordered system [[J - λI, -x], [2x^T, 0]] s = [-r; 1 - x.x] is row k.
+    system, rhs = np.zeros((rows, n + 1, n + 1)), np.empty((rows, n + 1, 1))
+    diagonal = system.reshape(rows, -1)[:, : n * (n + 2) : n + 2]
     AX, J = newton_map(X)
     lam = np.einsum("zi,zi->z", X, AX)
-    order = np.arange(len(X))
+    order = np.arange(rows)
 
     for it in range(MAX_ITER + 1):
-        res = np.linalg.norm(AX - lam[:, None] * X, axis=1)
+        R = AX - lam[:, None] * X
+        res = np.sqrt(np.add.reduce(R * R, axis=1))
         good = np.isfinite(res)
         done = good & (res <= RESIDUAL_TOL)
-        hit = order[done]
-        final_x[hit], final_lam[hit], final_res[hit] = X[done], lam[done], res[done]
+        if done.any():
+            hit = order[done]
+            final_x[hit], final_lam[hit], final_res[hit] = X[done], lam[done], res[done]
         active = good & ~done
-        if not np.any(active) or it == MAX_ITER:
+        if not active.any() or it == MAX_ITER:
             break
-        X, lam, AX, J, order = X[active], lam[active], AX[active], J[active], order[active]
+        if not active.all():  # a restart left: keep the others' rows only
+            X, lam, R, J, order = X[active], lam[active], R[active], J[active], order[active]
 
-        full = np.zeros((len(order), n + 1, n + 1))
-        full[:, :n, :n] = J - lam[:, None, None] * eye
-        full[:, :n, n] = -X
-        full[:, n, :n] = 2.0 * X
-        F = np.concatenate([AX - lam[:, None] * X, (np.einsum("zi,zi->z", X, X) - 1.0)[:, None]], axis=1)
-        steps, ok = _solve_newton_steps(full, F)
+        k = len(order)
+        system[:k, :n, :n] = J
+        diagonal[:k] -= lam[:, None]
+        np.negative(X, out=system[:k, :n, n])
+        np.multiply(2.0, X, out=system[:k, n, :n])
+        np.negative(R, out=rhs[:k, :n, 0])
+        np.subtract(1.0, np.einsum("zi,zi->z", X, X), out=rhs[:k, n, 0])
+        steps, ok = _solve_newton_steps(system[:k], rhs[:k])
         X = X + steps[:, :n]
         lam = lam + steps[:, n]
-        norms = np.linalg.norm(X, axis=1)
+        norms = np.sqrt(np.add.reduce(X * X, axis=1))
         ok &= np.isfinite(norms) & (norms > 1e-12) & np.isfinite(lam)
-        X, lam, order, norms = X[ok], lam[ok], order[ok], norms[ok]
-        X = X / norms[:, None]
+        if not ok.all():
+            X, lam, order, norms = X[ok], lam[ok], order[ok], norms[ok]
+        X /= norms[:, None]
         AX, J = newton_map(X)
 
 

@@ -2,7 +2,8 @@
 
 Everything here enumerates index tuples directly with itertools and
 evaluates the defining inequalities literally, staying independent of the
-library's numpy contractions and interval algebra.
+library's numpy contractions and interval algebra.  The one exception is the
+fresh-array Newton kernel at the end: a bit-exact reference, not a brute one.
 """
 
 import itertools
@@ -11,8 +12,8 @@ import math
 
 import numpy as np
 
-from zeig.oracle import DEDUPE_TOL_LAMBDA, DEDUPE_TOL_X, Eigenpair
-from zeig.tensor import MAX_ABS_VALUE, MAX_ENTRIES, DenseTensor, TensorFormatError
+from zeig.oracle import DEDUPE_TOL_LAMBDA, DEDUPE_TOL_X, MAX_ITER, RESIDUAL_TOL, Eigenpair
+from zeig.tensor import MAX_ABS_VALUE, MAX_ENTRIES, DenseTensor, TensorFormatError, _canonical_classes
 
 
 # -- generators ----------------------------------------------------------------
@@ -447,3 +448,123 @@ def finite_difference_jacobian(tensor, x, step=1e-6):
         e[k] = step
         J[:, k] = (tensor.apply(x + e) - tensor.apply(x - e)) / (2.0 * step)
     return J
+
+
+# -- the fresh-array Newton kernel (bit-exact reference) ----------------------------
+#
+# The Newton map, step solve, restart loop and dedupe in their first, plainest
+# form: every array of every step allocated anew, every restart compacted on
+# every step, every candidate compared with every other.  The library's lean
+# loop must do the same floating-point operations in the same order, so
+# z_eigs_newton with these swapped in must give the same bits.  Kept verbatim:
+# do not tidy.
+
+
+def reference_newton_map(data: np.ndarray):
+    n, m = data.shape[0], data.ndim
+    # S[i, tail] is the mean of A[i, .] over the permutation class of tail.
+    classes = _canonical_classes(m - 1, n)
+    sums = np.stack([np.bincount(classes, weights=row) for row in data.reshape(n, -1)])
+    sym = (sums[:, classes] / np.bincount(classes)[classes]).reshape(n * n, -1)
+    # The tuples (0, tail) sort to (0, sorted tail), so the first n^(m-2)
+    # class ids are the last m - 2 slots' own: one representative per class,
+    # whose column of S, times the class size, is the class sum.
+    tails = classes[: sym.shape[1]]
+    reps = np.flatnonzero(tails == np.arange(tails.size))
+    W = sym[:, reps].T * np.bincount(tails)[reps][:, None]
+    columns = np.indices((n,) * (m - 2)).reshape(m - 2, tails.size)[:, reps]
+
+    def evaluate(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        P = np.ones((len(X), len(reps)))
+        for column in columns:
+            P *= X[:, column]
+        G = (P @ W).reshape(len(X), n, n)
+        return np.einsum("zij,zj->zi", G, X), (m - 1) * G
+
+    return evaluate
+
+
+def reference_distinct(values: np.ndarray, X: np.ndarray, rank: np.ndarray) -> list[int]:
+    unclaimed = np.ones(len(values), dtype=bool)
+    kept = []
+    for k in np.argsort(rank, kind="stable").tolist():
+        if unclaimed[k]:
+            kept.append(k)
+            near = np.minimum(np.linalg.norm(X - X[k], axis=1), np.linalg.norm(X + X[k], axis=1))
+            unclaimed &= (np.abs(values - values[k]) > DEDUPE_TOL_LAMBDA) | (near > DEDUPE_TOL_X)
+    return kept
+
+
+def reference_solve_newton_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    ok = np.ones(len(J), dtype=bool)
+    try:
+        return np.linalg.solve(J, -F[..., None])[..., 0], ok
+    except np.linalg.LinAlgError:
+        steps = np.zeros_like(F)
+        for k in range(len(J)):
+            try:
+                steps[k] = np.linalg.solve(J[k], -F[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+        return steps, ok
+
+
+def reference_newton_block(newton_map, X: np.ndarray, final_x, final_lam, final_res) -> None:
+    n = X.shape[1]
+    eye = np.eye(n)
+    AX, J = newton_map(X)
+    lam = np.einsum("zi,zi->z", X, AX)
+    order = np.arange(len(X))
+
+    for it in range(MAX_ITER + 1):
+        res = np.linalg.norm(AX - lam[:, None] * X, axis=1)
+        good = np.isfinite(res)
+        done = good & (res <= RESIDUAL_TOL)
+        hit = order[done]
+        final_x[hit], final_lam[hit], final_res[hit] = X[done], lam[done], res[done]
+        active = good & ~done
+        if not np.any(active) or it == MAX_ITER:
+            break
+        X, lam, AX, J, order = X[active], lam[active], AX[active], J[active], order[active]
+
+        full = np.zeros((len(order), n + 1, n + 1))
+        full[:, :n, :n] = J - lam[:, None, None] * eye
+        full[:, :n, n] = -X
+        full[:, n, :n] = 2.0 * X
+        F = np.concatenate([AX - lam[:, None] * X, (np.einsum("zi,zi->z", X, X) - 1.0)[:, None]], axis=1)
+        steps, ok = reference_solve_newton_steps(full, F)
+        X = X + steps[:, :n]
+        lam = lam + steps[:, n]
+        norms = np.linalg.norm(X, axis=1)
+        ok &= np.isfinite(norms) & (norms > 1e-12) & np.isfinite(lam)
+        X, lam, order, norms = X[ok], lam[ok], order[ok], norms[ok]
+        X = X / norms[:, None]
+        AX, J = newton_map(X)
+
+
+# -- JSON rendering --------------------------------------------------------------
+
+
+def brute_render_json(value, indent: int = 2, level: int = 0) -> str:
+    """The CLI's JSON layout, one value at a time: floats with 17 significant
+    digits, two-space indent, one item per line, empty containers inline."""
+    pad, close_pad = " " * (indent * (level + 1)), " " * (indent * level)
+    if isinstance(value, dict) and value:
+        items = [pad + json.dumps(k) + ": " + brute_render_json(v, indent, level + 1) for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        items = [pad + brute_render_json(v, indent, level + 1) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + close_pad + "]"
+    if isinstance(value, (dict, list, tuple)):
+        return "{}" if isinstance(value, dict) else "[]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, int):
+        return repr(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -4,12 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zeig.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, render_json
 from zeig.oracle import MAX_RESTARTS
 
 from conftest import fixture_path
+from helpers import brute_render_json
 
 EX1 = str(fixture_path("example1.json"))
 EX2 = str(fixture_path("example2.json"))
@@ -101,6 +103,38 @@ def test_bounds_zero_tensor(capsys):
 def test_bounds_json_round_trips_byte_identical(capsys):
     _, out, _ = run_cli(capsys, "bounds", EX1, "--json")
     assert render_json(json.loads(out)) == out
+
+
+_AWKWARD_FLOATS = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308, 0.1, float("inf"), float("nan")]
+
+
+def _random_document(rng, depth=0):
+    """A nested JSON document: dicts, lists of Python floats (the one-join
+    path), mixed lists (the item-by-item path) and every scalar kind the CLI
+    prints."""
+    roll = rng.random()
+    if depth >= 4 or roll < 0.3:
+        return [1.5, True, None, 7, "s\u00e9p", -0.0, 3][int(rng.integers(0, 7))]
+    if roll < 0.6:
+        pool = _AWKWARD_FLOATS + list(rng.normal(size=4) * 10.0 ** rng.integers(-20, 20, 4))
+        return [float(v) for v in rng.choice(pool, size=int(rng.integers(0, 6)))]
+    if roll < 0.8:
+        return {f"k{j}": _random_document(rng, depth + 1) for j in range(int(rng.integers(0, 4)))}
+    return [_random_document(rng, depth + 1) for _ in range(int(rng.integers(0, 5)))] + [float(rng.normal()), 2]
+
+
+def test_render_json_float_list_path_matches_item_by_item_rendering():
+    rng = np.random.default_rng(12)
+    for trial in range(400):
+        doc = {"top": _random_document(rng), "floats": [float(v) for v in rng.normal(size=int(rng.integers(1, 5)))]}
+        doc["almost"] = doc["floats"] + [True]  # a bool is not a float
+        assert render_json(doc) == brute_render_json(doc) + "\n", trial
+    # numpy scalars are not Python floats: they take the item-by-item path,
+    # which prints np.float64 like a float and rejects np.bool_.
+    doc = [np.float64(0.1), np.float64(-0.0)]
+    assert render_json(doc) == brute_render_json(doc) + "\n" == "[\n  0.10000000000000001,\n  -0\n]\n"
+    with pytest.raises(TypeError):
+        render_json([1.0, np.bool_(True)])
 
 
 # -- regions ---------------------------------------------------------------------

@@ -15,6 +15,7 @@ from zeig.oracle import (
     OracleConfig,
     _distinct,
     _newton_map,
+    _solve_newton_steps,
     _start_points,
     verify_inclusion,
     z_eigs_newton,
@@ -34,6 +35,9 @@ from helpers import (
     finite_difference_jacobian,
     random_symmetric_tensor,
     random_tensor,
+    reference_distinct,
+    reference_newton_block,
+    reference_newton_map,
     sign_change_candidates,
     sign_change_indices,
 )
@@ -317,6 +321,134 @@ def test_newton_restart_blocks_find_the_same_eigenvalues(monkeypatch):
         np.testing.assert_allclose(split, whole, rtol=0, atol=1e-12)
 
 
+def _reference_z_eigs_newton(monkeypatch, tensor, cfg):
+    """z_eigs_newton with the fresh-array kernel of tests/helpers.py swapped in."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_newton_map", reference_newton_map)
+        patch.setattr(oracle, "_newton_block", reference_newton_block)
+        patch.setattr(oracle, "_distinct", reference_distinct)
+        return z_eigs_newton(tensor, cfg)
+
+
+def _assert_same_pairs(got, want):
+    assert len(got) == len(want) > 0
+    for p, q in zip(got, want):
+        assert (p.value, p.residual) == (q.value, q.residual)
+        assert np.array_equal(p.x, q.x)
+
+
+def _assert_newton_bit_exact(monkeypatch, tensor, cfg):
+    """The map on the starts, every restart's converged x, λ and residual, and
+    z_eigs_newton's pairs equal those of the fresh-array kernel bit for bit."""
+    n = tensor.dim
+    starts = _start_points(n, cfg.restarts, cfg.seed)
+    for got, want in zip(_newton_map(tensor.data)(starts), reference_newton_map(tensor.data)(starts)):
+        assert np.array_equal(got, want)
+    finals = []
+    for block, newton_map in ((oracle._newton_block, _newton_map), (reference_newton_block, reference_newton_map)):
+        final = np.full((cfg.restarts, n), np.nan), np.full(cfg.restarts, np.nan), np.full(cfg.restarts, np.inf)
+        block(newton_map(tensor.data), starts, *final)
+        finals.append(final)
+    for got, want in zip(*finals):
+        assert np.array_equal(got, want, equal_nan=True)
+    assert np.isfinite(finals[0][2]).any()
+    _assert_same_pairs(z_eigs_newton(tensor, cfg), _reference_z_eigs_newton(monkeypatch, tensor, cfg))
+
+
+# (4, 6) and (5, 5): an F-ordered monomial block changes the GEMM's sums there.
+@pytest.mark.parametrize("order, dim", [(2, 5), (3, 5), (4, 6), (5, 5)])
+@pytest.mark.parametrize("signed", [True, False])
+def test_newton_matches_the_fresh_array_kernel_bit_for_bit(monkeypatch, order, dim, signed):
+    rng = np.random.default_rng(100 * order + dim)
+    build = random_tensor if signed else random_symmetric_tensor
+    _assert_newton_bit_exact(monkeypatch, build(rng, order=order, dim=dim, signed=signed), OracleConfig(300, seed=5))
+
+
+def test_newton_bit_exact_across_restart_blocks(monkeypatch):
+    t = random_tensor(np.random.default_rng(47), order=4, dim=5, signed=True)
+    cfg = OracleConfig(300, seed=2)
+    blocks = []
+    run_block = oracle._newton_block
+
+    def counted_block(newton_map, X, *out):
+        blocks.append(len(X))
+        run_block(newton_map, X, *out)
+
+    monkeypatch.setattr(oracle, "BUDGET", 70 * (t.dim + 1) ** 2)  # blocks of 70 restarts, the last of 20
+    monkeypatch.setattr(oracle, "_newton_block", counted_block)
+    found = z_eigs_newton(t, cfg)
+    assert blocks == [70, 70, 70, 70, 20]
+    _assert_same_pairs(found, _reference_z_eigs_newton(monkeypatch, t, cfg))
+
+
+def test_newton_bit_exact_on_all_ones_with_singular_systems(monkeypatch):
+    # The restarts of the all-ones tensor all head for x = 1/sqrt(n); many of
+    # the batched systems on the way are exactly singular.
+    slogdets = []
+    slogdet = np.linalg.slogdet
+
+    def counted_slogdet(J):
+        slogdets.append(len(J))
+        return slogdet(J)
+
+    monkeypatch.setattr(np.linalg, "slogdet", counted_slogdet)
+    _assert_newton_bit_exact(monkeypatch, load_fixture("ones_m4_n5.json"), OracleConfig())
+    assert slogdets
+
+
+def _planted_singular_batch(rng, k=60, size=6):
+    """Random systems, 15 of them exactly singular: a zero row or a zero
+    column leaves an exact zero pivot.  (Two equal rows need not: LAPACK's
+    blocked elimination may round them differently.)"""
+    J, b = rng.standard_normal((k, size, size)), rng.standard_normal((k, size, 1))
+    planted = rng.choice(k, 15, replace=False)
+    J[planted[:8], 2, :] = 0.0
+    J[planted[8:], :, 4] = 0.0
+    return J, b, planted
+
+
+def _single_solves(J, b):
+    steps, ok = np.zeros(b.shape[:2]), np.ones(len(J), dtype=bool)
+    for k in range(len(J)):
+        try:
+            steps[k] = np.linalg.solve(J[k], b[k])[:, 0]
+        except np.linalg.LinAlgError:
+            ok[k] = False
+    return steps, ok
+
+
+def test_singular_batch_solves_only_the_suspects_one_at_a_time(monkeypatch):
+    rng = np.random.default_rng(29)
+    for trial in range(5):
+        J, b, planted = _planted_singular_batch(rng)
+        want_steps, want_ok = _single_solves(J, b)
+        assert sorted(np.flatnonzero(~want_ok)) == sorted(planted)
+        calls = []
+        solve = np.linalg.solve
+
+        def counted_solve(A, B):
+            calls.append(len(A))
+            return solve(A, B)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", counted_solve)
+            steps, ok = _solve_newton_steps(J, b)
+        # the whole batch (raises), the rest as one batch, then each suspect
+        assert len(calls) <= 2 + len(planted), trial
+        assert np.array_equal(ok, want_ok)
+        assert np.array_equal(steps, want_steps)
+
+
+def test_singular_batch_falls_back_to_single_solves_when_the_rest_raises(monkeypatch):
+    J, b, planted = _planted_singular_batch(np.random.default_rng(31))
+    want_steps, want_ok = _single_solves(J, b)
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda A: (np.ones(len(A)), slogdet(A)[1]))  # misses every suspect
+    steps, ok = _solve_newton_steps(J, b)
+    assert np.array_equal(ok, want_ok)
+    assert np.array_equal(steps, want_steps)
+
+
 def test_newton_empty_result_is_legal():
     rotation = DenseTensor([[0.0, -1.0], [1.0, 0.0]])  # 90 degrees: no real eigenvector
     assert z_eigs_newton(rotation, OracleConfig(restarts=50, seed=0)) == []
@@ -371,6 +503,45 @@ def test_distinct_matches_brute_dedupe():
                 np.minimum(np.linalg.norm(X - X[k], axis=1), np.linalg.norm(X + X[k], axis=1)) <= DEDUPE_TOL_X
             )
             assert all((ranks[j], j) >= (ranks[k], k) for j in np.flatnonzero(same))
+
+    # Edge sets, with the number of survivors each must have.  Chains are not
+    # clusters, so brute_dedupe takes them best first, as _distinct does.
+    for name, pairs, count in _dedupe_edge_sets():
+        values = np.array([p.value for p in pairs])
+        ranks = np.array([p.residual for p in pairs])
+        kept = _distinct(values, np.array([p.x for p in pairs]), ranks)
+        best_first = sorted(range(len(pairs)), key=lambda k: (ranks[k], k))
+        survivors = brute_dedupe([pairs[k] for k in best_first], DEDUPE_TOL_LAMBDA, DEDUPE_TOL_X)
+        assert sorted(kept) == sorted(next(k for k, p in enumerate(pairs) if p is q) for q in survivors), name
+        assert count is None or len(kept) == count, name
+
+
+def _dedupe_edge_sets():
+    tol, x = DEDUPE_TOL_LAMBDA, np.array([0.6, 0.8, 0.0])
+    past = np.nextafter(tol, 1.0)  # one ulp past the tolerance
+
+    def pair(value, y=x, rank=1e-15):
+        return Eigenpair(float(value), y, rank)
+
+    assert tol - 0.0 == tol and past - 0.0 > tol and 0.0 - (-tol) == tol
+    yield "gap exactly at the tolerance", [pair(0.0), pair(tol)], 1
+    yield "gap below zero exactly at the tolerance", [pair(-tol), pair(0.0)], 1
+    yield "gap one ulp past the tolerance", [pair(0.0), pair(past)], 2
+    big = 1e9  # an ulp here is 1.2e-7, wider than the tolerance
+    yield "one ulp apart at 1e9", [pair(big), pair(np.nextafter(big, 2 * big))], 2
+    yield "sign-flipped vector", [pair(2.0), pair(2.0, -x)], 1
+    yield "sign-flipped vector one ulp past in value", [pair(0.0, -x), pair(past)], 2
+    yield "equal ranks keep the earliest", [pair(3.0, rank=2e-15) for _ in range(4)], 1
+    # Members 0.9 tol apart: 12 of them span 9.9 tol, past the 4 tol window.
+    chain = [pair(k * 0.9 * tol) for k in range(12)]
+    yield "chain, equal ranks", chain, 6
+    rng = np.random.default_rng(19)
+    ranked = [pair(p.value, rank=float(r)) for p, r in zip(chain, rng.choice([1e-15, 2e-15], size=12))]
+    yield "chain, tied and untied ranks", ranked, None
+    flipped = [pair(p.value, x if k % 2 else -x) for k, p in enumerate(chain)]
+    yield "chain of alternating signs", flipped, 6
+    wide = [pair(3.0 + k * 1.5 * tol) for k in range(10)]  # no two within the tolerance
+    yield "chain of distinct values", [wide[k] for k in rng.permutation(10)], 10
 
 
 def test_oracle_config_validation():
