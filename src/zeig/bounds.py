@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .regions import m_table, omega_table, ordered_pairs
-from .tensor import DEFAULT_STRUCT_TOL, DenseTensor, RowAggregates
+from .tensor import DenseTensor, RowAggregates
 
 _CHAIN_SLACK = 1e-12
 CHAIN_VIOLATION_WARNING = "internal error: bound chain ordering violated"
@@ -66,7 +66,7 @@ def bound_gershgorin(agg: RowAggregates) -> float:
     return float(np.max(agg.row_sums))
 
 
-def compare_report(tensor: DenseTensor, agg: RowAggregates, tol: float = DEFAULT_STRUCT_TOL) -> BoundReport:
+def compare_report(tensor: DenseTensor, agg: RowAggregates) -> BoundReport:
     """All three bounds of the tensor with aggregates agg plus structural
     checks, as one report.
 
@@ -82,7 +82,7 @@ def compare_report(tensor: DenseTensor, agg: RowAggregates, tol: float = DEFAULT
     i, j = ordered_pairs(agg.dim)
     middle = bound_chain_middle(agg)
     gersh = bound_gershgorin(agg)
-    nonnegative, weakly_symmetric = tensor.is_nonnegative(), tensor.is_weakly_symmetric(tol)
+    nonnegative, weakly_symmetric = tensor.is_nonnegative(), tensor.is_weakly_symmetric()
     warnings = []
     if not nonnegative:
         warnings.append("tensor has negative entries; bounds are formal quantities only")

@@ -52,16 +52,15 @@ class _ArgumentParser(argparse.ArgumentParser):
 # -- deterministic JSON with 17-significant-digit floats ----------------------
 
 
-def render_json(value, indent: int = 2) -> str:
+def render_json(value) -> str:
     parts: list[str] = []
-    _render(value, indent, 0, parts)
+    _render(value, 0, parts)
     parts.append("\n")
     return "".join(parts)
 
 
-def _render(value, indent: int, level: int, out: list[str]) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _render(value, level: int, out: list[str]) -> None:
+    pad, close_pad = "  " * (level + 1), "  " * level
     if isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -69,7 +68,7 @@ def _render(value, indent: int, level: int, out: list[str]) -> None:
         out.append("{\n")
         for k, (key, item) in enumerate(value.items()):
             out.append(pad + json.dumps(key) + ": ")
-            _render(item, indent, level + 1, out)
+            _render(item, level + 1, out)
             out.append(",\n" if k < len(value) - 1 else "\n")
         out.append(close_pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -82,7 +81,7 @@ def _render(value, indent: int, level: int, out: list[str]) -> None:
         out.append("[\n")
         for k, item in enumerate(value):
             out.append(pad)
-            _render(item, indent, level + 1, out)
+            _render(item, level + 1, out)
             out.append(",\n" if k < len(value) - 1 else "\n")
         out.append(close_pad + "]")
     elif isinstance(value, bool):
@@ -122,13 +121,6 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
-
-
-def _oracle_config(args) -> OracleConfig:
-    try:
-        return OracleConfig(restarts=args.restarts, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 # -- commands ------------------------------------------------------------------
@@ -219,18 +211,23 @@ def cmd_regions(args) -> int:
     return EXIT_OK
 
 
-def _run_oracle(tensor: DenseTensor, method: str, args) -> list[Eigenpair]:
-    if method == "sweep":
-        if tensor.dim != 2:
-            raise UsageError(f"method 'sweep' requires dim = 2, tensor has dim {tensor.dim}")
-        return z_eigs_sweep_n2(tensor)
-    return z_eigs_newton(tensor, _oracle_config(args))
+def _run_oracle(tensor: DenseTensor, args) -> tuple[str, list[Eigenpair]]:
+    """--method, by default the exact solve in dim 2 and Newton otherwise, and its eigenpairs."""
+    method = args.method or ("sweep" if tensor.dim == 2 else "newton")
+    if method == "newton":
+        try:
+            config = OracleConfig(restarts=args.restarts, seed=args.seed)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        return method, z_eigs_newton(tensor, config)
+    if tensor.dim != 2:
+        raise UsageError(f"method 'sweep' requires dim = 2, tensor has dim {tensor.dim}")
+    return method, z_eigs_sweep_n2(tensor)
 
 
 def cmd_eigs(args) -> int:
     tensor = _load_tensor(args.file)
-    method = args.method or ("sweep" if tensor.dim == 2 else "newton")
-    pairs = _run_oracle(tensor, method, args)
+    method, pairs = _run_oracle(tensor, args)
     if args.json:
         sys.stdout.write(render_json([p.to_dict() for p in pairs]))
     else:
@@ -246,8 +243,7 @@ def cmd_verify(args) -> int:
     agg = tensor.aggregates()
     bound_report = compare_report(tensor, agg)
     chain_ok = CHAIN_VIOLATION_WARNING not in bound_report.warnings
-    method = "sweep" if tensor.dim == 2 else "newton"
-    pairs = _run_oracle(tensor, method, args)
+    method, pairs = _run_oracle(tensor, args)
     if args.inject_lambda is not None:
         # Fault-injection hook: append a fabricated eigenpair to exercise the
         # failure path end to end.
@@ -335,7 +331,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="newton master seed (default 0)")
     p.add_argument("--inject-lambda", type=_finite_float, default=None, metavar="VALUE",
                    help="fault-injection hook: add a fabricated finite eigenvalue before verification")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, method=None)
 
     return parser
 

@@ -319,11 +319,14 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
     is legal.  The restarts run in consecutive blocks whose widest array (the
     Newton systems or the monomials) holds at most BUDGET items, or of one
     restart when that alone exceeds it, so memory does not grow with the
-    restart count.  The converged restarts of all
-    blocks are merged into distinct eigenpairs (eigenvalue and eigenvector up
-    to sign; lowest loop residual wins), each survivor is re-verified on A
-    with its Rayleigh value, and the pairs that still meet RESIDUAL_TOL are
-    sorted by eigenvalue descending.
+    restart count.  The BLAS picks its GEMM kernel by row count, so another
+    block size can change a restart's iterates, and with them which rarely
+    hit pairs are found; the same tensor, config and BLAS give the same
+    pairs.  The converged restarts of all blocks are merged into distinct
+    eigenpairs (eigenvalue and eigenvector up to sign; lowest loop residual
+    wins), each survivor is re-verified on A with its Rayleigh value, and
+    the pairs that still meet RESIDUAL_TOL are sorted by eigenvalue
+    descending.
     """
     cfg = config or OracleConfig()
     n, m = tensor.dim, tensor.order
@@ -392,12 +395,11 @@ class VerificationReport:
         }
 
 
-def verify_inclusion(
-    agg: RowAggregates, pairs: list[Eigenpair], bound_applies: bool, tol: float = INCLUSION_TOL
-) -> VerificationReport:
+def verify_inclusion(agg: RowAggregates, pairs: list[Eigenpair], bound_applies: bool) -> VerificationReport:
     """Check every eigenvalue magnitude against the three region closures of
     the tensor with aggregates agg, and against the closed-form bound when it
-    applies (the tensor is weakly symmetric and nonnegative)."""
+    applies (the tensor is weakly symmetric and nonnegative), each relaxed
+    outward by INCLUSION_TOL."""
     omega = region_Omega(agg)
     m_region = region_M(agg)
     k_region = region_K(agg)
@@ -408,10 +410,10 @@ def verify_inclusion(
         report.checks.append(
             PairCheck(
                 value=pair.value,
-                in_omega=omega.contains(r, tol),
-                in_m=m_region.contains(r, tol),
-                in_k=k_region.contains(r, tol),
-                within_omega_max=(r <= omega_max + tol) if bound_applies else None,
+                in_omega=omega.contains(r, INCLUSION_TOL),
+                in_m=m_region.contains(r, INCLUSION_TOL),
+                in_k=k_region.contains(r, INCLUSION_TOL),
+                within_omega_max=(r <= omega_max + INCLUSION_TOL) if bound_applies else None,
             )
         )
     return report

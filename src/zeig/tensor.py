@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # Entries like 1/3 are not exactly representable, so structural predicates
-# compare with a small relative tolerance by default.
+# compare with this relative tolerance.
 DEFAULT_STRUCT_TOL = 1e-10
 
 # Largest dim**order a document may declare: 32 MiB of float64, far above the
@@ -129,15 +129,13 @@ class DenseTensor:
     def is_nonnegative(self) -> bool:
         return bool(np.all(self.data >= 0.0))
 
-    def is_symmetric(self, tol: float = DEFAULT_STRUCT_TOL) -> bool:
+    def is_symmetric(self) -> bool:
         """True when entries agree across every permutation of their indices.
 
-        Entries in each permutation class must match within ``tol`` relative
-        to the largest magnitude in the class (absolute ``tol`` for all-zero
+        Entries in each permutation class must match within DEFAULT_STRUCT_TOL
+        relative to the largest magnitude in the class (absolute for all-zero
         classes).
         """
-        if tol < 0:
-            raise ValueError("tol must be >= 0")
         classes = _canonical_classes(self.order, self.dim)
         values = self.data.reshape(-1)
         hi = np.full(values.size, -np.inf)
@@ -145,27 +143,23 @@ class DenseTensor:
         np.maximum.at(hi, classes, values)
         np.minimum.at(lo, classes, values)
         hi, lo = hi[classes], lo[classes]
-        return not np.any(hi - lo > _limit(tol, np.maximum(np.abs(lo), np.abs(hi))))
+        return not np.any(hi - lo > _limit(np.maximum(np.abs(lo), np.abs(hi))))
 
-    def is_weakly_symmetric(self, tol: float = DEFAULT_STRUCT_TOL) -> bool:
+    def is_weakly_symmetric(self) -> bool:
         """True when the gradient of the degree-m form equals m times apply().
 
         Both sides are expanded into exact monomial coefficient maps, one
         coefficient per row i and multiset S of m - 1 indices, and compared
-        coefficient by coefficient (tolerance relative to the largest
-        coefficient of the row, absolute when that is zero):
+        coefficient by coefficient (within DEFAULT_STRUCT_TOL relative to the
+        largest coefficient of the row, absolute when that is zero):
 
         * m apply(): m times the sum of a[i, tail] over tails sorting to S;
         * gradient: (multiplicity of i in S, plus one) times the sum of the
           permutation class of S with i added.
 
         Deterministic and exact at desk scale, unlike sampling the identity
-        at random points.  The two sides are floating sums taken in different
-        orders, so at ``tol=0`` an exactly symmetric tensor can be reported as
-        not weakly symmetric; the CLI always uses the default tolerance.
+        at random points.
         """
-        if tol < 0:
-            raise ValueError("tol must be >= 0")
         n, m = self.dim, self.order
         classes = _canonical_classes(m, n)
         values = self.data.reshape(-1)
@@ -181,7 +175,7 @@ class DenseTensor:
         mult = (tail_index == np.arange(n)[:, None, None]).sum(axis=1)
         rhs = (mult + 1) * class_sums[with_i]
         scale = np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
-        return not np.any(np.abs(lhs - rhs) > _limit(tol, scale)[:, None])
+        return not np.any(np.abs(lhs - rhs) > _limit(scale)[:, None])
 
 
 def contract(data: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -205,14 +199,21 @@ def contract(data: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _limit(tol: float, scale: np.ndarray) -> np.ndarray:
-    """Tolerance relative to scale, absolute where scale is zero."""
-    return np.where(scale > 0.0, tol * scale, tol)
+def _limit(scale: np.ndarray) -> np.ndarray:
+    """DEFAULT_STRUCT_TOL relative to scale, absolute where scale is zero."""
+    return np.where(scale > 0.0, DEFAULT_STRUCT_TOL * scale, DEFAULT_STRUCT_TOL)
 
 
 def _canonical_classes(order: int, dim: int) -> np.ndarray:
     """For every flat index of an order-m, dim-n tensor, the flat index of
-    its sorted index tuple: equal ids mark one permutation class."""
+    its sorted index tuple: equal ids mark one permutation class.  In dim 2
+    that is 2^c - 1, c the number of 1-bits of the flat index (the counts of
+    [0, 2^(k+1)) are those of [0, 2^k), then the same plus one)."""
+    if dim == 2:
+        ones = np.zeros(1, dtype=np.uint8)
+        for _ in range(order):
+            ones = np.concatenate([ones, ones + 1])
+        return (1 << ones.astype(np.intp)) - 1
     shape = (dim,) * order
     index = np.indices(shape, dtype=np.min_scalar_type(dim - 1)).reshape(order, -1)
     return np.ravel_multi_index(np.sort(index, axis=0), shape)

@@ -189,6 +189,18 @@ def brute_is_weakly_symmetric(tensor, tol=1e-10):
     return True
 
 
+def brute_canonical_classes(order, dim):
+    """For every index tuple in row-major order, the flat index of its sorted
+    copy, taken digit by digit."""
+    ids = []
+    for t in itertools.product(range(dim), repeat=order):
+        flat = 0
+        for k in sorted(t):
+            flat = flat * dim + k
+        ids.append(flat)
+    return np.array(ids)
+
+
 # -- item-by-item parser --------------------------------------------------------
 
 _DOCUMENT_FIELDS = {"order", "dim", "default", "entries", "values"}

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeig.tensor import MAX_ABS_VALUE, MAX_ENTRIES, DenseTensor, TensorFormatError, parse_tensor
+from zeig.tensor import MAX_ABS_VALUE, MAX_ENTRIES, DenseTensor, TensorFormatError, _canonical_classes, parse_tensor
 
 from helpers import (
     brute_aggregates,
     brute_apply,
+    brute_canonical_classes,
     brute_parse_tensor,
     brute_is_symmetric,
     brute_is_weakly_symmetric,
@@ -457,6 +458,14 @@ def test_symmetry_predicates_match_brute_references():
                     assert (t.is_symmetric(), t.is_weakly_symmetric()) == flags
                     seen.add(flags)
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_canonical_classes_match_brute_reference():
+    # dim 2 counts 1-bits instead of sorting index tuples; the ids must not change
+    shapes = [(order, 2) for order in range(1, 17)] + [(order, 3) for order in range(1, 7)]
+    for order, dim in shapes + [(order, 4) for order in range(1, 6)]:
+        got, want = _canonical_classes(order, dim), brute_canonical_classes(order, dim)
+        assert got.dtype == np.intp and np.array_equal(got, want), (order, dim)
 
 
 def test_rank_one_tensor_is_symmetric(rank_one):
