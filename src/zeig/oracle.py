@@ -1,13 +1,13 @@
 """Desk-scale Z-eigenpair ground truth.
 
-Two finders: for dimension 2 an exact solve, the real roots of one
-polynomial of degree m, multiple roots included; for general dimension
-Newton's method with seeded random restarts (finds a subset of the
-spectrum).  Every reported pair is re-verified on A through
-``DenseTensor.apply`` against RESIDUAL_TOL (in dim 2, per unit of the sum
-of |A|'s entries) rather than trusted from the solver; Newton's converged
-restarts are first merged into distinct eigenpairs (λ within
-DEDUPE_TOL_LAMBDA, x within DEDUPE_TOL_X up to sign).
+Two finders propose candidate unit vectors: for dimension 2 an exact solve,
+the real roots of one polynomial of degree m, multiple roots included; for
+general dimension Newton's method with seeded random restarts (finds a
+subset of the spectrum).  One finishing stage, _finish, decides what either
+reports: one pair per cluster (λ / scale within DEDUPE_TOL_LAMBDA, x within
+DEDUPE_TOL_X up to sign), re-verified on A against RESIDUAL_TOL * scale
+rather than trusted from the finder, sorted by λ descending.  The scale is
+S, the sum of |A|'s entries, in dim 2 and 1 for Newton.
 verify_inclusion checks found eigenvalues against the three inclusion
 regions and the closed-form bound.  Newton's map and Jacobian come from one
 GEMM per step, the degree-(m-2) monomials of the iterates times the tensor
@@ -108,7 +108,7 @@ def _newton_map(data: np.ndarray):
     return evaluate
 
 
-# -- deduplication and ordering ----------------------------------------------
+# -- the finishing stage: dedupe, re-verify, order ---------------------------
 
 
 def _distinct(values: np.ndarray, X: np.ndarray, rank: np.ndarray) -> list[int]:
@@ -141,8 +141,12 @@ def _rayleigh_pair(tensor: DenseTensor, x: np.ndarray) -> Eigenpair:
     return Eigenpair(value, x, float(np.linalg.norm(ax - value * x)))
 
 
-def _sorted_pairs(pairs: list[Eigenpair]) -> list[Eigenpair]:
-    return sorted(pairs, key=lambda p: (-p.value, tuple(p.x)))
+def _finish(tensor: DenseTensor, X, values, rank, scale: float = 1.0) -> list[Eigenpair]:
+    """The reported eigenpairs among candidate unit vectors X: one per _distinct
+    cluster of values / scale, best rank kept, whose Rayleigh pair on A meets
+    RESIDUAL_TOL * scale, sorted by λ descending, then x."""
+    found = [_rayleigh_pair(tensor, X[k]) for k in _distinct(values / scale, X, rank)]
+    return sorted((p for p in found if p.residual <= RESIDUAL_TOL * scale), key=lambda p: (-p.value, tuple(p.x)))
 
 
 # -- exact solve (dim 2) -------------------------------------------------------
@@ -209,28 +213,26 @@ def z_eigs_sweep_n2(tensor: DenseTensor) -> list[Eigenpair]:
 
     The real roots of g are taken in the charts x ~ (1, u) and x ~ (v, 1)
     with |u|, |v| <= 1, where g(v, 1) has the coefficients of g(1, u)
-    reversed; -x is added for odd m since (λ, x) -> (-λ, -x).  Rounding
-    grows with the tensor, so the checks are relative to S, the sum of |A|'s
-    entries, which bounds |λ|: each Rayleigh pair is verified on A against
-    RESIDUAL_TOL * S, and the survivors are merged with _distinct on λ / S,
-    as Newton's are: polishing has moved every root of a cluster onto the
-    same point.  If g vanishes within its rounding, the axes stand for the
-    eigenvectors, which are every direction."""
+    reversed; -x is added for odd m since (λ, x) -> (-λ, -x).  If g vanishes
+    within its rounding, every direction is an eigenvector and the axes
+    stand for them.  Rounding grows with the tensor, so _finish runs at
+    scale S, which bounds |λ| (1 for the zero tensor)."""
     if tensor.dim != 2:
         raise ValueError(f"dim-2 solve requires dim = 2, got {tensor.dim}")
     h, bound = _tangent_form(tensor.data)
     # m - 1 roundings in each coefficient, one in h's difference, 2m in Horner's rule
-    noise, scale = 3 * tensor.order * np.finfo(float).eps * bound, float(bound.sum())
+    noise, scale = 3 * tensor.order * np.finfo(float).eps * bound, float(bound.sum()) or 1.0
     if np.all(np.abs(h) <= noise):
-        return _sorted_pairs([_rayleigh_pair(tensor, x) for x in np.eye(2)])
-    u, v = _chart_roots(h[::-1], noise[::-1]), _chart_roots(h, noise)
-    X = np.concatenate([np.stack([np.ones_like(u), u], axis=1), np.stack([v, np.ones_like(v)], axis=1)])
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
-    X = np.concatenate([X, -X]) if tensor.order % 2 else X
-    found = [pair for pair in (_rayleigh_pair(tensor, x) for x in X) if pair.residual <= RESIDUAL_TOL * scale]
-    values, residuals = np.array([p.value for p in found]), np.array([p.residual for p in found])
-    keep = _distinct(values / scale, np.array([p.x for p in found]).reshape(-1, 2), residuals)
-    return _sorted_pairs([found[k] for k in keep])
+        X = np.eye(2)
+    else:
+        u, v = _chart_roots(h[::-1], noise[::-1]), _chart_roots(h, noise)
+        X = np.concatenate([np.stack([np.ones_like(u), u], axis=1), np.stack([v, np.ones_like(v)], axis=1)])
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        X = np.concatenate([X, -X]) if tensor.order % 2 else X
+    pairs = [_rayleigh_pair(tensor, x) for x in X]
+    # Ranked by the residual _finish tests, a failing candidate claims only later ones, which fail too.
+    values, residuals = np.array([p.value for p in pairs]), np.array([p.residual for p in pairs])
+    return _finish(tensor, X, values, residuals, scale)
 
 
 # -- Newton with random restarts ----------------------------------------------
@@ -322,11 +324,8 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
     restart count.  The BLAS picks its GEMM kernel by row count, so another
     block size can change a restart's iterates, and with them which rarely
     hit pairs are found; the same tensor, config and BLAS give the same
-    pairs.  The converged restarts of all blocks are merged into distinct
-    eigenpairs (eigenvalue and eigenvector up to sign; lowest loop residual
-    wins), each survivor is re-verified on A with its Rayleigh value, and
-    the pairs that still meet RESIDUAL_TOL are sorted by eigenvalue
-    descending.
+    pairs.  The converged restarts of all blocks go to _finish at scale 1,
+    ranked by their loop residual.
     """
     cfg = config or OracleConfig()
     n, m = tensor.dim, tensor.order
@@ -340,10 +339,8 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
         rows = slice(lo, lo + block)
         _newton_block(newton_map, starts[rows], final_x[rows], final_lam[rows], final_res[rows])
 
-    hit = np.flatnonzero(np.isfinite(final_res))
-    keep = hit[_distinct(final_lam[hit], final_x[hit], final_res[hit])]
-    found = [_rayleigh_pair(tensor, x) for x in final_x[keep]]  # re-verified on A
-    return _sorted_pairs([pair for pair in found if pair.residual <= RESIDUAL_TOL])
+    hit = np.isfinite(final_res)
+    return _finish(tensor, final_x[hit], final_lam[hit], final_res[hit])
 
 
 # -- verification --------------------------------------------------------------

@@ -138,11 +138,13 @@ class DenseTensor:
         """
         classes = _canonical_classes(self.order, self.dim)
         values = self.data.reshape(-1)
+        # A class's id is the flat index of its sorted tuple, a member: the class's representative.
+        reps = np.flatnonzero(classes == np.arange(classes.size))
         hi = np.full(values.size, -np.inf)
         lo = np.full(values.size, np.inf)
         np.maximum.at(hi, classes, values)
         np.minimum.at(lo, classes, values)
-        hi, lo = hi[classes], lo[classes]
+        hi, lo = hi[reps], lo[reps]
         return not np.any(hi - lo > _limit(np.maximum(np.abs(lo), np.abs(hi))))
 
     def is_weakly_symmetric(self) -> bool:

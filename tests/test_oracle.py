@@ -14,6 +14,7 @@ from zeig.oracle import (
     Eigenpair,
     OracleConfig,
     _distinct,
+    _finish,
     _newton_map,
     _solve_newton_steps,
     _start_points,
@@ -542,6 +543,24 @@ def _dedupe_edge_sets():
     yield "chain of alternating signs", flipped, 6
     wide = [pair(3.0 + k * 1.5 * tol) for k in range(10)]  # no two within the tolerance
     yield "chain of distinct values", [wide[k] for k in rng.permutation(10)], 10
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_finish_keeps_a_passing_candidate_beside_a_failing_one(scale):
+    # The dim-2 solve hands _finish every candidate, verified or not.  y is
+    # within the dedupe tolerances of the eigenvector e_1 but fails the
+    # residual check; listed first, it must not claim e_1's cluster, since
+    # the rank is the residual that the check tests.
+    t = diagonal_tensor([1.0, 2.0], order=3)
+    y = np.array([1.0, 5e-7]) / np.hypot(1.0, 5e-7)
+    X = np.array([y, [1.0, 0.0]])
+    candidates = [oracle._rayleigh_pair(t, x) for x in X]
+    values, residuals = np.array([p.value for p in candidates]), np.array([p.residual for p in candidates])
+    assert residuals[0] > RESIDUAL_TOL * scale >= residuals[1]
+    assert abs(values[0] - values[1]) / scale <= DEDUPE_TOL_LAMBDA
+    assert np.linalg.norm(X[0] - X[1]) <= DEDUPE_TOL_X
+    pairs = _finish(t, X, values, residuals, scale)
+    assert [(p.value, tuple(p.x)) for p in pairs] == [(1.0, (1.0, 0.0))]
 
 
 def test_oracle_config_validation():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,19 @@ def test_is_symmetric_on_random_symmetrized_tensors():
     bumped = np.array(t.data)
     bumped[0, 1, 2, 2] += 1e-6
     assert not DenseTensor(bumped).is_symmetric()
+
+
+def test_is_symmetric_peak_memory_stays_near_the_tensor():
+    # Order 20, dim 2: 2^20 entries in 21 classes.  The class extremes are
+    # compared at one representative per class, not gathered back per entry.
+    t = DenseTensor(np.ones((2,) * 20))
+    tracemalloc.start()
+    try:
+        assert t.is_symmetric()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * t.data.nbytes
 
 
 def test_is_weakly_symmetric_examples(example1, example2):
