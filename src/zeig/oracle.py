@@ -4,17 +4,20 @@ Two finders propose candidate unit vectors: for dimension 2 an exact solve,
 the real roots of one polynomial of degree m, multiple roots included; for
 general dimension Newton's method with seeded random restarts (finds a
 subset of the spectrum).  One finishing stage, _finish, decides what either
-reports: one pair per cluster (λ / scale within DEDUPE_TOL_LAMBDA, x within
-DEDUPE_TOL_X up to sign), re-verified on A against RESIDUAL_TOL * scale
-rather than trusted from the finder, sorted by λ descending.  The scale is
-S, the sum of |A|'s entries, in dim 2 and 1 for Newton.
-verify_inclusion checks found eigenvalues against the three inclusion
-regions and the closed-form bound.  Newton's map and Jacobian come from one
-GEMM per step, the degree-(m-2) monomials of the iterates times the tensor
-folded over their permutation classes, over blocks of restarts whose size
-keeps memory within BUDGET.  A block allocates its bordered Newton systems
-once: each step writes the active restarts' systems into the leading rows in
-place, and the active rows are compacted only when a restart leaves.
+reports: one pair per cluster (λ / S within DEDUPE_TOL_LAMBDA, x within
+DEDUPE_TOL_X up to sign), re-verified on A against RESIDUAL_TOL * S rather
+than trusted from the finder, sorted by λ descending.  verify_inclusion
+checks found eigenvalues against the three inclusion regions and the
+closed-form bound, each relaxed by INCLUSION_TOL * S.  S, the sum of |A|'s
+entries (1 for the zero tensor), bounds |λ|, and (λ, x) is an eigenpair of A
+iff (s λ, x) is one of s A: every tolerance scales with the tensor.
+
+Newton's map and Jacobian come from one GEMM per step, the degree-(m-2)
+monomials of the iterates times the tensor folded over their permutation
+classes, over blocks of restarts whose size keeps memory within BUDGET.  A
+block allocates its bordered Newton systems once: each step writes the
+active restarts' systems into the leading rows in place, and the active rows
+are compacted only when a restart leaves.
 
 Determinism: the start points are the rows of one normal draw from
 ``default_rng(seed)``, so restart k starts from a function of (seed, k) only
@@ -32,15 +35,15 @@ from .bounds import bound_omega_max
 from .regions import region_K, region_M, region_Omega
 from .tensor import DenseTensor, RowAggregates, _canonical_classes
 
-INCLUSION_TOL = 1e-8
+INCLUSION_TOL = 1e-8  # outward relaxation of each region and the bound, per unit of S
 MAX_ITER = 200  # Newton steps per restart
 # Largest accepted restart count, checked before anything is allocated: at
 # this size a dim-3 order-3 Newton call peaks near 100 MB.
 MAX_RESTARTS = 100_000
 # Float64 items (8 MiB) in the widest array of one block of Newton restarts.
 BUDGET = 2**20
-RESIDUAL_TOL = 1e-12  # largest accepted |A x^{m-1} - λ x|
-DEDUPE_TOL_LAMBDA = 1e-8  # eigenpairs this close in λ ...
+RESIDUAL_TOL = 1e-12  # largest accepted |A x^{m-1} - λ x| / S
+DEDUPE_TOL_LAMBDA = 1e-8  # eigenpairs this close in λ / S ...
 DEDUPE_TOL_X = 1e-6  # ... and in x up to sign are one eigenpair
 # np.roots returns a k-fold root as a ring of radius ~eps^(1/k) (0.18 at k = 21).
 _ROOT_IMAG = 0.25  # largest imaginary part of a root taken as near-real
@@ -141,10 +144,16 @@ def _rayleigh_pair(tensor: DenseTensor, x: np.ndarray) -> Eigenpair:
     return Eigenpair(value, x, float(np.linalg.norm(ax - value * x)))
 
 
-def _finish(tensor: DenseTensor, X, values, rank, scale: float = 1.0) -> list[Eigenpair]:
+def _scale(tensor: DenseTensor) -> float:
+    """S, the sum of |A|'s entries, or 1 for the zero tensor."""
+    return float(np.abs(tensor.data).sum()) or 1.0
+
+
+def _finish(tensor: DenseTensor, X, values, rank) -> list[Eigenpair]:
     """The reported eigenpairs among candidate unit vectors X: one per _distinct
-    cluster of values / scale, best rank kept, whose Rayleigh pair on A meets
-    RESIDUAL_TOL * scale, sorted by λ descending, then x."""
+    cluster of values / S, best rank kept, whose Rayleigh pair on A meets
+    RESIDUAL_TOL * S, sorted by λ descending, then x."""
+    scale = _scale(tensor)
     found = [_rayleigh_pair(tensor, X[k]) for k in _distinct(values / scale, X, rank)]
     return sorted((p for p in found if p.residual <= RESIDUAL_TOL * scale), key=lambda p: (-p.value, tuple(p.x)))
 
@@ -215,13 +224,12 @@ def z_eigs_sweep_n2(tensor: DenseTensor) -> list[Eigenpair]:
     with |u|, |v| <= 1, where g(v, 1) has the coefficients of g(1, u)
     reversed; -x is added for odd m since (λ, x) -> (-λ, -x).  If g vanishes
     within its rounding, every direction is an eigenvector and the axes
-    stand for them.  Rounding grows with the tensor, so _finish runs at
-    scale S, which bounds |λ| (1 for the zero tensor)."""
+    stand for them."""
     if tensor.dim != 2:
         raise ValueError(f"dim-2 solve requires dim = 2, got {tensor.dim}")
     h, bound = _tangent_form(tensor.data)
     # m - 1 roundings in each coefficient, one in h's difference, 2m in Horner's rule
-    noise, scale = 3 * tensor.order * np.finfo(float).eps * bound, float(bound.sum()) or 1.0
+    noise = 3 * tensor.order * np.finfo(float).eps * bound
     if np.all(np.abs(h) <= noise):
         X = np.eye(2)
     else:
@@ -232,7 +240,7 @@ def z_eigs_sweep_n2(tensor: DenseTensor) -> list[Eigenpair]:
     pairs = [_rayleigh_pair(tensor, x) for x in X]
     # Ranked by the residual _finish tests, a failing candidate claims only later ones, which fail too.
     values, residuals = np.array([p.value for p in pairs]), np.array([p.residual for p in pairs])
-    return _finish(tensor, X, values, residuals, scale)
+    return _finish(tensor, X, values, residuals)
 
 
 # -- Newton with random restarts ----------------------------------------------
@@ -266,10 +274,11 @@ def _solve_newton_steps(J: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
         return steps, ok
 
 
-def _newton_block(newton_map, X: np.ndarray, final_x, final_lam, final_res) -> None:
+def _newton_block(newton_map, X: np.ndarray, tol: float, final_x, final_lam, final_res) -> None:
     """Iterate the restarts starting at the rows of X.  Restart k that
-    converges writes its x, Newton λ and loop residual to row k of final_x,
-    final_lam and final_res; the rows of the others are left as they are."""
+    converges, its residual at most tol, writes its x, Newton λ and loop
+    residual to row k of final_x, final_lam and final_res; the rows of the
+    others are left as they are."""
     rows, n = X.shape
     # Active restart k's bordered system [[J - λI, -x], [2x^T, 0]] s = [-r; 1 - x.x] is row k.
     system, rhs = np.zeros((rows, n + 1, n + 1)), np.empty((rows, n + 1, 1))
@@ -282,7 +291,7 @@ def _newton_block(newton_map, X: np.ndarray, final_x, final_lam, final_res) -> N
         R = AX - lam[:, None] * X
         res = np.sqrt(np.add.reduce(R * R, axis=1))
         good = np.isfinite(res)
-        done = good & (res <= RESIDUAL_TOL)
+        done = good & (res <= tol)
         if done.any():
             hit = order[done]
             final_x[hit], final_lam[hit], final_res[hit] = X[done], lam[done], res[done]
@@ -317,15 +326,15 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
     Restart k starts at row k of the seeded sphere draw and iterates the
     full (n+1)-variable Newton step with the exact Jacobian of the
     contraction map, renormalizing x after every step.  Restarts that fail
-    to reach RESIDUAL_TOL within MAX_ITER steps are dropped; an empty result
+    to reach RESIDUAL_TOL * S within MAX_ITER steps are dropped; an empty result
     is legal.  The restarts run in consecutive blocks whose widest array (the
     Newton systems or the monomials) holds at most BUDGET items, or of one
     restart when that alone exceeds it, so memory does not grow with the
     restart count.  The BLAS picks its GEMM kernel by row count, so another
     block size can change a restart's iterates, and with them which rarely
     hit pairs are found; the same tensor, config and BLAS give the same
-    pairs.  The converged restarts of all blocks go to _finish at scale 1,
-    ranked by their loop residual.
+    pairs.  The converged restarts of all blocks go to _finish, ranked by
+    their loop residual.
     """
     cfg = config or OracleConfig()
     n, m = tensor.dim, tensor.order
@@ -335,9 +344,10 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
     final_x, final_lam = np.empty((cfg.restarts, n)), np.empty(cfg.restarts)
     final_res = np.full(cfg.restarts, np.inf)
     block = max(1, BUDGET // max((n + 1) ** 2, math.comb(n + m - 3, m - 2)))
+    tol = RESIDUAL_TOL * _scale(tensor)
     for lo in range(0, cfg.restarts, block):
         rows = slice(lo, lo + block)
-        _newton_block(newton_map, starts[rows], final_x[rows], final_lam[rows], final_res[rows])
+        _newton_block(newton_map, starts[rows], tol, final_x[rows], final_lam[rows], final_res[rows])
 
     hit = np.isfinite(final_res)
     return _finish(tensor, final_x[hit], final_lam[hit], final_res[hit])
@@ -396,7 +406,8 @@ def verify_inclusion(agg: RowAggregates, pairs: list[Eigenpair], bound_applies: 
     """Check every eigenvalue magnitude against the three region closures of
     the tensor with aggregates agg, and against the closed-form bound when it
     applies (the tensor is weakly symmetric and nonnegative), each relaxed
-    outward by INCLUSION_TOL."""
+    outward by INCLUSION_TOL * S, S the sum of the row sums (1 when zero)."""
+    tol = INCLUSION_TOL * (float(agg.row_sums.sum()) or 1.0)
     omega = region_Omega(agg)
     m_region = region_M(agg)
     k_region = region_K(agg)
@@ -407,10 +418,10 @@ def verify_inclusion(agg: RowAggregates, pairs: list[Eigenpair], bound_applies: 
         report.checks.append(
             PairCheck(
                 value=pair.value,
-                in_omega=omega.contains(r, INCLUSION_TOL),
-                in_m=m_region.contains(r, INCLUSION_TOL),
-                in_k=k_region.contains(r, INCLUSION_TOL),
-                within_omega_max=(r <= omega_max + INCLUSION_TOL) if bound_applies else None,
+                in_omega=omega.contains(r, tol),
+                in_m=m_region.contains(r, tol),
+                in_k=k_region.contains(r, tol),
+                within_omega_max=(r <= omega_max + tol) if bound_applies else None,
             )
         )
     return report

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from zeig.oracle import DEDUPE_TOL_LAMBDA, DEDUPE_TOL_X, MAX_ITER, RESIDUAL_TOL, Eigenpair
+from zeig.oracle import DEDUPE_TOL_LAMBDA, DEDUPE_TOL_X, MAX_ITER, Eigenpair
 from zeig.tensor import MAX_ABS_VALUE, MAX_ENTRIES, DenseTensor, TensorFormatError, _canonical_classes
 
 
@@ -521,7 +521,7 @@ def reference_solve_newton_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarr
         return steps, ok
 
 
-def reference_newton_block(newton_map, X: np.ndarray, final_x, final_lam, final_res) -> None:
+def reference_newton_block(newton_map, X: np.ndarray, tol, final_x, final_lam, final_res) -> None:
     n = X.shape[1]
     eye = np.eye(n)
     AX, J = newton_map(X)
@@ -531,7 +531,7 @@ def reference_newton_block(newton_map, X: np.ndarray, final_x, final_lam, final_
     for it in range(MAX_ITER + 1):
         res = np.linalg.norm(AX - lam[:, None] * X, axis=1)
         good = np.isfinite(res)
-        done = good & (res <= RESIDUAL_TOL)
+        done = good & (res <= tol)
         hit = order[done]
         final_x[hit], final_lam[hit], final_res[hit] = X[done], lam[done], res[done]
         active = good & ~done

@@ -24,6 +24,8 @@ OVERSIZED = str(fixture_path("oversized_shape.json"))
 HUGE_INT = str(fixture_path("huge_integer.json"))
 HUGE_VALUES = str(fixture_path("huge_values.json"))
 JORDAN = str(fixture_path("jordan_rot_m2_n2.json"))
+ONES_TINY = str(fixture_path("ones_tiny_m3_n3.json"))
+ONES_HUGE = str(fixture_path("ones_1e20_m4_n3.json"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -254,6 +256,22 @@ def test_verify_injected_escape_fails(capsys):
     assert code == EXIT_VERIFY
     assert "VIOLATION" in out
     assert "not in Omega" in out
+
+
+def test_verify_injected_escape_of_a_tiny_tensor_fails(capsys):
+    # All entries 1e-12: omega_max is 9e-12, so 5e-9 lies far outside every
+    # region; the inclusion tolerance shrinks with the tensor.
+    code, out, _ = run_cli(capsys, "verify", ONES_TINY, "--inject-lambda", "5e-9")
+    assert code == EXIT_VERIFY
+    assert "VIOLATION" in out
+
+
+def test_verify_checks_the_pairs_of_a_huge_tensor(capsys):
+    code, out, _ = run_cli(capsys, "verify", ONES_HUGE, "--json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert len(doc["eigenpairs"]) >= 1
+    assert doc["all_passed"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "abc"])

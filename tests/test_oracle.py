@@ -210,14 +210,16 @@ def test_sweep_reports_a_sevenfold_root_once():
     assert values[1] == pytest.approx(0.0, abs=1e-12)
 
 
-def assert_scaled_spectrum(tensor, scale):
-    # s A has the eigenpairs (s λ, x): the solve's tolerances scale with A.
-    pairs = z_eigs_sweep_n2(tensor)
-    scaled = z_eigs_sweep_n2(DenseTensor(tensor.data * scale))
+def assert_scaled_spectrum(tensor, scale, find=z_eigs_sweep_n2, rel=0.0):
+    """s A has the eigenpairs (s λ, x): the finder's tolerances scale with A.
+    Returns the pairs of A."""
+    pairs = find(tensor)
+    scaled = find(DenseTensor(tensor.data * scale))
     assert len(scaled) == len(pairs)
     for p, q in zip(pairs, scaled):
-        assert q.value / scale == pytest.approx(p.value, abs=1e-9)
+        assert q.value / scale == pytest.approx(p.value, rel=rel, abs=1e-9)
         assert min(np.linalg.norm(q.x - p.x), np.linalg.norm(q.x + p.x)) <= 1e-6
+    return pairs
 
 
 @pytest.mark.parametrize(
@@ -300,6 +302,22 @@ def test_newton_scaling_equivariance():
         assert w == pytest.approx(2.0 * v, rel=1e-8, abs=1e-10)
 
 
+@pytest.mark.parametrize("order, dim", [(3, 3), (4, 3), (3, 4)])
+@pytest.mark.parametrize("signed", [True, False])
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e6, 1e12])
+def test_newton_spectrum_scales_with_the_tensor(order, dim, signed, scale):
+    t = random_tensor(np.random.default_rng(10 * order + dim), order, dim, signed=signed)
+    assert assert_scaled_spectrum(t, scale, z_eigs_newton, rel=1e-9)  # not vacuous
+
+
+def test_newton_finds_the_top_pair_of_a_huge_tensor():
+    # All entries 1e20 at order 4, dim 3: A x^3 = 1e20 (x_1 + x_2 + x_3)^3 (1, 1, 1)
+    # peaks at x = (1, 1, 1) / sqrt(3), λ = 9e20, where rounding alone leaves
+    # residuals near 1e5.
+    pairs = z_eigs_newton(load_fixture("ones_1e20_m4_n3.json"))
+    assert pairs[0].value == pytest.approx(9e20, rel=1e-12)
+
+
 def test_newton_restart_blocks_find_the_same_eigenvalues(monkeypatch):
     rng = np.random.default_rng(43)
     cfg = OracleConfig(restarts=300, seed=4)
@@ -348,7 +366,7 @@ def _assert_newton_bit_exact(monkeypatch, tensor, cfg):
     finals = []
     for block, newton_map in ((oracle._newton_block, _newton_map), (reference_newton_block, reference_newton_map)):
         final = np.full((cfg.restarts, n), np.nan), np.full(cfg.restarts, np.nan), np.full(cfg.restarts, np.inf)
-        block(newton_map(tensor.data), starts, *final)
+        block(newton_map(tensor.data), starts, RESIDUAL_TOL * np.abs(tensor.data).sum(), *final)
         finals.append(final)
     for got, want in zip(*finals):
         assert np.array_equal(got, want, equal_nan=True)
@@ -545,22 +563,23 @@ def _dedupe_edge_sets():
     yield "chain of distinct values", [wide[k] for k in rng.permutation(10)], 10
 
 
-@pytest.mark.parametrize("scale", [1.0, 3.0])
+@pytest.mark.parametrize("scale", [1.0, 3.0, 1e-9, 1e12])
 def test_finish_keeps_a_passing_candidate_beside_a_failing_one(scale):
     # The dim-2 solve hands _finish every candidate, verified or not.  y is
     # within the dedupe tolerances of the eigenvector e_1 but fails the
     # residual check; listed first, it must not claim e_1's cluster, since
-    # the rank is the residual that the check tests.
-    t = diagonal_tensor([1.0, 2.0], order=3)
+    # the rank is the residual that the check tests.  Both tolerances are
+    # relative to S = 3 scale, the sum of |A|.
+    t = diagonal_tensor([scale, 2.0 * scale], order=3)
     y = np.array([1.0, 5e-7]) / np.hypot(1.0, 5e-7)
     X = np.array([y, [1.0, 0.0]])
     candidates = [oracle._rayleigh_pair(t, x) for x in X]
     values, residuals = np.array([p.value for p in candidates]), np.array([p.residual for p in candidates])
-    assert residuals[0] > RESIDUAL_TOL * scale >= residuals[1]
-    assert abs(values[0] - values[1]) / scale <= DEDUPE_TOL_LAMBDA
+    assert residuals[0] > RESIDUAL_TOL * 3.0 * scale >= residuals[1]
+    assert abs(values[0] - values[1]) / (3.0 * scale) <= DEDUPE_TOL_LAMBDA
     assert np.linalg.norm(X[0] - X[1]) <= DEDUPE_TOL_X
-    pairs = _finish(t, X, values, residuals, scale)
-    assert [(p.value, tuple(p.x)) for p in pairs] == [(1.0, (1.0, 0.0))]
+    pairs = _finish(t, X, values, residuals)
+    assert [(p.value, tuple(p.x)) for p in pairs] == [(scale, (1.0, 0.0))]
 
 
 def test_oracle_config_validation():
