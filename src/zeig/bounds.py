@@ -33,6 +33,11 @@ class BoundReport:
     bound_applies: bool  # nonnegative and weakly symmetric: the bounds are certified
     warnings: list[str] = field(default_factory=list)
 
+    @property
+    def chain_ok(self) -> bool:
+        """omega_max <= chain_middle <= gershgorin held on the computed values."""
+        return CHAIN_VIOLATION_WARNING not in self.warnings
+
     def to_dict(self) -> dict:
         return {
             "omega_max": self.omega_max,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import CHAIN_VIOLATION_WARNING, compare_report
+from .bounds import compare_report
 from .oracle import (
     MAX_RESTARTS,
     Eigenpair,
@@ -168,7 +168,7 @@ def cmd_bounds(args) -> int:
         print(f"gershgorin: {_fmt(report.gershgorin)}")
         for warning in report.warnings:
             print(f"warning: {warning}")
-    return EXIT_VERIFY if CHAIN_VIOLATION_WARNING in report.warnings else EXIT_OK
+    return EXIT_OK if report.chain_ok else EXIT_VERIFY
 
 
 def _interval_text(iv) -> str:
@@ -240,9 +240,6 @@ def cmd_eigs(args) -> int:
 
 def cmd_verify(args) -> int:
     tensor = _load_tensor(args.file)
-    agg = tensor.aggregates()
-    bound_report = compare_report(tensor, agg)
-    chain_ok = CHAIN_VIOLATION_WARNING not in bound_report.warnings
     method, pairs = _run_oracle(tensor, args)
     if args.inject_lambda is not None:
         # Fault-injection hook: append a fabricated eigenpair to exercise the
@@ -250,43 +247,29 @@ def cmd_verify(args) -> int:
         x = np.zeros(tensor.dim)
         x[0] = 1.0
         pairs = pairs + [Eigenpair(float(args.inject_lambda), x, 0.0)]
-    report = verify_inclusion(agg, pairs, bound_report.bound_applies)
-    ok = report.all_passed and chain_ok
+    report = verify_inclusion(tensor, pairs)
     if args.json:
         doc = {
             "method": method,
             "seed": args.seed if method == "newton" else None,
-            "chain_ok": chain_ok,
+            "chain_ok": report.chain_ok,  # keeps its place ahead of the eigenpairs
             "eigenpairs": [p.to_dict() for p in pairs],
         }
         doc.update(report.to_dict())
-        doc["all_passed"] = ok
         sys.stdout.write(render_json(doc))
     else:
         print(f"method: {method}")
         print(f"eigenpairs: {len(pairs)}")
         print(f"omega_max: {_fmt(report.omega_max)}")
         print(f"bound applies: {'yes' if report.bound_applies else 'no'}")
-        print(f"chain ordering: {'ok' if chain_ok else 'VIOLATED'}")
-        for check in report.checks:
-            if check.passed:
-                continue
-            problems = []
-            if not check.in_omega:
-                problems.append("not in Omega")
-            if not check.in_m:
-                problems.append("not in M")
-            if not check.in_k:
-                problems.append("not in K")
-            if check.within_omega_max is False:
-                problems.append("exceeds omega_max")
-            print(f"VIOLATION lambda {_fmt(check.value)}: {'; '.join(problems)}")
-        if ok:
+        print(f"chain ordering: {'ok' if report.chain_ok else 'VIOLATED'}")
+        for check in report.failures():
+            print(f"VIOLATION lambda {_fmt(check.value)}: {'; '.join(check.problems)}")
+        if report.all_passed:
             print("all checks passed")
         else:
-            count = len(report.failures()) + (0 if chain_ok else 1)
-            print(f"{count} violation(s)")
-    return EXIT_OK if ok else EXIT_VERIFY
+            print(f"{len(report.failures()) + (0 if report.chain_ok else 1)} violation(s)")
+    return EXIT_OK if report.all_passed else EXIT_VERIFY
 
 
 # -- parser --------------------------------------------------------------------

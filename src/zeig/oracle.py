@@ -7,8 +7,10 @@ subset of the spectrum).  One finishing stage, _finish, decides what either
 reports: one pair per cluster (λ / S within DEDUPE_TOL_LAMBDA, x within
 DEDUPE_TOL_X up to sign), re-verified on A against RESIDUAL_TOL * S rather
 than trusted from the finder, sorted by λ descending.  verify_inclusion
-checks found eigenvalues against the three inclusion regions and the
-closed-form bound, each relaxed by INCLUSION_TOL * S.  S, the sum of |A|'s
+decides from the tensor alone: it checks found eigenvalues against the three
+inclusion regions, and against the closed-form bound where compare_report
+finds the bound's hypothesis holds, each relaxed by INCLUSION_TOL * S, and
+its verdict includes compare_report's bound chain check.  S, the sum of |A|'s
 entries (1 for the zero tensor), bounds |λ|, and (λ, x) is an eigenpair of A
 iff (s λ, x) is one of s A: every tolerance scales with the tensor.
 
@@ -31,9 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import bound_omega_max
+from .bounds import bound_omega_max, compare_report
 from .regions import region_K, region_M, region_Omega
-from .tensor import DenseTensor, RowAggregates, _canonical_classes
+from .tensor import DenseTensor, _canonical_classes
 
 INCLUSION_TOL = 1e-8  # outward relaxation of each region and the bound, per unit of S
 MAX_ITER = 200  # Newton steps per restart
@@ -367,8 +369,15 @@ class PairCheck:
     within_omega_max: bool | None  # None when the bound hypothesis fails
 
     @property
+    def problems(self) -> list[str]:
+        """The checks this eigenvalue fails, in report order; empty when it passes."""
+        failed = {"not in Omega": not self.in_omega, "not in M": not self.in_m, "not in K": not self.in_k,
+                  "exceeds omega_max": self.within_omega_max is False}
+        return [text for text, bad in failed.items() if bad]
+
+    @property
     def passed(self) -> bool:
-        return self.in_omega and self.in_m and self.in_k and self.within_omega_max is not False
+        return not self.problems
 
     def to_dict(self) -> dict:
         return {
@@ -385,16 +394,18 @@ class VerificationReport:
     checks: list[PairCheck] = field(default_factory=list)
     omega_max: float = 0.0
     bound_applies: bool = False
+    chain_ok: bool = True
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return self.chain_ok and all(c.passed for c in self.checks)
 
     def failures(self) -> list[PairCheck]:
         return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
         return {
+            "chain_ok": self.chain_ok,
             "omega_max": self.omega_max,
             "bound_applies": self.bound_applies,
             "checks": [c.to_dict() for c in self.checks],
@@ -402,26 +413,20 @@ class VerificationReport:
         }
 
 
-def verify_inclusion(agg: RowAggregates, pairs: list[Eigenpair], bound_applies: bool) -> VerificationReport:
+def verify_inclusion(tensor: DenseTensor, pairs: list[Eigenpair]) -> VerificationReport:
     """Check every eigenvalue magnitude against the three region closures of
-    the tensor with aggregates agg, and against the closed-form bound when it
-    applies (the tensor is weakly symmetric and nonnegative), each relaxed
-    outward by INCLUSION_TOL * S, S the sum of the row sums (1 when zero)."""
-    tol = INCLUSION_TOL * (float(agg.row_sums.sum()) or 1.0)
-    omega = region_Omega(agg)
-    m_region = region_M(agg)
-    k_region = region_K(agg)
+    the tensor, and against the closed-form bound when compare_report finds
+    that it applies (the tensor is weakly symmetric and nonnegative), each
+    relaxed outward by INCLUSION_TOL * S; all_passed also requires
+    compare_report's bound chain ordering to hold."""
+    agg = tensor.aggregates()
+    bounds = compare_report(tensor, agg)
+    tol = INCLUSION_TOL * _scale(tensor)
+    regions = (region_Omega(agg), region_M(agg), region_K(agg))
     omega_max = bound_omega_max(agg)
-    report = VerificationReport(omega_max=omega_max, bound_applies=bound_applies)
+    checks = []
     for pair in pairs:
         r = abs(pair.value)
-        report.checks.append(
-            PairCheck(
-                value=pair.value,
-                in_omega=omega.contains(r, tol),
-                in_m=m_region.contains(r, tol),
-                in_k=k_region.contains(r, tol),
-                within_omega_max=(r <= omega_max + tol) if bound_applies else None,
-            )
-        )
-    return report
+        within_omega_max = r <= omega_max + tol if bounds.bound_applies else None
+        checks.append(PairCheck(pair.value, *(region.contains(r, tol) for region in regions), within_omega_max))
+    return VerificationReport(checks, omega_max, bounds.bound_applies, bounds.chain_ok)

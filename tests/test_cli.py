@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zeig import bounds
 from zeig.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, render_json
-from zeig.oracle import MAX_RESTARTS
+from zeig.oracle import MAX_RESTARTS, verify_inclusion, z_eigs_sweep_n2
 
-from conftest import fixture_path
+from conftest import fixture_path, load_fixture
 from helpers import brute_render_json
 
 EX1 = str(fixture_path("example1.json"))
@@ -292,6 +294,31 @@ def test_verify_json_report(capsys):
     assert doc["all_passed"] is True
     assert doc["checks"]
     assert render_json(doc) == out
+
+
+def test_violated_bound_chain_fails_the_library_and_the_cli_alike(capsys, monkeypatch):
+    # Every pair of example1 passes, so the chain check alone decides.
+    monkeypatch.setattr(bounds, "_CHAIN_SLACK", -math.inf)
+    tensor = load_fixture("example1.json")
+    report = verify_inclusion(tensor, z_eigs_sweep_n2(tensor))
+    assert report.failures() == []
+    assert report.chain_ok is False
+    assert report.all_passed is False
+
+    code, out, _ = run_cli(capsys, "verify", EX1)
+    assert code == EXIT_VERIFY
+    assert "chain ordering: VIOLATED\n" in out
+    assert out.endswith("1 violation(s)\n")
+
+    code, out, _ = run_cli(capsys, "verify", EX1, "--json")
+    assert code == EXIT_VERIFY
+    doc = json.loads(out)
+    assert doc["chain_ok"] is False
+    assert doc["all_passed"] is False
+
+    code, out, _ = run_cli(capsys, "bounds", EX1)
+    assert code == EXIT_VERIFY
+    assert f"warning: {bounds.CHAIN_VIOLATION_WARNING}\n" in out
 
 
 # -- golden bytes ----------------------------------------------------------------

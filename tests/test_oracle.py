@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeig.bounds import bound_gershgorin, compare_report
+from zeig.bounds import bound_gershgorin
 from zeig import oracle
 from zeig.oracle import (
     DEDUPE_TOL_LAMBDA,
@@ -51,11 +51,6 @@ EX2_TOP_EIGENVALUE = 6.558213362199448
 
 def eigenvalues(pairs):
     return [p.value for p in pairs]
-
-
-def verify(tensor, pairs):
-    agg = tensor.aggregates()
-    return verify_inclusion(agg, pairs, compare_report(tensor, agg).bound_applies)
 
 
 # -- batched contraction kernel and the Newton map ------------------------------------
@@ -598,7 +593,7 @@ def test_oracle_config_validation():
 
 def test_verify_inclusion_example1_sweep(example1):
     pairs = z_eigs_sweep_n2(example1)
-    report = verify(example1, pairs)
+    report = verify_inclusion(example1, pairs)
     assert report.bound_applies
     assert report.all_passed
     assert report.failures() == []
@@ -607,20 +602,20 @@ def test_verify_inclusion_example1_sweep(example1):
 def test_verify_inclusion_diagonal_equality_at_tolerance():
     t = diagonal_tensor([1, 2, 3], order=4)
     pairs = z_eigs_newton(t, OracleConfig(restarts=500, seed=3))
-    report = verify(t, pairs)
+    report = verify_inclusion(t, pairs)
     assert report.all_passed
     assert max(abs(p.value) for p in pairs) == pytest.approx(report.omega_max, abs=1e-9)
 
 
 def test_verify_inclusion_zero_tensor_manual_pair(zero_m2_n2):
     pair = Eigenpair(0.0, np.array([1.0, 0.0]), 0.0)
-    report = verify(zero_m2_n2, [pair])
+    report = verify_inclusion(zero_m2_n2, [pair])
     assert report.all_passed
 
 
 def test_verify_inclusion_flags_escaped_eigenvalue(example1):
     rogue = Eigenpair(10.0 * bound_gershgorin(example1.aggregates()), np.array([1.0, 0.0]), 0.0)
-    report = verify(example1, [rogue])
+    report = verify_inclusion(example1, [rogue])
     assert not report.all_passed
     check = report.failures()[0]
     assert not check.in_omega and not check.in_m and not check.in_k
@@ -632,7 +627,7 @@ def test_verify_inclusion_skips_bound_when_hypothesis_fails():
     data[0, 1, 1] = -0.5
     t = DenseTensor(data)
     pair = Eigenpair(0.1, np.array([1.0, 0.0]), 0.0)
-    report = verify(t, [pair])
+    report = verify_inclusion(t, [pair])
     assert not report.bound_applies
     assert report.checks[0].within_omega_max is None
 
@@ -644,7 +639,7 @@ def test_inclusion_on_random_symmetric_nonnegative_tensors():
         dim = int(rng.integers(2, 4))
         t = random_symmetric_tensor(rng, order, dim)
         pairs = z_eigs_newton(t, OracleConfig(restarts=300, seed=k))
-        report = verify(t, pairs)
+        report = verify_inclusion(t, pairs)
         assert report.bound_applies
         assert report.all_passed
 
