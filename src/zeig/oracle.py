@@ -16,8 +16,8 @@ iff (s λ, x) is one of s A: every tolerance scales with the tensor.
 
 Newton's map and Jacobian come from one GEMM per step, the degree-(m-2)
 monomials of the iterates times the tensor folded over their permutation
-classes, over blocks of restarts whose size keeps memory within BUDGET.  A
-block allocates its bordered Newton systems once: each step writes the
+classes (tensor._fold), over blocks of restarts whose size keeps memory
+within BUDGET.  A block allocates its bordered Newton systems once: each step writes the
 active restarts' systems into the leading rows in place, and the active rows
 are compacted only when a restart leaves.
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from .bounds import bound_omega_max, compare_report
 from .regions import region_K, region_M, region_Omega
-from .tensor import DenseTensor, _canonical_classes
+from .tensor import DenseTensor, _fold
 
 INCLUSION_TOL = 1e-8  # outward relaxation of each region and the bound, per unit of S
 MAX_ITER = 200  # Newton steps per restart
@@ -82,25 +82,13 @@ class OracleConfig:
 
 
 def _newton_map(data: np.ndarray):
-    """X -> (A x^{m-1}, its Jacobian) for each row x of X.  A averaged over
-    the permutations of its trailing m - 1 slots is an S with the same map and
-    Jacobian (m - 1) S x^{m-2}, so one G = S x^{m-2} gives both: G x, (m - 1) G.
-
-    S is symmetric in its last m - 2 slots, so G is one GEMM: the row's
-    degree-(m-2) monomials, one per multiset of those slots, times W, the
-    (i, j) blocks of S summed over each multiset's permutation class."""
+    """X -> (A x^{m-1}, its Jacobian) for each row x of X.  The trailing mean
+    T of A has the same map and Jacobian (m - 1) T x^{m-2}, so one
+    G = T x^{m-2} gives both: G x, (m - 1) G.  G is one GEMM: the row's
+    degree-(m-2) monomials, one per multiset of the last m - 2 slots, times
+    the fold W of tensor._fold."""
     n, m = data.shape[0], data.ndim
-    # S[i, tail] is the mean of A[i, .] over the permutation class of tail.
-    classes = _canonical_classes(m - 1, n)
-    sums = np.stack([np.bincount(classes, weights=row) for row in data.reshape(n, -1)])
-    sym = (sums[:, classes] / np.bincount(classes)[classes]).reshape(n * n, -1)
-    # The tuples (0, tail) sort to (0, sorted tail), so the first n^(m-2)
-    # class ids are the last m - 2 slots' own: one representative per class,
-    # whose column of S, times the class size, is the class sum.
-    tails = classes[: sym.shape[1]]
-    reps = np.flatnonzero(tails == np.arange(tails.size))
-    W = sym[:, reps].T * np.bincount(tails)[reps][:, None]
-    columns = np.indices((n,) * (m - 2)).reshape(m - 2, tails.size)[:, reps]
+    W, columns = _fold(data)
 
     def evaluate(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # np.take keeps P C-ordered: X[:, cols] is F-ordered and changes the GEMM's sums.

@@ -10,7 +10,7 @@ quadratic/box union (M) and the tighter pairwise set (Omega).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,11 +81,6 @@ class RadialRegion:
     """
 
     intervals: tuple[RadialInterval, ...]
-
-    @classmethod
-    def from_intervals(cls, items: Iterable[RadialInterval]) -> "RadialRegion":
-        cols = np.array([(iv.lo, iv.hi, iv.lo_open, iv.hi_open) for iv in items], dtype=float).reshape(-1, 4)
-        return cls(_union(cols[:, 0], cols[:, 1], cols[:, 2] != 0.0, cols[:, 3] != 0.0))
 
     @property
     def is_empty(self) -> bool:

@@ -3,7 +3,10 @@
 Provides storage, parsing, the contraction with a vector, structural predicates
 (nonnegativity, symmetry, weak symmetry) and the row / partial-row
 aggregates that every inclusion region and spectral-radius bound is
-built from.
+built from.  The layout of the permutation classes of index tuples is known
+here only: _canonical_classes numbers them, and _fold folds A's trailing
+mean over them into the blocks that both the weak-symmetry predicate and
+Newton's map (oracle._newton_map) read.
 """
 
 from __future__ import annotations
@@ -150,34 +153,16 @@ class DenseTensor:
     def is_weakly_symmetric(self) -> bool:
         """True when the gradient of the degree-m form equals m times apply().
 
-        Both sides are expanded into exact monomial coefficient maps, one
-        coefficient per row i and multiset S of m - 1 indices, and compared
-        coefficient by coefficient (within DEFAULT_STRUCT_TOL relative to the
-        largest coefficient of the row, absolute when that is zero):
-
-        * m apply(): m times the sum of a[i, tail] over tails sorting to S;
-        * gradient: (multiplicity of i in S, plus one) times the sum of the
-          permutation class of S with i added.
-
-        Deterministic and exact at desk scale, unlike sampling the identity
-        at random points.
+        That holds iff x -> A x^{m-1} is a gradient map, so iff its Jacobian
+        (m - 1) T x^{m-2} is symmetric for every x, T the trailing mean of
+        A (see _fold).  The monomials x^U are independent, so that is: every
+        n x n block of the fold equals its transpose, within
+        DEFAULT_STRUCT_TOL relative to the fold's largest magnitude
+        (absolute when that is zero).
         """
-        n, m = self.dim, self.order
-        classes = _canonical_classes(m, n)
-        values = self.data.reshape(-1)
-        # Row 0 holds the tuples (0, tail), whose sorted copies are
-        # (0, sorted tail): its class ids are the tails' own canonical ids.
-        tails = classes[: values.size // n]
-        multisets = np.flatnonzero(tails == np.arange(tails.size))
-        row_tail = (np.arange(n)[:, None] * tails.size + tails).reshape(-1)
-        lhs = m * np.bincount(row_tail, weights=values).reshape(n, -1)[:, multisets]
-        class_sums = np.bincount(classes, weights=values)
-        with_i = classes.reshape(n, -1)[:, multisets]  # class of S with i added
-        tail_index = np.array(np.unravel_index(multisets, (n,) * (m - 1)))
-        mult = (tail_index == np.arange(n)[:, None, None]).sum(axis=1)
-        rhs = (mult + 1) * class_sums[with_i]
-        scale = np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
-        return not np.any(np.abs(lhs - rhs) > _limit(scale)[:, None])
+        W = _fold(self.data)[0].reshape(-1, self.dim, self.dim)
+        limit = _limit(np.abs(W).max())
+        return not np.any(abs(W - W.transpose(0, 2, 1)) > limit)
 
 
 def contract(data: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -186,8 +171,9 @@ def contract(data: np.ndarray, X: np.ndarray) -> np.ndarray:
     One BLAS product takes the last axis, then m - 2 einsum steps one axis
     each, over chunks of rows sized to _CONTRACT_ITEMS.  Serves
     ``DenseTensor.apply`` and the partial row sums; Newton's map is a GEMM
-    over monomials of its own (``oracle._newton_map``) and the dim-2 solve
-    reads A's polynomial coefficients directly (``oracle._tangent_form``)."""
+    of monomials times the fold of ``_fold`` (``oracle._newton_map``) and the
+    dim-2 solve reads A's polynomial coefficients directly
+    (``oracle._tangent_form``)."""
     n = data.shape[0]
     flat = data.reshape(-1, n)
     out = np.empty((len(X), n))
@@ -199,6 +185,31 @@ def contract(data: np.ndarray, X: np.ndarray) -> np.ndarray:
             acc = np.einsum("kjb,bj->kb", acc.reshape(-1, n, len(chunk)), chunk)
         out[lo : lo + step] = acc.T
     return out
+
+
+def _fold(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The trailing mean of A folded over the multisets of its last m - 2 slots.
+
+    The trailing mean T[i, tail] is the mean of A[i, .] over the permutation
+    class of tail, the last m - 1 slots, so T x^{m-1} = A x^{m-1}.  T is
+    symmetric in its last m - 2 slots, so T x^{m-2} is the sum over multisets
+    U of those slots of the monomial x^U times the n x n block W[U], whose
+    (i, j) entry is T[i, j, U] times U's class size.  Returns W, one row of
+    n * n per U in C order (Newton's GEMM sums, and so its output bits,
+    depend on that layout), and digits, whose column r holds the m - 2
+    indices of U_r's sorted tuple."""
+    n, m = data.shape[0], data.ndim
+    classes = _canonical_classes(m - 1, n)
+    sums = np.stack([np.bincount(classes, weights=row) for row in data.reshape(n, -1)])
+    # The tuples (0, U) sort to (0, sorted U), so the first n^(m-2) class ids
+    # are the last m - 2 slots' own, and U's representative, its sorted
+    # tuple, is the tail whose id is its own flat index.
+    tails = classes[: classes.size // n]
+    reps = np.flatnonzero(tails == np.arange(tails.size))
+    full = classes.reshape(n, -1)[:, reps]  # full[j, r]: the class of (j, U_r)
+    mean = np.moveaxis(sums[:, full] / np.bincount(classes)[full], 2, 0).reshape(len(reps), n * n)
+    digits = reps // n ** np.arange(m - 3, -1, -1)[:, None] % n
+    return mean * np.bincount(tails)[reps][:, None], digits
 
 
 def _limit(scale: np.ndarray) -> np.ndarray:

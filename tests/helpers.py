@@ -2,8 +2,9 @@
 
 Everything here enumerates index tuples directly with itertools and
 evaluates the defining inequalities literally, staying independent of the
-library's numpy contractions and interval algebra.  The one exception is the
-fresh-array Newton kernel at the end: a bit-exact reference, not a brute one.
+library's numpy contractions and interval algebra.  Two exceptions:
+region_of builds regions through the library's own normalization, and the
+fresh-array Newton kernel at the end is a bit-exact reference, not a brute one.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from zeig.oracle import DEDUPE_TOL_LAMBDA, DEDUPE_TOL_X, MAX_ITER, Eigenpair
+from zeig.regions import RadialRegion, _union
 from zeig.tensor import MAX_ABS_VALUE, MAX_ENTRIES, DenseTensor, TensorFormatError, _canonical_classes
 
 
@@ -56,6 +58,21 @@ def random_dyadic_tensor(rng, order, dim, signed=False):
     return DenseTensor(data, copy=False)
 
 
+def weak_by_construction(rng, data):
+    """A copy of the symmetric array data with v moved between two orderings
+    of one tail: the row's tail sums and every class sum stay put, so it stays
+    weakly symmetric, but one class splits, so it is not symmetric."""
+    order, dim = data.ndim, data.shape[0]
+    a, b = rng.choice(dim, size=2, replace=False)
+    rest = tuple(rng.integers(dim, size=order - 3))
+    row = int(rng.integers(dim))
+    v = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
+    weak = np.array(data)
+    weak[(row, a, b) + rest] += v
+    weak[(row, b, a) + rest] -= v
+    return weak
+
+
 def permuted_tensor(tensor, perm):
     """Relabel indices: entry at (i1..im) moves to (perm[i1]..perm[im])."""
     inv = np.argsort(perm)
@@ -69,6 +86,12 @@ def rank_one_tensor(x, order):
     for _ in range(order - 1):
         out = np.multiply.outer(out, data)
     return DenseTensor(out, copy=False)
+
+
+def region_of(items):
+    """The normalized RadialRegion of RadialInterval items."""
+    cols = np.array([(iv.lo, iv.hi, iv.lo_open, iv.hi_open) for iv in items], dtype=float).reshape(-1, 4)
+    return RadialRegion(_union(cols[:, 0], cols[:, 1], cols[:, 2] != 0.0, cols[:, 3] != 0.0))
 
 
 # -- brute-force tensor operations ----------------------------------------------

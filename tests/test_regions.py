@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from zeig.oracle import z_eigs_sweep_n2
 from zeig.regions import (
     RadialInterval,
-    RadialRegion,
     region_K,
     region_M,
     region_Omega,
@@ -26,6 +25,7 @@ from helpers import (
     random_dyadic_tensor,
     random_tensor,
     region_endpoints,
+    region_of,
 )
 
 # frozen independently: 0.5*(3.5 + sqrt(2.5**2 + 4*(49/9)))
@@ -93,34 +93,34 @@ def iv(lo, hi, lo_open=False, hi_open=False):
 
 
 def test_normalization_merges_overlap():
-    region = RadialRegion.from_intervals([iv(0.0, 2.5, hi_open=True), iv(1 / 3, 31 / 6)])
+    region = region_of([iv(0.0, 2.5, hi_open=True), iv(1 / 3, 31 / 6)])
     assert region.intervals == (iv(0.0, 31 / 6),)
 
 
 def test_normalization_keeps_hole_between_open_endpoints():
-    region = RadialRegion.from_intervals([iv(0.0, 1.0, hi_open=True), iv(1.0, 2.0, lo_open=True)])
+    region = region_of([iv(0.0, 1.0, hi_open=True), iv(1.0, 2.0, lo_open=True)])
     assert len(region.intervals) == 2
     assert not region.contains(1.0)
 
 
 def test_normalization_merges_half_open_touch():
-    region = RadialRegion.from_intervals([iv(0.0, 1.0, hi_open=True), iv(1.0, 2.0)])
+    region = region_of([iv(0.0, 1.0, hi_open=True), iv(1.0, 2.0)])
     assert region.intervals == (iv(0.0, 2.0),)
 
 
 def test_normalization_point_interval_plugs_open_end():
-    region = RadialRegion.from_intervals([iv(0.0, 1.0, hi_open=True), iv(1.0, 1.0)])
+    region = region_of([iv(0.0, 1.0, hi_open=True), iv(1.0, 1.0)])
     assert region.intervals == (iv(0.0, 1.0),)
 
 
 def test_normalization_drops_empty_intervals():
-    region = RadialRegion.from_intervals([iv(3.0, 3.0, lo_open=True), iv(5.0, 4.0), iv(1.0, 2.0)])
+    region = region_of([iv(3.0, 3.0, lo_open=True), iv(5.0, 4.0), iv(1.0, 2.0)])
     assert region.intervals == (iv(1.0, 2.0),)
 
 
 def test_normalization_rejects_negative_radius():
     with pytest.raises(ValueError):
-        RadialRegion.from_intervals([iv(-0.5, 1.0)])
+        region_of([iv(-0.5, 1.0)])
 
 
 def interval_strategy(endpoint):
@@ -134,7 +134,7 @@ def interval_strategy(endpoint):
 )
 @settings(max_examples=300, deadline=None)
 def test_normalization_invariants_and_membership(items):
-    region = RadialRegion.from_intervals(items)
+    region = region_of(items)
     # stored intervals are non-empty, sorted, pairwise separated
     for a in region.intervals:
         assert a.lo < a.hi or (a.lo == a.hi and not (a.lo_open or a.hi_open))
@@ -153,7 +153,7 @@ def test_normalization_invariants_and_membership(items):
 
 
 def test_contains_honors_openness_and_closure():
-    region = RadialRegion.from_intervals([iv(0.0, 5.0, hi_open=True)])
+    region = region_of([iv(0.0, 5.0, hi_open=True)])
     assert not region.contains(5.0, tol=0.0)
     assert region.contains(5.0, tol=1e-9)
     assert region.contains(0.0)
@@ -163,14 +163,14 @@ def test_contains_honors_openness_and_closure():
 
 
 def test_empty_region_conventions():
-    region = RadialRegion.from_intervals([])
+    region = region_of([])
     assert region.is_empty
     assert region.supremum == 0.0
     assert not region.contains(0.0)
 
 
 def test_csv_export_format():
-    region = RadialRegion.from_intervals([iv(0.0, 1 / 3, hi_open=True), iv(1.0, 2.0)])
+    region = region_of([iv(0.0, 1 / 3, hi_open=True), iv(1.0, 2.0)])
     lines = region.to_csv().splitlines()
     assert lines[0] == "lo,hi,lo_open,hi_open"
     assert lines[1] == "0,0.33333333333333331,0,1"
@@ -294,7 +294,7 @@ def test_region_intervals_hold_python_scalars(example1):
     # render_json prints only Python floats and bools; it rejects numpy's
     agg = example1.aggregates()
     built = [region_K(agg), region_M(agg), region_Omega(agg)]
-    built.append(RadialRegion.from_intervals([iv(0, 1, hi_open=True), iv(1, 2), iv(3, 4, True, 1)]))
+    built.append(region_of([iv(0, 1, hi_open=True), iv(1, 2), iv(3, 4, True, 1)]))
     for region in built:
         for interval in region.intervals:
             fields = (interval.lo, interval.hi, interval.lo_open, interval.hi_open)

@@ -19,11 +19,13 @@ from helpers import (
     brute_poly_value,
     brute_row_sum,
     diagonal_tensor,
+    finite_difference_jacobian,
     permuted_tensor,
     random_dyadic_tensor,
     random_symmetric_tensor,
     random_tensor,
     rank_one_tensor,
+    weak_by_construction,
 )
 
 THIRD = 0.3333333333333333
@@ -406,6 +408,20 @@ def test_is_symmetric_peak_memory_stays_near_the_tensor():
     assert peak <= 4.5 * t.data.nbytes
 
 
+def test_is_weakly_symmetric_peak_memory_stays_near_the_tensor():
+    # 2^20 entries each.  The trailing mean is gathered at one representative
+    # per multiset of the last m - 2 slots, not spread back over all n^m entries.
+    for order, dim in [(20, 2), (4, 32), (2, 1024)]:
+        t = DenseTensor(np.ones((dim,) * order))
+        tracemalloc.start()
+        try:
+            assert t.is_weakly_symmetric()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * t.data.nbytes, (order, dim, peak / t.data.nbytes)
+
+
 def test_is_weakly_symmetric_examples(example1, example2):
     assert example2.is_weakly_symmetric()
     assert example1.is_weakly_symmetric()  # symmetric implies weakly symmetric
@@ -429,18 +445,47 @@ def test_symmetric_implies_weakly_symmetric_on_random_tensors():
 
 def test_weak_symmetry_matches_gradient_sampling():
     # independent check: numerical gradient of the degree-m form at random
-    # points must equal m * apply for weakly symmetric tensors
+    # points must equal m * apply for weakly symmetric tensors, so apply is a
+    # gradient map and its finite-difference Jacobian is symmetric
     rng = np.random.default_rng(37)
-    t = random_symmetric_tensor(rng, order=3, dim=3)
+    weak = [random_symmetric_tensor(rng, order=3, dim=3)]
+    weak += [DenseTensor(weak_by_construction(rng, random_symmetric_tensor(rng, m, 3).data)) for m in (3, 4)]
     step = 1e-6
-    for _ in range(5):
-        x = rng.normal(size=3)
-        grad = np.zeros(3)
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = step
-            grad[k] = (brute_poly_value(t, x + e) - brute_poly_value(t, x - e)) / (2 * step)
-        assert grad == pytest.approx(3.0 * t.apply(x), rel=1e-6, abs=1e-6)
+    for t in weak:
+        assert t.is_weakly_symmetric()
+        for _ in range(5):
+            x = rng.normal(size=3)
+            grad = np.zeros(3)
+            for k in range(3):
+                e = np.zeros(3)
+                e[k] = step
+                grad[k] = (brute_poly_value(t, x + e) - brute_poly_value(t, x - e)) / (2 * step)
+            assert grad == pytest.approx(t.order * t.apply(x), rel=1e-6, abs=1e-6)
+            J = finite_difference_jacobian(t, x)
+            assert np.abs(J - J.T).max() <= 1e-6 * np.abs(J).max()
+    # the false direction: no gradient map, so the Jacobian is asymmetric far
+    # beyond the finite differences' noise
+    for m in (3, 4):
+        t = random_tensor(rng, m, 3, signed=True)
+        assert not t.is_weakly_symmetric()
+        for _ in range(5):
+            J = finite_difference_jacobian(t, rng.normal(size=3))
+            assert np.abs(J - J.T).max() > 1e-2 * np.abs(J).max()
+
+
+def test_symmetry_predicates_are_scale_invariant():
+    # both tolerances are relative, so scaling A by s changes no answer
+    rng = np.random.default_rng(41)
+    for order, dim in [(3, 3), (4, 2), (4, 3), (5, 2)]:
+        sym = random_symmetric_tensor(rng, order, dim, signed=True).data
+        bumped = np.array(sym)
+        bumped[tuple(rng.integers(dim, size=order))] += 1e-6
+        cases = [sym, weak_by_construction(rng, sym), bumped, random_tensor(rng, order, dim, signed=True).data]
+        for data in cases:
+            want = (DenseTensor(data).is_symmetric(), DenseTensor(data).is_weakly_symmetric())
+            for s in (1e-9, 1e-3, 1e6, 1e12):
+                t = DenseTensor(s * data)
+                assert (t.is_symmetric(), t.is_weakly_symmetric()) == want, (order, dim, s)
 
 
 def test_symmetry_predicates_match_brute_references():
