@@ -226,6 +226,8 @@ def z_eigs_sweep_n2(tensor: DenseTensor) -> list[Eigenpair]:
         u, v = _chart_roots(h[::-1], noise[::-1]), _chart_roots(h, noise)
         X = np.concatenate([np.stack([np.ones_like(u), u], axis=1), np.stack([v, np.ones_like(v)], axis=1)])
         X /= np.linalg.norm(X, axis=1, keepdims=True)
+        # Polished multiple roots repeat exactly: rank each direction once, first occurrence first.
+        X = X[np.sort(np.unique(X, axis=0, return_index=True)[1])]
         X = np.concatenate([X, -X]) if tensor.order % 2 else X
     pairs = [_rayleigh_pair(tensor, x) for x in X]
     # Ranked by the residual _finish tests, a failing candidate claims only later ones, which fail too.

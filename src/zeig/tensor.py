@@ -3,10 +3,9 @@
 Provides storage, parsing, the contraction with a vector, structural predicates
 (nonnegativity, symmetry, weak symmetry) and the row / partial-row
 aggregates that every inclusion region and spectral-radius bound is
-built from.  The layout of the permutation classes of index tuples is known
-here only: _canonical_classes numbers them, and _fold folds A's trailing
-mean over them into the blocks that both the weak-symmetry predicate and
-Newton's map (oracle._newton_map) read.
+built from.  Only _fold reads the layout of the permutation classes of
+index tuples, numbered by _canonical_classes: it folds A's trailing mean
+over them into the blocks that weak symmetry and Newton's map read.
 """
 
 from __future__ import annotations
@@ -135,20 +134,20 @@ class DenseTensor:
     def is_symmetric(self) -> bool:
         """True when entries agree across every permutation of their indices.
 
-        Entries in each permutation class must match within DEFAULT_STRUCT_TOL
-        relative to the largest magnitude in the class (absolute for all-zero
-        classes).
+        The permutations of m slots are generated by the swap of the first
+        two slots and the cyclic shift of all m (one transpose for m = 2), so
+        A must equal A with either applied: each entry within DEFAULT_STRUCT_TOL
+        relative to the larger magnitude of the two entries compared.
         """
-        classes = _canonical_classes(self.order, self.dim)
-        values = self.data.reshape(-1)
-        # A class's id is the flat index of its sorted tuple, a member: the class's representative.
-        reps = np.flatnonzero(classes == np.arange(classes.size))
-        hi = np.full(values.size, -np.inf)
-        lo = np.full(values.size, np.inf)
-        np.maximum.at(hi, classes, values)
-        np.minimum.at(lo, classes, values)
-        hi, lo = hi[reps], lo[reps]
-        return not np.any(hi - lo > _limit(np.maximum(np.abs(lo), np.abs(hi))))
+        a, m = self.data, self.order
+        for axes in {(1, 0, *range(2, m)), (*range(1, m), 0)}:
+            b = a.transpose(axes)
+            limit = np.abs(a)  # then updated in place, so the peak stays at 3x the tensor
+            np.maximum(limit, np.abs(b), out=limit)
+            limit *= DEFAULT_STRUCT_TOL
+            if np.any(np.abs(a - b) > limit):
+                return False
+        return True
 
     def is_weakly_symmetric(self) -> bool:
         """True when the gradient of the degree-m form equals m times apply().
@@ -161,7 +160,7 @@ class DenseTensor:
         (absolute when that is zero).
         """
         W = _fold(self.data)[0].reshape(-1, self.dim, self.dim)
-        limit = _limit(np.abs(W).max())
+        limit = DEFAULT_STRUCT_TOL * (np.abs(W).max() or 1.0)
         return not np.any(abs(W - W.transpose(0, 2, 1)) > limit)
 
 
@@ -210,11 +209,6 @@ def _fold(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = np.moveaxis(sums[:, full] / np.bincount(classes)[full], 2, 0).reshape(len(reps), n * n)
     digits = reps // n ** np.arange(m - 3, -1, -1)[:, None] % n
     return mean * np.bincount(tails)[reps][:, None], digits
-
-
-def _limit(scale: np.ndarray) -> np.ndarray:
-    """DEFAULT_STRUCT_TOL relative to scale, absolute where scale is zero."""
-    return np.where(scale > 0.0, DEFAULT_STRUCT_TOL * scale, DEFAULT_STRUCT_TOL)
 
 
 def _canonical_classes(order: int, dim: int) -> np.ndarray:

@@ -205,6 +205,19 @@ def test_sweep_reports_a_sevenfold_root_once():
     assert values[1] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_sweep_ranks_each_candidate_direction_once(monkeypatch):
+    # All ones at order 8: each chart polishes the sevenfold root to the same
+    # bits four times, and u = 1, v = 1 are one direction.  Three distinct
+    # directions are ranked, then each of the two kept pairs is re-verified.
+    calls = []
+    rayleigh = oracle._rayleigh_pair
+    monkeypatch.setattr(oracle, "_rayleigh_pair", lambda t, x: calls.append(x) or rayleigh(t, x))
+    pairs = z_eigs_sweep_n2(load_fixture("ones_m8_n2.json"))
+    ranked = np.array(calls[: len(calls) - len(pairs)])
+    assert len(np.unique(ranked, axis=0)) == len(ranked) == 3
+    assert len(calls) == len(ranked) + len(pairs) == 5
+
+
 def assert_scaled_spectrum(tensor, scale, find=z_eigs_sweep_n2, rel=0.0):
     """s A has the eigenpairs (s λ, x): the finder's tolerances scale with A.
     Returns the pairs of A."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from zeig.tensor import MAX_ABS_VALUE, MAX_ENTRIES, DenseTensor, TensorFormatError, _canonical_classes, parse_tensor
 
+from conftest import load_fixture
 from helpers import (
     brute_aggregates,
     brute_apply,
@@ -396,16 +397,17 @@ def test_is_symmetric_on_random_symmetrized_tensors():
 
 
 def test_is_symmetric_peak_memory_stays_near_the_tensor():
-    # Order 20, dim 2: 2^20 entries in 21 classes.  The class extremes are
-    # compared at one representative per class, not gathered back per entry.
-    t = DenseTensor(np.ones((2,) * 20))
-    tracemalloc.start()
-    try:
-        assert t.is_symmetric()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * t.data.nbytes
+    # 2^20 entries each.  A generator's comparison holds at most three
+    # tensor-sized arrays at once: the limit, |A'| or A - A', and |A - A'|.
+    for order, dim in [(20, 2), (4, 32), (2, 1024)]:
+        t = DenseTensor(np.ones((dim,) * order))
+        tracemalloc.start()
+        try:
+            assert t.is_symmetric()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * t.data.nbytes, (order, dim, peak / t.data.nbytes)
 
 
 def test_is_weakly_symmetric_peak_memory_stays_near_the_tensor():
@@ -507,6 +509,16 @@ def test_symmetry_predicates_match_brute_references():
                     weak[(row, a, b) + rest] += v
                     weak[(row, b, a) + rest] -= v
                     cases.append(weak)
+                    # invariant under only one of the two generators of the
+                    # slot permutations: the swap of the first two slots, or
+                    # the cyclic shift of all of them (at order 3, dim 2
+                    # each class is one cyclic orbit, so the shift suffices)
+                    a = random_tensor(rng, order, dim, signed=True).data
+                    swap_only = a + a.swapaxes(0, 1)
+                    cycle_only = sum(np.transpose(a, np.roll(np.arange(order), k)) for k in range(order))
+                    assert not brute_is_symmetric(DenseTensor(swap_only))
+                    assert brute_is_symmetric(DenseTensor(cycle_only)) == ((order, dim) == (3, 2))
+                    cases += [swap_only, cycle_only]
                 for bump in (1e-6, 1e-12, 1e-13):
                     bumped = np.array(sym)
                     bumped[tuple(rng.integers(dim, size=order))] += bump
@@ -517,6 +529,15 @@ def test_symmetry_predicates_match_brute_references():
                     assert (t.is_symmetric(), t.is_weakly_symmetric()) == flags
                     seen.add(flags)
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_bumped_ones_m22_n2_is_neither_symmetric_nor_weakly_symmetric():
+    # One 2, at index (1, ..., 1, 2), among 4M ones: the swap of the first
+    # two slots leaves its index tuple in place, only the cyclic shift moves it.
+    t = load_fixture("ones_bumped_m22_n2.json")
+    assert t.data.sum() == 2**22 + 1
+    assert not t.is_symmetric()
+    assert not t.is_weakly_symmetric()
 
 
 def test_canonical_classes_match_brute_reference():
