@@ -21,9 +21,11 @@ within BUDGET.  A block allocates its bordered Newton systems once: each step wr
 active restarts' systems into the leading rows in place, and the active rows
 are compacted only when a restart leaves.
 
-Determinism: the start points are the rows of one normal draw from
-``default_rng(seed)``, so restart k starts from a function of (seed, k) only
-and the first k starts do not depend on how many restarts follow.
+Determinism: restart k starts from a function of (seed, k) only, so the
+first k starts do not depend on how many restarts follow.  The start points
+are the rows of one normal draw from ``default_rng(seed)``: row k for even m;
+for odd m, row j for restart 2j and its antipode for restart 2j + 1, whose
+result is restart 2j's mirrored rather than iterated (z_eigs_newton).
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .tensor import DenseTensor, _fold
 INCLUSION_TOL = 1e-8  # outward relaxation of each region and the bound, per unit of S
 MAX_ITER = 200  # Newton steps per restart
 # Largest accepted restart count, checked before anything is allocated: at
-# this size a dim-3 order-3 Newton call peaks near 100 MB.
+# this size a dim-3 Newton call's arrays peak near 40 MB at order 4, and near
+# 30 MB at order 3, which iterates half the restarts.
 MAX_RESTARTS = 100_000
 # Float64 items (8 MiB) in the widest array of one block of Newton restarts.
 BUDGET = 2**20
@@ -319,28 +322,46 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
     full (n+1)-variable Newton step with the exact Jacobian of the
     contraction map, renormalizing x after every step.  Restarts that fail
     to reach RESIDUAL_TOL * S within MAX_ITER steps are dropped; an empty result
-    is legal.  The restarts run in consecutive blocks whose widest array (the
+    is legal.
+
+    For odd m, (x, λ) -> (-x, -λ) maps eigenpairs to eigenpairs.  Restart 2j
+    starts at row j and restart 2j + 1 at -row j.  With B = J - λI, the
+    antipode's bordered system is -[[B, -x], [2x^T, 0]] with the same
+    right-hand side, so its step is the negated step, and its result (-x, -λ,
+    the same loop residual) is written down instead of iterated: of R
+    restarts only ceil(R / 2) run.  Recall is no worse in distribution: a pair
+    that one start reaches with probability q is reached, itself or its
+    mirror, with probability 2q, and (1 - 2q)^(R/2) <= (1 - q)^R.  A pair with
+    λ = 0 is its own mirror up to sign, so it has the recall of ceil(R / 2)
+    starts.
+
+    The restarts run in consecutive blocks whose widest array (the
     Newton systems or the monomials) holds at most BUDGET items, or of one
     restart when that alone exceeds it, so memory does not grow with the
     restart count.  The BLAS picks its GEMM kernel by row count, so another
     block size can change a restart's iterates, and with them which rarely
     hit pairs are found; the same tensor, config and BLAS give the same
-    pairs.  The converged restarts of all blocks go to _finish, ranked by
-    their loop residual.
+    pairs.  The converged restarts of all blocks, with the mirrors for odd m
+    interleaved, go to _finish, ranked by their loop residual.
     """
     cfg = config or OracleConfig()
     n, m = tensor.dim, tensor.order
     newton_map = _newton_map(tensor.data)
-    starts = _start_points(n, cfg.restarts, cfg.seed)
-    # Per restart: converged x, Newton λ and loop residual (inf: never converged).
-    final_x, final_lam = np.empty((cfg.restarts, n)), np.empty(cfg.restarts)
-    final_res = np.full(cfg.restarts, np.inf)
+    iterated = (cfg.restarts + 1) // 2 if m % 2 else cfg.restarts
+    starts = _start_points(n, iterated, cfg.seed)
+    # Per iterated restart: converged x, Newton λ and loop residual (inf: never converged).
+    final_x, final_lam = np.empty((iterated, n)), np.empty(iterated)
+    final_res = np.full(iterated, np.inf)
     block = max(1, BUDGET // max((n + 1) ** 2, math.comb(n + m - 3, m - 2)))
     tol = RESIDUAL_TOL * _scale(tensor)
-    for lo in range(0, cfg.restarts, block):
+    for lo in range(0, iterated, block):
         rows = slice(lo, lo + block)
         _newton_block(newton_map, starts[rows], tol, final_x[rows], final_lam[rows], final_res[rows])
 
+    if m % 2:  # restart 2j + 1 is restart 2j mirrored
+        final_x = np.stack([final_x, -final_x], axis=1).reshape(-1, n)[: cfg.restarts]
+        final_lam = np.stack([final_lam, -final_lam], axis=1).reshape(-1)[: cfg.restarts]
+        final_res = np.repeat(final_res, 2)[: cfg.restarts]
     hit = np.isfinite(final_res)
     return _finish(tensor, final_x[hit], final_lam[hit], final_res[hit])
 

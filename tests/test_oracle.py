@@ -329,7 +329,8 @@ def test_newton_finds_the_top_pair_of_a_huge_tensor():
 def test_newton_restart_blocks_find_the_same_eigenvalues(monkeypatch):
     rng = np.random.default_rng(43)
     cfg = OracleConfig(restarts=300, seed=4)
-    # The last 200 restarts find eigenpairs the first 100 miss on both tensors.
+    # On the order-4 tensor the last 200 restarts find eigenpairs the first 100 miss.  The
+    # order-3 one iterates 150 starts, each reported with its mirror: blocks of 100 and 50.
     for t in (random_symmetric_tensor(rng, order=4, dim=6), random_tensor(rng, order=3, dim=6, signed=True)):
         whole = eigenvalues(z_eigs_newton(t, cfg))
         blocks = []
@@ -343,9 +344,62 @@ def test_newton_restart_blocks_find_the_same_eigenvalues(monkeypatch):
         monkeypatch.setattr(oracle, "_newton_block", counted_block)
         split = eigenvalues(z_eigs_newton(t, cfg))
         monkeypatch.undo()
-        assert blocks == [100, 100, 100]
+        iterated = -(-cfg.restarts // 2) if t.order % 2 else cfg.restarts
+        assert blocks == [min(100, iterated - lo) for lo in range(0, iterated, 100)]
         assert len(split) == len(whole) > 0
         np.testing.assert_allclose(split, whole, rtol=0, atol=1e-12)
+
+
+def _iterated_starts(monkeypatch, tensor, cfg):
+    """The start rows z_eigs_newton hands to _newton_block, in order, and its pairs."""
+    starts = []
+    run_block = oracle._newton_block
+
+    def recorded_block(newton_map, X, *out):
+        starts.append(X.copy())
+        run_block(newton_map, X, *out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_newton_block", recorded_block)
+        pairs = z_eigs_newton(tensor, cfg)
+    return np.concatenate(starts), pairs
+
+
+_ODD_ORDER = {
+    "example2": lambda: load_fixture("example2.json"),
+    "m3n4-signed": lambda: random_tensor(np.random.default_rng(61), order=3, dim=4, signed=True),
+    "m5n3": lambda: random_tensor(np.random.default_rng(62), order=5, dim=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ODD_ORDER))
+def test_newton_odd_order_reports_each_pair_with_its_mirror(name):
+    # (x, λ) -> (-x, -λ) maps eigenpairs of an odd-order tensor to eigenpairs;
+    # a pair with λ = 0 is its own mirror up to sign and is reported once.
+    t = _ODD_ORDER[name]()
+    pairs = z_eigs_newton(t, OracleConfig(restarts=301, seed=3))
+    nonzero = [p for p in pairs if abs(p.value) > 2 * DEDUPE_TOL_LAMBDA * np.abs(t.data).sum()]
+    assert len(nonzero) >= 2
+    reported = {(p.value, tuple(p.x)) for p in pairs}
+    for p in nonzero:
+        assert (-p.value, tuple(-p.x)) in reported, p
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_newton_iterates_one_start_of_each_antipodal_pair_at_odd_order(monkeypatch, order):
+    t = random_tensor(np.random.default_rng(70 + order), order=order, dim=3, signed=True)
+    for restarts in (1, 300, 301):
+        X, pairs = _iterated_starts(monkeypatch, t, OracleConfig(restarts, seed=2))
+        assert len(X) == (-(-restarts // 2) if order % 2 else restarts)
+        assert len(pairs) <= restarts  # the mirrors are cut to the restart count
+
+
+def test_newton_iterated_starts_are_a_prefix_of_the_seeded_draw(monkeypatch, example2):
+    few, _ = _iterated_starts(monkeypatch, example2, OracleConfig(300, seed=9))
+    many, _ = _iterated_starts(monkeypatch, example2, OracleConfig(1000, seed=9))
+    assert few.shape == (150, 3)
+    assert np.array_equal(few, many[:150])
+    assert np.array_equal(many, _start_points(3, 500, 9))
 
 
 def _reference_z_eigs_newton(monkeypatch, tensor, cfg):
