@@ -2,8 +2,6 @@
 
 from .bounds import (
     BoundReport,
-    bound_chain_middle,
-    bound_gershgorin,
     bound_omega_max,
     compare_report,
 )
@@ -20,6 +18,7 @@ from .regions import (
     QuadraticRootPair,
     RadialInterval,
     RadialRegion,
+    RowAggregates,
     region_K,
     region_M,
     region_Omega,
@@ -28,7 +27,6 @@ from .regions import (
 from .tensor import (
     DEFAULT_STRUCT_TOL,
     DenseTensor,
-    RowAggregates,
     TensorFormatError,
     parse_tensor,
 )
@@ -48,8 +46,6 @@ __all__ = [
     "RowAggregates",
     "TensorFormatError",
     "VerificationReport",
-    "bound_chain_middle",
-    "bound_gershgorin",
     "bound_omega_max",
     "compare_report",
     "parse_tensor",

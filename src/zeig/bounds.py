@@ -4,7 +4,7 @@ The three bounds form a chain: the pairwise partial-row-sum bound
 (omega_max) is at most the pairwise quadratic bound (chain_middle), which
 is at most the plain maximum row sum (gershgorin).  All of them are
 suprema of the matching inclusion regions, read off the same per-pair
-tables (regions.omega_table, regions.m_table) the regions are built from.
+tables (agg.omega, agg.m) the regions are built from.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .regions import m_table, omega_table, ordered_pairs
-from .tensor import DenseTensor, RowAggregates
+from .regions import RowAggregates, ordered_pairs
+from .tensor import DenseTensor
 
 _CHAIN_SLACK = 1e-12
 CHAIN_VIOLATION_WARNING = "internal error: bound chain ordering violated"
@@ -54,21 +54,7 @@ def bound_omega_max(agg: RowAggregates) -> float:
     """Supremum of the Omega region in closed form: the largest box cap
     min(P_i^j, P_j^i) or band top min(R_i, delta(i, j)) over ordered pairs,
     delta being the larger root of the pair's quadratic."""
-    table = omega_table(agg)
-    return float(max(table.cap.max(), table.hi.max()))
-
-
-def bound_chain_middle(agg: RowAggregates) -> float:
-    """Middle bound of the chain: pairwise quadratic on (row sum minus
-    trailing diagonal, partial row sum), maximized over ordered pairs."""
-    table = m_table(agg)
-    # p and q stay in: the larger root can round one ulp below max(p, q).
-    return float(max(table.hi.max(), table.p.max(), table.q.max()))
-
-
-def bound_gershgorin(agg: RowAggregates) -> float:
-    """Largest row sum."""
-    return float(np.max(agg.row_sums))
+    return float(max(agg.omega.cap.max(), agg.omega.hi.max()))
 
 
 def compare_report(tensor: DenseTensor, agg: RowAggregates) -> BoundReport:
@@ -81,12 +67,13 @@ def compare_report(tensor: DenseTensor, agg: RowAggregates) -> BoundReport:
     ordering is re-verified on the computed values; a violation would mean
     an internal defect and is flagged with a distinguished warning.
     """
-    table = omega_table(agg)
-    best = np.maximum(table.cap, table.hi)
+    omega, m = agg.omega, agg.m
+    best = np.maximum(omega.cap, omega.hi)
     k = int(np.argmax(best))  # first maximum: the lexicographically smallest attaining pair
     i, j = ordered_pairs(agg.dim)
-    middle = bound_chain_middle(agg)
-    gersh = bound_gershgorin(agg)
+    # p and q stay in: the larger root can round one ulp below max(p, q).
+    middle = float(max(m.hi.max(), m.p.max(), m.q.max()))
+    gersh = float(np.max(agg.row_sums))
     nonnegative, weakly_symmetric = tensor.is_nonnegative(), tensor.is_weakly_symmetric()
     warnings = []
     if not nonnegative:
@@ -97,8 +84,8 @@ def compare_report(tensor: DenseTensor, agg: RowAggregates) -> BoundReport:
         warnings.append(CHAIN_VIOLATION_WARNING)
     return BoundReport(
         omega_max=float(best[k]),
-        omega_hat_max=float(table.cap.max()),
-        omega_tilde_max=float(table.hi.max()),
+        omega_hat_max=float(omega.cap.max()),
+        omega_tilde_max=float(omega.hi.max()),
         chain_middle=middle,
         gershgorin=gersh,
         attaining_pair=(int(i[k]) + 1, int(j[k]) + 1),

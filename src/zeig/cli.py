@@ -213,12 +213,12 @@ def cmd_regions(args) -> int:
 
 def _run_oracle(tensor: DenseTensor, args) -> tuple[str, list[Eigenpair]]:
     """--method, by default the exact solve in dim 2 and Newton otherwise, and its eigenpairs."""
+    try:
+        config = OracleConfig(restarts=args.restarts, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     method = args.method or ("sweep" if tensor.dim == 2 else "newton")
     if method == "newton":
-        try:
-            config = OracleConfig(restarts=args.restarts, seed=args.seed)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
         return method, z_eigs_newton(tensor, config)
     if tensor.dim != 2:
         raise UsageError(f"method 'sweep' requires dim = 2, tensor has dim {tensor.dim}")

@@ -4,17 +4,17 @@ Each inclusion set constrains a complex number z only through r = |z|, so
 a region is represented exactly as a normalized union of intervals on
 r >= 0 with per-endpoint openness flags.  Three constructors build the
 radial traces of the classic single-row disk union (K), the pairwise
-quadratic/box union (M) and the tighter pairwise set (Omega).
+quadratic/box union (M) and the tighter pairwise set (Omega), the last two
+from the per-pair tables RowAggregates builds once (agg.m, agg.omega).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from .tensor import RowAggregates
 
 
 class QuadraticRootPair(NamedTuple):
@@ -169,26 +169,56 @@ def ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(~np.eye(n, dtype=bool))
 
 
-def omega_table(agg: RowAggregates) -> PairTable:
-    """Omega's pairs: band of (r - P_i^j)(r - P_j^i) = (R_i - P_i^j)(R_j - P_j^i)
-    clipped to [0, R_i], box below min(P_i^j, P_j^i)."""
-    i, j = ordered_pairs(agg.dim)
-    R, P = agg.row_sums, agg.partial_sums
-    p, q = P[i, j], P[j, i]
-    roots = solve_radial_quadratic(p, q, np.maximum(0.0, R[i] - p) * np.maximum(0.0, R[j] - q))
-    return PairTable(p, q, np.maximum(0.0, roots.r_minus), np.minimum(roots.r_plus, R[i]), np.minimum(p, q))
+@dataclass(frozen=True)
+class RowAggregates:
+    """Precomputed row sums, partial row sums and trailing-diagonal entries.
+
+    All tables are 0-based and built from absolute values:
+
+    * ``row_sums[i]`` — sum of ``|a|`` over every entry of row ``i``.
+    * ``partial_sums[j, i]`` — sum over row ``j`` restricted to index
+      tuples in which index ``i`` never appears (``j != i``).
+    * ``diag_abs[i, j]`` — ``|a[i, j, j, ..., j]|`` (``i != j``).
+
+    Diagonal positions of the two tables are unused and left at zero.
+    Omega's and M's per-pair tables are built on first use and kept, read-only.
+    """
+
+    row_sums: np.ndarray
+    partial_sums: np.ndarray
+    diag_abs: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.row_sums)
+
+    @functools.cached_property
+    def omega(self) -> PairTable:
+        """Omega's pairs: band of (r - P_i^j)(r - P_j^i) = (R_i - P_i^j)(R_j - P_j^i)
+        clipped to [0, R_i], box below min(P_i^j, P_j^i)."""
+        i, j = ordered_pairs(self.dim)
+        R, P = self.row_sums, self.partial_sums
+        p, q = P[i, j], P[j, i]
+        roots = solve_radial_quadratic(p, q, np.maximum(0.0, R[i] - p) * np.maximum(0.0, R[j] - q))
+        return _read_only(p, q, np.maximum(0.0, roots.r_minus), np.minimum(roots.r_plus, R[i]), np.minimum(p, q))
+
+    @functools.cached_property
+    def m(self) -> PairTable:
+        """M's pairs: band of (r - (R_i - d_ij))(r - P_j^i) = d_ij (R_j - P_j^i),
+        box below min(R_i - d_ij, P_j^i)."""
+        i, j = ordered_pairs(self.dim)
+        R, P, D = self.row_sums, self.partial_sums, self.diag_abs
+        d = D[i, j]
+        p = np.maximum(0.0, R[i] - d)
+        q = P[j, i]
+        roots = solve_radial_quadratic(p, q, d * np.maximum(0.0, R[j] - q))
+        return _read_only(p, q, np.maximum(0.0, roots.r_minus), roots.r_plus, np.minimum(p, q))
 
 
-def m_table(agg: RowAggregates) -> PairTable:
-    """M's pairs: band of (r - (R_i - d_ij))(r - P_j^i) = d_ij (R_j - P_j^i),
-    box below min(R_i - d_ij, P_j^i)."""
-    i, j = ordered_pairs(agg.dim)
-    R, P, D = agg.row_sums, agg.partial_sums, agg.diag_abs
-    d = D[i, j]
-    p = np.maximum(0.0, R[i] - d)
-    q = P[j, i]
-    roots = solve_radial_quadratic(p, q, d * np.maximum(0.0, R[j] - q))
-    return PairTable(p, q, np.maximum(0.0, roots.r_minus), roots.r_plus, np.minimum(p, q))
+def _read_only(*columns: np.ndarray) -> PairTable:
+    for column in columns:
+        column.flags.writeable = False
+    return PairTable(*columns)
 
 
 def _pair_region(table: PairTable) -> RadialRegion:
@@ -212,7 +242,7 @@ def region_M(agg: RowAggregates) -> RadialRegion:
     together with the half-open box r < min(R_i - d_ij, P_j^i), where d_ij
     is the trailing-diagonal magnitude |a[i, j, ..., j]|.
     """
-    return _pair_region(m_table(agg))
+    return _pair_region(agg.m)
 
 
 def region_Omega(agg: RowAggregates) -> RadialRegion:
@@ -225,4 +255,4 @@ def region_Omega(agg: RowAggregates) -> RadialRegion:
 
     intersected with [0, R_i].
     """
-    return _pair_region(omega_table(agg))
+    return _pair_region(agg.omega)

@@ -2,10 +2,11 @@
 
 Provides storage, parsing, the contraction with a vector, structural predicates
 (nonnegativity, symmetry, weak symmetry) and the row / partial-row
-aggregates that every inclusion region and spectral-radius bound is
-built from.  Only _fold reads the layout of the permutation classes of
-index tuples, numbered by _canonical_classes: it folds A's trailing mean
-over them into the blocks that weak symmetry and Newton's map read.
+aggregates (regions.RowAggregates) that every inclusion region and
+spectral-radius bound is built from.  Only _fold reads the layout of the
+permutation classes of index tuples, numbered by _canonical_classes: it
+folds A's trailing mean over them into the blocks that weak symmetry and
+Newton's map read.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .regions import RowAggregates
 
 # Entries like 1/3 are not exactly representable, so structural predicates
 # compare with this relative tolerance.
@@ -39,29 +41,6 @@ _DOCUMENT_FIELDS = {"order", "dim", "default", "entries", "values"}
 
 class TensorFormatError(ValueError):
     """A tensor document is malformed or violates the file format."""
-
-
-@dataclass(frozen=True)
-class RowAggregates:
-    """Precomputed row sums, partial row sums and trailing-diagonal entries.
-
-    All tables are 0-based and built from absolute values:
-
-    * ``row_sums[i]`` — sum of ``|a|`` over every entry of row ``i``.
-    * ``partial_sums[j, i]`` — sum over row ``j`` restricted to index
-      tuples in which index ``i`` never appears (``j != i``).
-    * ``diag_abs[i, j]`` — ``|a[i, j, j, ..., j]|`` (``i != j``).
-
-    Diagonal positions of the two tables are unused and left at zero.
-    """
-
-    row_sums: np.ndarray
-    partial_sums: np.ndarray
-    diag_abs: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.row_sums)
 
 
 class DenseTensor:

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from zeig.bounds import bound_chain_middle, bound_gershgorin, bound_omega_max
+from zeig.bounds import bound_omega_max, compare_report
 from zeig.oracle import OracleConfig, _newton_map, z_eigs_newton, z_eigs_sweep_n2
 from zeig.regions import region_K, region_M, region_Omega
 
@@ -38,7 +38,7 @@ def test_criterion_1_example1_golden_values(example1):
     start = time.perf_counter()
     agg = example1.aggregates()
     omega_max = bound_omega_max(agg)
-    gersh = bound_gershgorin(agg)
+    gersh = compare_report(example1, agg).gershgorin
     ok = abs(omega_max - 4.3971) <= 1e-4 and abs(gersh - 5.3333) <= 1e-4
     _report(1, "example 1 golden values", ok, time.perf_counter() - start,
             f"omega_max={omega_max:.6f}, gershgorin={gersh:.6f}")
@@ -50,7 +50,7 @@ def test_criterion_2_example2_golden_values(example2):
     start = time.perf_counter()
     agg = example2.aggregates()
     omega_max = bound_omega_max(agg)
-    gersh = bound_gershgorin(agg)
+    gersh = compare_report(example2, agg).gershgorin
     ok = abs(omega_max - 11.7268) <= 5e-4 and abs(gersh - 14.5) <= 1e-12
     _report(2, "example 2 golden values", ok, time.perf_counter() - start,
             f"omega_max={omega_max:.6f}, gershgorin={gersh!r}")
@@ -64,8 +64,8 @@ def test_criterion_3_chain_inequality_on_1000_tensors():
     for k, tensor in enumerate(_chain_ensemble(1000, seed=20240311, signed=False)):
         agg = tensor.aggregates()
         omega_max = bound_omega_max(agg)
-        middle = bound_chain_middle(agg)
-        gersh = bound_gershgorin(agg)
+        report = compare_report(tensor, agg)
+        middle, gersh = report.chain_middle, report.gershgorin
         if omega_max > middle + 1e-12 or middle > gersh + 1e-12:
             violations.append((k, omega_max, middle, gersh))
     _report(3, "chain inequality on 1000 nonnegative tensors", not violations,
@@ -111,8 +111,9 @@ def test_criterion_5_region_bound_duality():
     for tensor in tensors:
         agg = tensor.aggregates()
         worst = max(worst, abs(bound_omega_max(agg) - region_Omega(agg).supremum))
-        worst = max(worst, abs(bound_chain_middle(agg) - region_M(agg).supremum))
-        worst = max(worst, abs(bound_gershgorin(agg) - region_K(agg).supremum))
+        report = compare_report(tensor, agg)
+        worst = max(worst, abs(report.chain_middle - region_M(agg).supremum))
+        worst = max(worst, abs(report.gershgorin - region_K(agg).supremum))
     ok = worst <= 1e-10
     _report(5, "region/bound duality on 100 tensors", ok, time.perf_counter() - start,
             f"worst gap {worst:.2e}")

@@ -4,14 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from zeig.bounds import (
-    CHAIN_VIOLATION_WARNING,
-    bound_chain_middle,
-    bound_gershgorin,
-    bound_omega_max,
-    compare_report,
-)
-from zeig.regions import omega_table, ordered_pairs, region_K, region_M, region_Omega
+from zeig.bounds import CHAIN_VIOLATION_WARNING, bound_omega_max, compare_report
+from zeig.regions import ordered_pairs, region_K, region_M, region_Omega
 from zeig.tensor import DenseTensor
 
 from helpers import brute_aggregates, brute_delta, diagonal_tensor, random_tensor
@@ -23,7 +17,7 @@ EX2_OMEGA_MAX = 11.726812023536855  # (10 + sqrt(181)) / 2
 def band_tops(agg):
     """Omega's band top min(R_i, delta(i, j)) of each ordered pair (i, j), 1-based."""
     i, j = ordered_pairs(agg.dim)
-    return dict(zip(zip((i + 1).tolist(), (j + 1).tolist()), omega_table(agg).hi.tolist()))
+    return dict(zip(zip((i + 1).tolist(), (j + 1).tolist()), agg.omega.hi.tolist()))
 
 
 def test_band_top_golden_values(example1, example2):
@@ -81,11 +75,11 @@ def test_bound_omega_max_tie_breaks_lexicographically():
 
 
 def test_bound_chain_middle_golden(example1, example2, zero_m2_n2):
-    assert bound_chain_middle(example1.aggregates()) == pytest.approx(31 / 6, rel=1e-13)
-    assert bound_chain_middle(example2.aggregates()) == pytest.approx(
+    assert compare_report(example1, example1.aggregates()).chain_middle == pytest.approx(31 / 6, rel=1e-13)
+    assert compare_report(example2, example2.aggregates()).chain_middle == pytest.approx(
         0.5 * (17 + math.sqrt(132)), rel=1e-13
     )
-    assert bound_chain_middle(zero_m2_n2.aggregates()) == 0.0
+    assert compare_report(zero_m2_n2, zero_m2_n2.aggregates()).chain_middle == 0.0
 
 
 def test_chain_middle_reaches_band_centres_when_the_root_rounds_down():
@@ -95,16 +89,17 @@ def test_chain_middle_reaches_band_centres_when_the_root_rounds_down():
     for _ in range(200):
         data = rng.random((2, 2, 2))
         data[0, 1, 1] = data[1, 0, 0] = 1e-30
-        agg = DenseTensor(data).aggregates()
+        t = DenseTensor(data)
+        agg = t.aggregates()
         R, P, D = agg.row_sums, agg.partial_sums, agg.diag_abs
         centres = max(R[0] - D[0, 1], R[1] - D[1, 0], P[1, 0], P[0, 1])
-        assert bound_chain_middle(agg) >= centres
+        assert compare_report(t, agg).chain_middle >= centres
 
 
 def test_bound_gershgorin_golden(example1, example2, zero_m2_n2):
-    assert bound_gershgorin(example1.aggregates()) == pytest.approx(5.3333, abs=5e-5)
-    assert bound_gershgorin(example2.aggregates()) == 14.5
-    assert bound_gershgorin(zero_m2_n2.aggregates()) == 0.0
+    assert compare_report(example1, example1.aggregates()).gershgorin == pytest.approx(5.3333, abs=5e-5)
+    assert compare_report(example2, example2.aggregates()).gershgorin == 14.5
+    assert compare_report(zero_m2_n2, zero_m2_n2.aggregates()).gershgorin == 0.0
 
 
 def _random_ensemble(count, seed, signed):
@@ -119,8 +114,8 @@ def test_chain_holds_on_random_nonnegative_tensors():
     for t in _random_ensemble(100, seed=11, signed=False):
         agg = t.aggregates()
         report = compare_report(t, agg)
-        mid = bound_chain_middle(agg)
-        top = bound_gershgorin(agg)
+        mid = report.chain_middle
+        top = report.gershgorin
         assert report.omega_max == bound_omega_max(agg)
         assert report.omega_max == max(report.omega_hat_max, report.omega_tilde_max)
         assert report.omega_max <= mid + 1e-12
@@ -134,8 +129,9 @@ def test_bounds_equal_region_suprema():
             assert bound_omega_max(agg) == pytest.approx(
                 region_Omega(agg).supremum, abs=1e-10
             )
-            assert bound_chain_middle(agg) == pytest.approx(region_M(agg).supremum, abs=1e-10)
-            assert bound_gershgorin(agg) == pytest.approx(region_K(agg).supremum, abs=1e-10)
+            report = compare_report(t, agg)
+            assert report.chain_middle == pytest.approx(region_M(agg).supremum, abs=1e-10)
+            assert report.gershgorin == pytest.approx(region_K(agg).supremum, abs=1e-10)
 
 
 def test_bounds_scale_linearly():
@@ -146,13 +142,10 @@ def test_bounds_scale_linearly():
         scaled = DenseTensor(c * t.data)
         scaled_agg = scaled.aggregates()
         assert bound_omega_max(scaled_agg) == pytest.approx(c * bound_omega_max(agg), rel=1e-12)
-        assert bound_chain_middle(scaled_agg) == pytest.approx(
-            c * bound_chain_middle(agg), rel=1e-12
-        )
-        assert bound_gershgorin(scaled_agg) == pytest.approx(
-            c * bound_gershgorin(agg), rel=1e-12
-        )
-        assert compare_report(scaled, scaled_agg).attaining_pair == compare_report(t, agg).attaining_pair
+        scaled_report, report = compare_report(scaled, scaled_agg), compare_report(t, agg)
+        assert scaled_report.chain_middle == pytest.approx(c * report.chain_middle, rel=1e-12)
+        assert scaled_report.gershgorin == pytest.approx(c * report.gershgorin, rel=1e-12)
+        assert scaled_report.attaining_pair == report.attaining_pair
 
 
 def test_compare_report_example1(example1):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zeig import bounds
+from zeig import bounds, regions
 from zeig.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, render_json
 from zeig.oracle import MAX_RESTARTS, verify_inclusion, z_eigs_sweep_n2
 
@@ -321,6 +321,27 @@ def test_violated_bound_chain_fails_the_library_and_the_cli_alike(capsys, monkey
     assert f"warning: {bounds.CHAIN_VIOLATION_WARNING}\n" in out
 
 
+@pytest.mark.parametrize(
+    "command, calls",
+    [(["verify", "--json"], 2), (["bounds", "--json"], 2), (["regions", "--set", "all"], 2),
+     (["regions", "--set", "Omega"], 1), (["info"], 0)],
+)
+@pytest.mark.parametrize("path", [EX1, EX2], ids=["example1", "example2"])
+def test_each_pair_table_is_built_once_per_command(capsys, monkeypatch, path, command, calls):
+    # Each of Omega's and M's tables solves its pairs' quadratics in one call.
+    solved = []
+    solve = regions.solve_radial_quadratic
+
+    def counted(*args):
+        solved.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(regions, "solve_radial_quadratic", counted)
+    code, _, err = run_cli(capsys, command[0], path, *command[1:])
+    assert code == EXIT_OK, err
+    assert len(solved) == calls
+
+
 # -- golden bytes ----------------------------------------------------------------
 
 
@@ -370,13 +391,19 @@ def test_entry_magnitude_past_the_limit_is_input_error(capsys, command):
     assert err == f"error: {HUGE_VALUES}: values[0]: magnitude must be <= 1e+100, got 1e+300\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--restarts", str(MAX_RESTARTS + 1)], f"<= {MAX_RESTARTS}"), (["--seed", "-1"], "unsigned 64-bit")],
+    ids=["restarts", "seed"],
+)
+@pytest.mark.parametrize("path", [EX1, EX2], ids=["example1", "example2"])  # example1: exact solve
 @pytest.mark.parametrize("command", ["eigs", "verify"])
-def test_oversized_oracle_flags_are_usage_errors(capsys, command):
+def test_oversized_oracle_flags_are_usage_errors(capsys, command, path, flags, message):
     # Just above the limit, so nothing is allocated: the flag is rejected first.
-    code, out, err = run_cli(capsys, command, EX2, "--restarts", str(MAX_RESTARTS + 1))
+    code, out, err = run_cli(capsys, command, path, *flags)
     assert code == EXIT_USAGE
     assert out == ""
-    assert f"<= {MAX_RESTARTS}" in err
+    assert message in err
 
 
 def test_no_command_is_usage_error(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeig.bounds import bound_gershgorin
+from zeig.bounds import compare_report
 from zeig import oracle
 from zeig.oracle import (
     DEDUPE_TOL_LAMBDA,
@@ -329,10 +329,14 @@ def test_newton_finds_the_top_pair_of_a_huge_tensor():
 def test_newton_restart_blocks_find_the_same_eigenvalues(monkeypatch):
     rng = np.random.default_rng(43)
     cfg = OracleConfig(restarts=300, seed=4)
-    # On the order-4 tensor the last 200 restarts find eigenpairs the first 100 miss.  The
-    # order-3 one iterates 150 starts, each reported with its mirror: blocks of 100 and 50.
+    # Blocks of 50 iterated starts: 50 restarts on the order-4 tensor, and 100 on the
+    # order-3 one, which reports each iterated start with its mirror.  On both the
+    # restarts of the first block alone miss eigenpairs that the later blocks find.
     for t in (random_symmetric_tensor(rng, order=4, dim=6), random_tensor(rng, order=3, dim=6, signed=True)):
         whole = eigenvalues(z_eigs_newton(t, cfg))
+        mirrored = 2 if t.order % 2 else 1
+        first = eigenvalues(z_eigs_newton(t, OracleConfig(restarts=50 * mirrored, seed=cfg.seed)))
+        assert len(first) < len(whole)
         blocks = []
         run_block = oracle._newton_block
 
@@ -340,12 +344,12 @@ def test_newton_restart_blocks_find_the_same_eigenvalues(monkeypatch):
             blocks.append(len(X))
             run_block(newton_map, X, *out)
 
-        monkeypatch.setattr(oracle, "BUDGET", 100 * (t.dim + 1) ** 2)  # blocks of 100 restarts
+        monkeypatch.setattr(oracle, "BUDGET", 50 * (t.dim + 1) ** 2)  # blocks of 50 iterated starts
         monkeypatch.setattr(oracle, "_newton_block", counted_block)
         split = eigenvalues(z_eigs_newton(t, cfg))
         monkeypatch.undo()
-        iterated = -(-cfg.restarts // 2) if t.order % 2 else cfg.restarts
-        assert blocks == [min(100, iterated - lo) for lo in range(0, iterated, 100)]
+        iterated = -(-cfg.restarts // mirrored)
+        assert blocks == [min(50, iterated - lo) for lo in range(0, iterated, 50)]
         assert len(split) == len(whole) > 0
         np.testing.assert_allclose(split, whole, rtol=0, atol=1e-12)
 
@@ -681,7 +685,7 @@ def test_verify_inclusion_zero_tensor_manual_pair(zero_m2_n2):
 
 
 def test_verify_inclusion_flags_escaped_eigenvalue(example1):
-    rogue = Eigenpair(10.0 * bound_gershgorin(example1.aggregates()), np.array([1.0, 0.0]), 0.0)
+    rogue = Eigenpair(10.0 * compare_report(example1, example1.aggregates()).gershgorin, np.array([1.0, 0.0]), 0.0)
     report = verify_inclusion(example1, [rogue])
     assert not report.all_passed
     check = report.failures()[0]

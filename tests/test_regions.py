@@ -301,6 +301,15 @@ def test_region_intervals_hold_python_scalars(example1):
             assert [type(v) for v in fields] == [float, float, bool, bool]
 
 
+def test_pair_tables_are_kept_and_read_only(example2):
+    agg = example2.aggregates()
+    assert agg.omega is agg.omega and agg.m is agg.m
+    for table in (agg.omega, agg.m):
+        for column in table:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+
+
 def test_regions_invariant_under_index_permutation():
     rng = np.random.default_rng(83)
     for _ in range(5):
