@@ -51,7 +51,7 @@ class DenseTensor:
     do.  Instances are immutable; all methods are pure functions of the data.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "_fold_cache")
 
     def __init__(self, data, copy: bool = True):
         arr = np.array(data, dtype=float, copy=copy)
@@ -105,6 +105,15 @@ class DenseTensor:
             raise ValueError(f"vector must have length {self.dim}, got shape {x.shape}")
         return contract(self.data, x[None])[0]
 
+    def _folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """_fold of the data, made on first use and kept: weak symmetry and
+        Newton's map (oracle._newton_map) read the same one."""
+        try:
+            return self._fold_cache
+        except AttributeError:
+            self._fold_cache = _fold(self.data)
+            return self._fold_cache
+
     # -- structural predicates ----------------------------------------------
 
     def is_nonnegative(self) -> bool:
@@ -138,7 +147,7 @@ class DenseTensor:
         DEFAULT_STRUCT_TOL relative to the fold's largest magnitude
         (absolute when that is zero).
         """
-        W = _fold(self.data)[0].reshape(-1, self.dim, self.dim)
+        W = self._folded()[0].reshape(-1, self.dim, self.dim)
         limit = DEFAULT_STRUCT_TOL * (np.abs(W).max() or 1.0)
         return not np.any(abs(W - W.transpose(0, 2, 1)) > limit)
 

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zeig import bounds, regions
+from zeig import bounds, oracle, regions
+from zeig import tensor as tensor_module
 from zeig.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, render_json
-from zeig.oracle import MAX_RESTARTS, verify_inclusion, z_eigs_sweep_n2
+from zeig.oracle import MAX_RESTARTS, verify_inclusion, z_eigs_newton, z_eigs_sweep_n2
+from zeig.tensor import parse_tensor
 
 from conftest import fixture_path, load_fixture
 from helpers import brute_render_json
@@ -28,6 +30,7 @@ HUGE_VALUES = str(fixture_path("huge_values.json"))
 JORDAN = str(fixture_path("jordan_rot_m2_n2.json"))
 ONES_TINY = str(fixture_path("ones_tiny_m3_n3.json"))
 ONES_HUGE = str(fixture_path("ones_1e20_m4_n3.json"))
+ONES_M4_N5 = str(fixture_path("ones_m4_n5.json"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -139,6 +142,35 @@ def test_render_json_float_list_path_matches_item_by_item_rendering():
     assert render_json(doc) == brute_render_json(doc) + "\n" == "[\n  0.10000000000000001,\n  -0\n]\n"
     with pytest.raises(TypeError):
         render_json([1.0, np.bool_(True)])
+
+
+def _symmetric_document(rng, order, dim):
+    """A nonnegative symmetric tensor document: one uniform value per index multiset."""
+    shape = (dim,) * order
+    classes = np.sort(np.indices(shape).reshape(order, -1), axis=0)
+    return {"order": order, "dim": dim, "values": rng.random(shape)[tuple(classes)].tolist()}
+
+
+def test_render_json_of_hundreds_of_eigenpairs_matches_item_by_item_rendering(capsys, tmp_path):
+    # Order 4, dim 7: Newton finds over a hundred pairs; eigs and verify print
+    # the documents of the library's pairs and report, byte for byte.
+    path = tmp_path / "m4n7.json"
+    path.write_text(json.dumps(_symmetric_document(np.random.default_rng(7), 4, 7)), encoding="utf-8")
+    tensor = parse_tensor(path.read_text(encoding="utf-8"))
+    pairs = z_eigs_newton(tensor)
+    assert len(pairs) >= 100
+    eigs = [p.to_dict() for p in pairs]
+    assert all(type(v) is float for d in eigs for v in [d["lambda"], d["residual"], *d["x"]])
+    code, out, _ = run_cli(capsys, "eigs", str(path), "--method", "newton", "--json")
+    assert code == EXIT_OK
+    assert out == render_json(eigs) == brute_render_json(eigs) + "\n"
+
+    report = verify_inclusion(tensor, pairs)
+    verify = {"method": "newton", "seed": 0, "chain_ok": report.chain_ok, "eigenpairs": eigs, **report.to_dict()}
+    assert len(verify["checks"]) >= 100
+    code, out, _ = run_cli(capsys, "verify", str(path), "--json")
+    assert code == EXIT_OK
+    assert out == render_json(verify) == brute_render_json(verify) + "\n"
 
 
 # -- regions ---------------------------------------------------------------------
@@ -340,6 +372,23 @@ def test_each_pair_table_is_built_once_per_command(capsys, monkeypatch, path, co
     code, _, err = run_cli(capsys, command[0], path, *command[1:])
     assert code == EXIT_OK, err
     assert len(solved) == calls
+
+
+@pytest.mark.parametrize("path", [EX2, ONES_M4_N5], ids=["example2", "ones_m4_n5"])
+def test_verify_folds_the_tensor_once(capsys, monkeypatch, path):
+    # Weak symmetry (compare_report) and Newton's map read one fold of the tensor.
+    folds = []
+    fold = tensor_module._fold
+
+    def counted(data):
+        folds.append(data.shape)
+        return fold(data)
+
+    for module in (tensor_module, oracle):  # wherever the name is bound
+        monkeypatch.setattr(module, "_fold", counted, raising=False)
+    code, _, err = run_cli(capsys, "verify", path, "--json")
+    assert code == EXIT_OK, err
+    assert len(folds) == 1
 
 
 # -- golden bytes ----------------------------------------------------------------

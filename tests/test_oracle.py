@@ -87,7 +87,7 @@ def test_newton_map_matches_enumeration():
         for dim in range(2, 7):
             t = random_tensor(rng, order, dim, signed=True)  # neither symmetric nor weakly symmetric
             X = rng.normal(size=(3, dim))
-            AX, J = _newton_map(t.data)(X)
+            AX, J = _newton_map(t)(X)
             for k in range(3):
                 for got, want in ((AX[k], brute_apply(t, X[k])), (J[k], brute_jacobian(t, X[k]))):
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -96,7 +96,7 @@ def test_newton_map_matches_enumeration():
 def test_newton_map_batch_matches_rows():
     rng = np.random.default_rng(9)
     for order, dim in [(2, 4), (3, 5), (4, 6), (5, 4)]:
-        newton_map = _newton_map(random_tensor(rng, order, dim, signed=True).data)
+        newton_map = _newton_map(random_tensor(rng, order, dim, signed=True))
         X = rng.normal(size=(257, dim))
         batch = newton_map(X)
         rows = [newton_map(X[k : k + 1]) for k in range(257)]
@@ -109,7 +109,7 @@ def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(5)
     for order, dim in [(2, 3), (3, 3), (4, 2), (3, 2), (4, 3)]:
         for t in (random_symmetric_tensor(rng, order, dim, signed=True), random_tensor(rng, order, dim, signed=True)):
-            newton_map = _newton_map(t.data)
+            newton_map = _newton_map(t)
             for _ in range(4):
                 x = rng.normal(size=dim)
                 AX, J = newton_map(x[None, :])
@@ -205,17 +205,38 @@ def test_sweep_reports_a_sevenfold_root_once():
     assert values[1] == pytest.approx(0.0, abs=1e-12)
 
 
+def _counted_contractions(monkeypatch):
+    """A list that gets one entry, the vectors' row count, per contract call of the oracle."""
+    calls = []
+    run = oracle.contract
+    monkeypatch.setattr(oracle, "contract", lambda data, X: calls.append(len(X)) or run(data, X))
+    return calls
+
+
 def test_sweep_ranks_each_candidate_direction_once(monkeypatch):
     # All ones at order 8: each chart polishes the sevenfold root to the same
-    # bits four times, and u = 1, v = 1 are one direction.  Three distinct
-    # directions are ranked, then each of the two kept pairs is re-verified.
-    calls = []
-    rayleigh = oracle._rayleigh_pair
-    monkeypatch.setattr(oracle, "_rayleigh_pair", lambda t, x: calls.append(x) or rayleigh(t, x))
+    # bits four times, and u = 1, v = 1 are one direction.  The three distinct
+    # directions are ranked in one contraction, then the two kept pairs are
+    # re-verified in another.
+    calls = _counted_contractions(monkeypatch)
     pairs = z_eigs_sweep_n2(load_fixture("ones_m8_n2.json"))
-    ranked = np.array(calls[: len(calls) - len(pairs)])
-    assert len(np.unique(ranked, axis=0)) == len(ranked) == 3
-    assert len(calls) == len(ranked) + len(pairs) == 5
+    assert len(pairs) == 2
+    assert calls == [3, 2]
+
+
+@pytest.mark.parametrize("name", ["example1.json", "example2.json", "ones_m4_n5.json", "jordan_rot_m2_n2.json"])
+def test_finish_reverifies_the_kept_candidates_in_one_contraction(monkeypatch, name):
+    # One contract call per _finish, whatever the number of pairs; the dim-2
+    # solve ranks its candidates in one more.
+    tensor = load_fixture(name)
+    calls = _counted_contractions(monkeypatch)
+    pairs = z_eigs_newton(tensor, OracleConfig(restarts=200, seed=1))
+    assert len(pairs) >= 1
+    assert calls == [len(pairs)]
+    if tensor.dim == 2:
+        calls.clear()
+        pairs = z_eigs_sweep_n2(tensor)
+        assert len(calls) == 2 and calls[1] == len(pairs)
 
 
 def assert_scaled_spectrum(tensor, scale, find=z_eigs_sweep_n2, rel=0.0):
@@ -283,9 +304,14 @@ def test_newton_agrees_with_sweep_on_example1(example1):
 def test_newton_results_sorted_and_verified(example2):
     pairs = z_eigs_newton(example2, OracleConfig(restarts=500, seed=11))
     assert eigenvalues(pairs) == sorted(eigenvalues(pairs), reverse=True)
+    # λ and the residual come from one contraction of all kept candidates,
+    # whose sums may round otherwise than one vector's: they agree with it to
+    # a few roundings of S.
+    rounding = 8 * np.finfo(float).eps * np.abs(example2.data).sum()
     for p in pairs:
         assert p.residual <= 1e-12
-        assert np.linalg.norm(example2.apply(p.x) - p.value * p.x) == p.residual
+        assert p.value == pytest.approx(p.x @ example2.apply(p.x), rel=0, abs=rounding)
+        assert p.residual == pytest.approx(np.linalg.norm(example2.apply(p.x) - p.value * p.x), rel=0, abs=rounding)
 
 
 def test_newton_is_deterministic(example2):
@@ -409,7 +435,7 @@ def test_newton_iterated_starts_are_a_prefix_of_the_seeded_draw(monkeypatch, exa
 def _reference_z_eigs_newton(monkeypatch, tensor, cfg):
     """z_eigs_newton with the fresh-array kernel of tests/helpers.py swapped in."""
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_newton_map", reference_newton_map)
+        patch.setattr(oracle, "_newton_map", lambda tensor: reference_newton_map(tensor.data))
         patch.setattr(oracle, "_newton_block", reference_newton_block)
         patch.setattr(oracle, "_distinct", reference_distinct)
         return z_eigs_newton(tensor, cfg)
@@ -427,12 +453,13 @@ def _assert_newton_bit_exact(monkeypatch, tensor, cfg):
     z_eigs_newton's pairs equal those of the fresh-array kernel bit for bit."""
     n = tensor.dim
     starts = _start_points(n, cfg.restarts, cfg.seed)
-    for got, want in zip(_newton_map(tensor.data)(starts), reference_newton_map(tensor.data)(starts)):
+    for got, want in zip(_newton_map(tensor)(starts), reference_newton_map(tensor.data)(starts)):
         assert np.array_equal(got, want)
     finals = []
-    for block, newton_map in ((oracle._newton_block, _newton_map), (reference_newton_block, reference_newton_map)):
+    for block, newton_map in ((oracle._newton_block, _newton_map(tensor)),
+                              (reference_newton_block, reference_newton_map(tensor.data))):
         final = np.full((cfg.restarts, n), np.nan), np.full(cfg.restarts, np.nan), np.full(cfg.restarts, np.inf)
-        block(newton_map(tensor.data), starts, RESIDUAL_TOL * np.abs(tensor.data).sum(), *final)
+        block(newton_map, starts, RESIDUAL_TOL * np.abs(tensor.data).sum(), *final)
         finals.append(final)
     for got, want in zip(*finals):
         assert np.array_equal(got, want, equal_nan=True)
@@ -583,6 +610,7 @@ def test_distinct_matches_brute_dedupe():
         survivors = brute_dedupe(pairs, DEDUPE_TOL_LAMBDA, DEDUPE_TOL_X)
         expected = [next(k for k, p in enumerate(pairs) if p is q) for q in survivors]
         assert sorted(kept) == sorted(expected), trial
+        assert kept == reference_distinct(values, X, ranks), trial
         for k in kept:  # the lowest residual of its cluster, the earliest on ties
             same = (np.abs(values - values[k]) <= DEDUPE_TOL_LAMBDA) & (
                 np.minimum(np.linalg.norm(X - X[k], axis=1), np.linalg.norm(X + X[k], axis=1)) <= DEDUPE_TOL_X
@@ -599,6 +627,53 @@ def test_distinct_matches_brute_dedupe():
         survivors = brute_dedupe([pairs[k] for k in best_first], DEDUPE_TOL_LAMBDA, DEDUPE_TOL_X)
         assert sorted(kept) == sorted(next(k for k, p in enumerate(pairs) if p is q) for q in survivors), name
         assert count is None or len(kept) == count, name
+        assert kept == reference_distinct(values, np.array([p.x for p in pairs]), ranks), name
+
+
+def _chained_candidates(rng, count, dim, value_step, x_step, spread):
+    """count candidates near `spread` random centres, each a step of
+    value_step (in DEDUPE_TOL_LAMBDA) and x_step (in DEDUPE_TOL_X) from the
+    one before along its centre's chain, so that neighbours match and those
+    two apart may not.  Vectors are sign-flipped at random and ranks tie
+    often."""
+    centres = rng.normal(size=(spread, dim))
+    chain = rng.integers(0, spread, size=count)
+    step = np.zeros(count)
+    for c in range(spread):
+        step[chain == c] = np.arange(np.count_nonzero(chain == c))
+    direction = rng.normal(size=(spread, dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    X = centres[chain] + (step * x_step * DEDUPE_TOL_X)[:, None] * direction[chain]
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    X *= rng.choice([-1.0, 1.0], size=(count, 1))
+    values = rng.integers(-2, 3, size=spread)[chain] + step * value_step * DEDUPE_TOL_LAMBDA
+    values += rng.uniform(-0.05, 0.05, size=count) * DEDUPE_TOL_LAMBDA
+    ranks = rng.choice([1e-15, 2e-15, 3e-15], size=count)
+    return values, X, ranks
+
+
+@pytest.mark.parametrize(
+    "value_step, x_step, spread",
+    [(0.9, 0.0, 3), (0.0, 0.9, 3), (0.6, 0.6, 5), (1.5, 0.0, 2), (0.0, 0.0, 40), (0.3, 0.3, 1)],
+    ids=["chains in λ", "chains in x", "chains in both", "λ steps past the tolerance", "sign pairs and ties",
+         "one λ-group holding every candidate"],
+)
+def test_distinct_rounds_match_the_greedy_reference(value_step, x_step, spread):
+    # _distinct keeps the best unclaimed candidate of every λ-group at once;
+    # the result, order included, is the one-at-a-time greedy pass's.
+    rng = np.random.default_rng(int(100 * value_step + 10 * x_step + spread))
+    for trial in range(40):
+        count = int(rng.integers(1, 120))
+        values, X, ranks = _chained_candidates(rng, count, int(rng.integers(2, 5)), value_step, x_step, spread)
+        assert _distinct(values, X, ranks) == reference_distinct(values, X, ranks), trial
+    # Every candidate in one group, with pairwise distinct vectors: one kept per round.
+    X = _start_points(3, 200, 4)
+    values = np.arange(200) * 1.9 * DEDUPE_TOL_LAMBDA
+    ranks = rng.choice([1e-15, 2e-15], size=200)
+    kept = _distinct(values, X, ranks)
+    assert kept == reference_distinct(values, X, ranks)
+    assert len(kept) == 200
+    assert _distinct(values[:0], X[:0], ranks[:0]) == []
 
 
 def _dedupe_edge_sets():
@@ -639,8 +714,7 @@ def test_finish_keeps_a_passing_candidate_beside_a_failing_one(scale):
     t = diagonal_tensor([scale, 2.0 * scale], order=3)
     y = np.array([1.0, 5e-7]) / np.hypot(1.0, 5e-7)
     X = np.array([y, [1.0, 0.0]])
-    candidates = [oracle._rayleigh_pair(t, x) for x in X]
-    values, residuals = np.array([p.value for p in candidates]), np.array([p.residual for p in candidates])
+    values, residuals = oracle._rayleigh(t, X)
     assert residuals[0] > RESIDUAL_TOL * 3.0 * scale >= residuals[1]
     assert abs(values[0] - values[1]) / (3.0 * scale) <= DEDUPE_TOL_LAMBDA
     assert np.linalg.norm(X[0] - X[1]) <= DEDUPE_TOL_X
