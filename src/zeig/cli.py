@@ -13,7 +13,6 @@ round-trip bit-exactly; human tables use 6 significant digits.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -60,40 +59,31 @@ def render_json(value) -> str:
     return "".join(parts)
 
 
-@functools.lru_cache(maxsize=256, typed=True)  # typed: the keys True and 1 encode differently
-def _key(key) -> str:
-    return json.dumps(key) + ": "
-
-
 def _render(value, level: int, out: list[str]) -> None:
-    # A float, the common leaf, is told by its exact type first; subclasses,
-    # numpy scalars among them, take the isinstance chain.
-    if type(value) is float:
-        out.append(f"{value:.17g}")
-    elif isinstance(value, (dict, list, tuple)):
+    pad, close_pad = "  " * (level + 1), "  " * level
+    if isinstance(value, dict):
         if not value:
-            out.append("{}" if isinstance(value, dict) else "[]")
+            out.append("{}")
             return
-        pad, close = "\n" + "  " * (level + 1), "\n" + "  " * level
-        if isinstance(value, dict):
-            sep = "{"
-            for key, item in value.items():
-                if type(item) is float:  # written without a call
-                    out.append(f"{sep}{pad}{_key(key)}{item:.17g}")
-                else:
-                    out.append(sep + pad + _key(key))
-                    _render(item, level + 1, out)
-                sep = ","
-            out.append(close + "}")
-        elif set(map(type, value)) == {float}:  # one join; numpy scalars go the long way
-            out.append("[" + pad + ("," + pad).join([f"{v:.17g}" for v in value]) + close + "]")
-        else:
-            sep = "["
-            for item in value:
-                out.append(sep + pad)
-                _render(item, level + 1, out)
-                sep = ","
-            out.append(close + "]")
+        out.append("{\n")
+        for k, (key, item) in enumerate(value.items()):
+            out.append(pad + json.dumps(key) + ": ")
+            _render(item, level + 1, out)
+            out.append(",\n" if k < len(value) - 1 else "\n")
+        out.append(close_pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        if all(type(item) is float for item in value):  # one join; numpy scalars go the long way
+            out.append("[\n" + ",\n".join(f"{pad}{v:.17g}" for v in value) + "\n" + close_pad + "]")
+            return
+        out.append("[\n")
+        for k, item in enumerate(value):
+            out.append(pad)
+            _render(item, level + 1, out)
+            out.append(",\n" if k < len(value) - 1 else "\n")
+        out.append(close_pad + "]")
     elif isinstance(value, bool):
         out.append("true" if value else "false")
     elif value is None:

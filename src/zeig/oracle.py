@@ -37,7 +37,7 @@ import numpy as np
 
 from .bounds import bound_omega_max, compare_report
 from .regions import region_K, region_M, region_Omega
-from .tensor import DenseTensor, contract
+from .tensor import DenseTensor, _fold, contract_rows
 
 INCLUSION_TOL = 1e-8  # outward relaxation of each region and the bound, per unit of S
 MAX_ITER = 200  # Newton steps per restart
@@ -84,14 +84,14 @@ class OracleConfig:
 # -- Newton map ----------------------------------------------------------------
 
 
-def _newton_map(tensor: DenseTensor):
+def _newton_map(data: np.ndarray):
     """X -> (A x^{m-1}, its Jacobian) for each row x of X.  The trailing mean
     T of A has the same map and Jacobian (m - 1) T x^{m-2}, so one
     G = T x^{m-2} gives both: G x, (m - 1) G.  G is one GEMM: the row's
     degree-(m-2) monomials, one per multiset of the last m - 2 slots, times
-    the fold W of tensor._fold, made once per tensor."""
-    n, m = tensor.dim, tensor.order
-    W, columns = tensor._folded()
+    the fold W of tensor._fold."""
+    n, m = data.shape[0], data.ndim
+    W, columns = _fold(data)
 
     def evaluate(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # np.take keeps P C-ordered: X[:, cols] is F-ordered and changes the GEMM's sums.
@@ -113,38 +113,32 @@ def _distinct(values: np.ndarray, X: np.ndarray, rank: np.ndarray) -> list[int]:
 
     Candidates are taken best first (lowest rank, earliest index on ties);
     each one not yet claimed is kept and claims every candidate it matches,
-    so the reported witness is the best available one.  Returned best first.
-
-    Sorted values more than 2 DEDUPE_TOL_LAMBDA apart split the candidates
-    into λ-groups that never match across (the 2 covers rounding), so the
-    greedy pass runs in every group at once: each round keeps the best
-    unclaimed candidate of every group, and each of those claims the
-    unclaimed members of its group that it matches.
+    so the reported witness is the best available one.
     """
-    by_rank = np.argsort(rank, kind="stable")
+    # Matches lie in the sorted-value window λ ± 2 DEDUPE_TOL_LAMBDA; the 2 covers rounding.
     by_value = np.argsort(values, kind="stable")
-    group = np.empty(len(values), dtype=np.intp)
-    group[by_value] = np.cumsum(np.diff(values[by_value], prepend=values[by_value[:1]]) > 2 * DEDUPE_TOL_LAMBDA)
-    live = by_rank[np.argsort(group[by_rank], kind="stable")]  # unclaimed: by group, best first in each
-    kept = np.zeros(len(values), dtype=bool)
-    while len(live):
-        first = np.flatnonzero(np.diff(group[live], prepend=-1))  # each group's best
-        kept[live[first]] = True
-        head = np.repeat(live[first], np.diff(first, append=len(live)))
-        x, y = X[live], X[head]
-        near = np.minimum(np.linalg.norm(x - y, axis=1), np.linalg.norm(x + y, axis=1))
-        unclaimed = (np.abs(values[live] - values[head]) > DEDUPE_TOL_LAMBDA) | (near > DEDUPE_TOL_X)
-        unclaimed[first] = False  # heads leave even where a NaN defeats both tests
-        live = live[unclaimed]
-    return by_rank[kept[by_rank]].tolist()
+    lo = np.searchsorted(values[by_value], values - 2 * DEDUPE_TOL_LAMBDA, "left")
+    hi = np.searchsorted(values[by_value], values + 2 * DEDUPE_TOL_LAMBDA, "right")
+    unclaimed = np.ones(len(values), dtype=bool)
+    kept = []
+    for k in np.argsort(rank, kind="stable").tolist():
+        if unclaimed[k]:
+            kept.append(k)
+            w = by_value[lo[k] : hi[k]]
+            near = np.minimum(np.linalg.norm(X[w] - X[k], axis=1), np.linalg.norm(X[w] + X[k], axis=1))
+            unclaimed[w] &= (np.abs(values[w] - values[k]) > DEDUPE_TOL_LAMBDA) | (near > DEDUPE_TOL_X)
+    return kept
 
 
 def _rayleigh(tensor: DenseTensor, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Rayleigh values x . A x^{m-1} of the rows x of X and their
-    residuals |A x^{m-1} - λ x|, from one contraction."""
-    AX = contract(tensor.data, X)
-    values = np.einsum("zi,zi->z", X, AX)
-    return values, np.linalg.norm(AX - values[:, None] * X, axis=1)
+    residuals |A x^{m-1} - λ x|, from one contraction, each the bits that
+    x @ tensor.apply(x) and np.linalg.norm give for x alone: the stacked
+    1 x n by n x 1 products are the same BLAS dot products."""
+    AX = contract_rows(tensor.data, X)
+    values = np.matmul(X[:, None, :], AX[:, :, None])[:, 0, 0]
+    R = AX - values[:, None] * X
+    return values, np.sqrt(np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0])
 
 
 def _scale(tensor: DenseTensor) -> float:
@@ -359,7 +353,7 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
     """
     cfg = config or OracleConfig()
     n, m = tensor.dim, tensor.order
-    newton_map = _newton_map(tensor)
+    newton_map = _newton_map(tensor.data)
     iterated = (cfg.restarts + 1) // 2 if m % 2 else cfg.restarts
     starts = _start_points(n, iterated, cfg.seed)
     # Per iterated restart: converged x, Newton λ and loop residual (inf: never converged).

@@ -51,7 +51,7 @@ class DenseTensor:
     do.  Instances are immutable; all methods are pure functions of the data.
     """
 
-    __slots__ = ("data", "_fold_cache")
+    __slots__ = ("data",)
 
     def __init__(self, data, copy: bool = True):
         arr = np.array(data, dtype=float, copy=copy)
@@ -103,16 +103,7 @@ class DenseTensor:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"vector must have length {self.dim}, got shape {x.shape}")
-        return contract(self.data, x[None])[0]
-
-    def _folded(self) -> tuple[np.ndarray, np.ndarray]:
-        """_fold of the data, made on first use and kept: weak symmetry and
-        Newton's map (oracle._newton_map) read the same one."""
-        try:
-            return self._fold_cache
-        except AttributeError:
-            self._fold_cache = _fold(self.data)
-            return self._fold_cache
+        return contract_rows(self.data, x[None])[0]
 
     # -- structural predicates ----------------------------------------------
 
@@ -147,7 +138,7 @@ class DenseTensor:
         DEFAULT_STRUCT_TOL relative to the fold's largest magnitude
         (absolute when that is zero).
         """
-        W = self._folded()[0].reshape(-1, self.dim, self.dim)
+        W = _fold(self.data)[0].reshape(-1, self.dim, self.dim)
         limit = DEFAULT_STRUCT_TOL * (np.abs(W).max() or 1.0)
         return not np.any(abs(W - W.transpose(0, 2, 1)) > limit)
 
@@ -156,11 +147,11 @@ def contract(data: np.ndarray, X: np.ndarray) -> np.ndarray:
     """result[b]: every axis of ``data`` but the first contracted with row b of X.
 
     One BLAS product takes the last axis, then m - 2 einsum steps one axis
-    each, over chunks of rows sized to _CONTRACT_ITEMS.  Serves
-    ``DenseTensor.apply`` and the partial row sums; Newton's map is a GEMM
-    of monomials times the fold of ``_fold`` (``oracle._newton_map``) and the
-    dim-2 solve reads A's polynomial coefficients directly
-    (``oracle._tangent_form``)."""
+    each, over chunks of rows sized to _CONTRACT_ITEMS.  Serves the partial
+    row sums; ``contract_rows`` serves apply and the oracle's re-verification,
+    Newton's map is a GEMM of monomials times the fold of ``_fold``
+    (``oracle._newton_map``) and the dim-2 solve reads A's polynomial
+    coefficients directly (``oracle._tangent_form``)."""
     n = data.shape[0]
     flat = data.reshape(-1, n)
     out = np.empty((len(X), n))
@@ -171,6 +162,25 @@ def contract(data: np.ndarray, X: np.ndarray) -> np.ndarray:
         for _ in range(data.ndim - 2):
             acc = np.einsum("kjb,bj->kb", acc.reshape(-1, n, len(chunk)), chunk)
         out[lo : lo + step] = acc.T
+    return out
+
+
+def contract_rows(data: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """contract(data, X), with row b the bits that X[b] alone gets, as in
+    ``DenseTensor.apply``, whatever the other rows.  A BLAS matrix-vector
+    product per row, where contract's one GEMM sums otherwise at other
+    widths, then the einsum steps over each row's contiguous slots."""
+    n = data.shape[0]
+    flat = data.reshape(-1, n)
+    X = np.ascontiguousarray(X, dtype=float)
+    out = np.empty((len(X), n))
+    step = max(1, _CONTRACT_ITEMS // len(flat))
+    for lo in range(0, len(X), step):
+        chunk = X[lo : lo + step]
+        acc = np.matmul(flat, chunk[:, :, None])
+        for _ in range(data.ndim - 2):
+            acc = np.einsum("bkj,bj->bk", acc.reshape(len(chunk), -1, n), chunk)
+        out[lo : lo + step] = acc.reshape(len(chunk), n)
     return out
 
 

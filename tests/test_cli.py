@@ -8,8 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zeig import bounds, oracle, regions
-from zeig import tensor as tensor_module
+from zeig import bounds, regions
 from zeig.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, render_json
 from zeig.oracle import MAX_RESTARTS, verify_inclusion, z_eigs_newton, z_eigs_sweep_n2
 from zeig.tensor import parse_tensor
@@ -30,7 +29,6 @@ HUGE_VALUES = str(fixture_path("huge_values.json"))
 JORDAN = str(fixture_path("jordan_rot_m2_n2.json"))
 ONES_TINY = str(fixture_path("ones_tiny_m3_n3.json"))
 ONES_HUGE = str(fixture_path("ones_1e20_m4_n3.json"))
-ONES_M4_N5 = str(fixture_path("ones_m4_n5.json"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -372,23 +370,6 @@ def test_each_pair_table_is_built_once_per_command(capsys, monkeypatch, path, co
     code, _, err = run_cli(capsys, command[0], path, *command[1:])
     assert code == EXIT_OK, err
     assert len(solved) == calls
-
-
-@pytest.mark.parametrize("path", [EX2, ONES_M4_N5], ids=["example2", "ones_m4_n5"])
-def test_verify_folds_the_tensor_once(capsys, monkeypatch, path):
-    # Weak symmetry (compare_report) and Newton's map read one fold of the tensor.
-    folds = []
-    fold = tensor_module._fold
-
-    def counted(data):
-        folds.append(data.shape)
-        return fold(data)
-
-    for module in (tensor_module, oracle):  # wherever the name is bound
-        monkeypatch.setattr(module, "_fold", counted, raising=False)
-    code, _, err = run_cli(capsys, "verify", path, "--json")
-    assert code == EXIT_OK, err
-    assert len(folds) == 1
 
 
 # -- golden bytes ----------------------------------------------------------------

@@ -23,7 +23,7 @@ from zeig.oracle import (
     z_eigs_sweep_n2,
 )
 from zeig import tensor as tensor_module
-from zeig.tensor import DenseTensor, contract
+from zeig.tensor import DenseTensor, contract, contract_rows
 
 from conftest import load_fixture
 from helpers import (
@@ -56,29 +56,43 @@ def eigenvalues(pairs):
 # -- batched contraction kernel and the Newton map ------------------------------------
 
 
-def test_contract_matches_enumeration():
+@pytest.mark.parametrize("kernel", [contract, contract_rows])
+def test_contract_matches_enumeration(kernel):
     rng = np.random.default_rng(3)
     for order, dim in [(2, 3), (3, 2), (4, 3), (3, 4)]:
         t = random_tensor(rng, order, dim, signed=True)
         X = rng.normal(size=(7, dim))
-        batch = contract(t.data, X)
+        batch = kernel(t.data, X)
         assert batch.shape == (7, dim)
         for k in range(7):
             assert batch[k] == pytest.approx(brute_contract(t, X[k], order - 1), rel=1e-12, abs=1e-12)
 
 
-def test_contract_batch_spanning_several_chunks():
+@pytest.mark.parametrize("kernel", [contract, contract_rows])
+def test_contract_batch_spanning_several_chunks(kernel):
     rng = np.random.default_rng(4)
     order, dim, rows = 5, 9, 64
     step = tensor_module._CONTRACT_ITEMS // dim ** (order - 1)
     assert 0 < step < rows  # the batch is split into several chunks
     t = random_tensor(rng, order, dim, signed=True)
     X = rng.normal(size=(rows, dim))
-    batch = contract(t.data, X)
+    batch = kernel(t.data, X)
     for k in (0, step - 1, step, rows - 1):
         np.testing.assert_allclose(batch[k], brute_contract(t, X[k], order - 1), rtol=1e-12, atol=1e-12)
-    singles = np.concatenate([contract(t.data, X[k : k + 1]) for k in range(rows)])
+    singles = np.concatenate([kernel(t.data, X[k : k + 1]) for k in range(rows)])
     np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12)
+
+
+def test_contract_rows_gives_each_row_the_bits_of_apply():
+    # The oracle re-verifies a block of candidates and reports what apply
+    # gives each one alone; a GEMM over the block rounds otherwise.
+    rng = np.random.default_rng(12)
+    for order, dim, rows in [(2, 3, 5), (3, 4, 17), (4, 7, 40), (5, 9, 64), (6, 2, 9)]:
+        t = random_tensor(rng, order, dim, signed=True)
+        X = rng.normal(size=(rows, dim))
+        singles = np.array([t.apply(x) for x in X])
+        assert np.array_equal(contract_rows(t.data, X), singles)
+        assert np.array_equal(contract_rows(t.data, np.asfortranarray(X)), singles)
 
 
 def test_newton_map_matches_enumeration():
@@ -87,7 +101,7 @@ def test_newton_map_matches_enumeration():
         for dim in range(2, 7):
             t = random_tensor(rng, order, dim, signed=True)  # neither symmetric nor weakly symmetric
             X = rng.normal(size=(3, dim))
-            AX, J = _newton_map(t)(X)
+            AX, J = _newton_map(t.data)(X)
             for k in range(3):
                 for got, want in ((AX[k], brute_apply(t, X[k])), (J[k], brute_jacobian(t, X[k]))):
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -96,7 +110,7 @@ def test_newton_map_matches_enumeration():
 def test_newton_map_batch_matches_rows():
     rng = np.random.default_rng(9)
     for order, dim in [(2, 4), (3, 5), (4, 6), (5, 4)]:
-        newton_map = _newton_map(random_tensor(rng, order, dim, signed=True))
+        newton_map = _newton_map(random_tensor(rng, order, dim, signed=True).data)
         X = rng.normal(size=(257, dim))
         batch = newton_map(X)
         rows = [newton_map(X[k : k + 1]) for k in range(257)]
@@ -109,7 +123,7 @@ def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(5)
     for order, dim in [(2, 3), (3, 3), (4, 2), (3, 2), (4, 3)]:
         for t in (random_symmetric_tensor(rng, order, dim, signed=True), random_tensor(rng, order, dim, signed=True)):
-            newton_map = _newton_map(t)
+            newton_map = _newton_map(t.data)
             for _ in range(4):
                 x = rng.normal(size=dim)
                 AX, J = newton_map(x[None, :])
@@ -206,10 +220,10 @@ def test_sweep_reports_a_sevenfold_root_once():
 
 
 def _counted_contractions(monkeypatch):
-    """A list that gets one entry, the vectors' row count, per contract call of the oracle."""
+    """A list that gets one entry, the vectors' row count, per contract_rows call of the oracle."""
     calls = []
-    run = oracle.contract
-    monkeypatch.setattr(oracle, "contract", lambda data, X: calls.append(len(X)) or run(data, X))
+    run = oracle.contract_rows
+    monkeypatch.setattr(oracle, "contract_rows", lambda data, X: calls.append(len(X)) or run(data, X))
     return calls
 
 
@@ -304,14 +318,9 @@ def test_newton_agrees_with_sweep_on_example1(example1):
 def test_newton_results_sorted_and_verified(example2):
     pairs = z_eigs_newton(example2, OracleConfig(restarts=500, seed=11))
     assert eigenvalues(pairs) == sorted(eigenvalues(pairs), reverse=True)
-    # λ and the residual come from one contraction of all kept candidates,
-    # whose sums may round otherwise than one vector's: they agree with it to
-    # a few roundings of S.
-    rounding = 8 * np.finfo(float).eps * np.abs(example2.data).sum()
     for p in pairs:
         assert p.residual <= 1e-12
-        assert p.value == pytest.approx(p.x @ example2.apply(p.x), rel=0, abs=rounding)
-        assert p.residual == pytest.approx(np.linalg.norm(example2.apply(p.x) - p.value * p.x), rel=0, abs=rounding)
+        assert np.linalg.norm(example2.apply(p.x) - p.value * p.x) == p.residual
 
 
 def test_newton_is_deterministic(example2):
@@ -435,7 +444,7 @@ def test_newton_iterated_starts_are_a_prefix_of_the_seeded_draw(monkeypatch, exa
 def _reference_z_eigs_newton(monkeypatch, tensor, cfg):
     """z_eigs_newton with the fresh-array kernel of tests/helpers.py swapped in."""
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_newton_map", lambda tensor: reference_newton_map(tensor.data))
+        patch.setattr(oracle, "_newton_map", reference_newton_map)
         patch.setattr(oracle, "_newton_block", reference_newton_block)
         patch.setattr(oracle, "_distinct", reference_distinct)
         return z_eigs_newton(tensor, cfg)
@@ -453,13 +462,12 @@ def _assert_newton_bit_exact(monkeypatch, tensor, cfg):
     z_eigs_newton's pairs equal those of the fresh-array kernel bit for bit."""
     n = tensor.dim
     starts = _start_points(n, cfg.restarts, cfg.seed)
-    for got, want in zip(_newton_map(tensor)(starts), reference_newton_map(tensor.data)(starts)):
+    for got, want in zip(_newton_map(tensor.data)(starts), reference_newton_map(tensor.data)(starts)):
         assert np.array_equal(got, want)
     finals = []
-    for block, newton_map in ((oracle._newton_block, _newton_map(tensor)),
-                              (reference_newton_block, reference_newton_map(tensor.data))):
+    for block, newton_map in ((oracle._newton_block, _newton_map), (reference_newton_block, reference_newton_map)):
         final = np.full((cfg.restarts, n), np.nan), np.full(cfg.restarts, np.nan), np.full(cfg.restarts, np.inf)
-        block(newton_map, starts, RESIDUAL_TOL * np.abs(tensor.data).sum(), *final)
+        block(newton_map(tensor.data), starts, RESIDUAL_TOL * np.abs(tensor.data).sum(), *final)
         finals.append(final)
     for got, want in zip(*finals):
         assert np.array_equal(got, want, equal_nan=True)
@@ -656,17 +664,18 @@ def _chained_candidates(rng, count, dim, value_step, x_step, spread):
     "value_step, x_step, spread",
     [(0.9, 0.0, 3), (0.0, 0.9, 3), (0.6, 0.6, 5), (1.5, 0.0, 2), (0.0, 0.0, 40), (0.3, 0.3, 1)],
     ids=["chains in λ", "chains in x", "chains in both", "λ steps past the tolerance", "sign pairs and ties",
-         "one λ-group holding every candidate"],
+         "one λ chain holding every candidate"],
 )
-def test_distinct_rounds_match_the_greedy_reference(value_step, x_step, spread):
-    # _distinct keeps the best unclaimed candidate of every λ-group at once;
-    # the result, order included, is the one-at-a-time greedy pass's.
+def test_distinct_matches_the_greedy_reference_on_chains(value_step, x_step, spread):
+    # a ~ b and b ~ c but not a ~ c: _distinct, which compares each kept
+    # candidate only within its λ window, gives the full greedy pass's
+    # result, order included.
     rng = np.random.default_rng(int(100 * value_step + 10 * x_step + spread))
     for trial in range(40):
         count = int(rng.integers(1, 120))
         values, X, ranks = _chained_candidates(rng, count, int(rng.integers(2, 5)), value_step, x_step, spread)
         assert _distinct(values, X, ranks) == reference_distinct(values, X, ranks), trial
-    # Every candidate in one group, with pairwise distinct vectors: one kept per round.
+    # Every candidate within 2 DEDUPE_TOL_LAMBDA of the next, with pairwise distinct vectors: all kept.
     X = _start_points(3, 200, 4)
     values = np.arange(200) * 1.9 * DEDUPE_TOL_LAMBDA
     ranks = rng.choice([1e-15, 2e-15], size=200)
