@@ -113,21 +113,30 @@ def _distinct(values: np.ndarray, X: np.ndarray, rank: np.ndarray) -> list[int]:
 
     Candidates are taken best first (lowest rank, earliest index on ties);
     each one not yet claimed is kept and claims every candidate it matches,
-    so the reported witness is the best available one.
+    so the reported witness is the best available one.  Returned best first.
+
+    Sorted values more than 2 DEDUPE_TOL_LAMBDA apart split the candidates
+    into λ-groups that never match across (the 2 covers rounding), so the
+    greedy pass runs in every group at once: each round keeps the best
+    unclaimed candidate of every group, and each of those claims the
+    unclaimed members of its group that it matches.
     """
-    # Matches lie in the sorted-value window λ ± 2 DEDUPE_TOL_LAMBDA; the 2 covers rounding.
+    by_rank = np.argsort(rank, kind="stable")
     by_value = np.argsort(values, kind="stable")
-    lo = np.searchsorted(values[by_value], values - 2 * DEDUPE_TOL_LAMBDA, "left")
-    hi = np.searchsorted(values[by_value], values + 2 * DEDUPE_TOL_LAMBDA, "right")
-    unclaimed = np.ones(len(values), dtype=bool)
-    kept = []
-    for k in np.argsort(rank, kind="stable").tolist():
-        if unclaimed[k]:
-            kept.append(k)
-            w = by_value[lo[k] : hi[k]]
-            near = np.minimum(np.linalg.norm(X[w] - X[k], axis=1), np.linalg.norm(X[w] + X[k], axis=1))
-            unclaimed[w] &= (np.abs(values[w] - values[k]) > DEDUPE_TOL_LAMBDA) | (near > DEDUPE_TOL_X)
-    return kept
+    group = np.empty(len(values), dtype=np.intp)
+    group[by_value] = np.cumsum(np.diff(values[by_value], prepend=values[by_value[:1]]) > 2 * DEDUPE_TOL_LAMBDA)
+    live = by_rank[np.argsort(group[by_rank], kind="stable")]  # unclaimed: by group, best first in each
+    kept = np.zeros(len(values), dtype=bool)
+    while len(live):
+        first = np.flatnonzero(np.diff(group[live], prepend=-1))  # each group's best
+        kept[live[first]] = True
+        head = np.repeat(live[first], np.diff(first, append=len(live)))
+        x, y = X[live], X[head]
+        near = np.minimum(np.linalg.norm(x - y, axis=1), np.linalg.norm(x + y, axis=1))
+        unclaimed = (np.abs(values[live] - values[head]) > DEDUPE_TOL_LAMBDA) | (near > DEDUPE_TOL_X)
+        unclaimed[first] = False  # heads leave even where a NaN defeats both tests
+        live = live[unclaimed]
+    return by_rank[kept[by_rank]].tolist()
 
 
 def _rayleigh(tensor: DenseTensor, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -83,9 +83,10 @@ def test_contract_batch_spanning_several_chunks(kernel):
     np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12)
 
 
-def test_contract_rows_gives_each_row_the_bits_of_apply():
+def test_contract_rows_and_rayleigh_give_each_row_the_bits_of_apply():
     # The oracle re-verifies a block of candidates and reports what apply
-    # gives each one alone; a GEMM over the block rounds otherwise.
+    # gives each one alone; a GEMM over the block, an einsum dot or a norm
+    # along an axis rounds otherwise.
     rng = np.random.default_rng(12)
     for order, dim, rows in [(2, 3, 5), (3, 4, 17), (4, 7, 40), (5, 9, 64), (6, 2, 9)]:
         t = random_tensor(rng, order, dim, signed=True)
@@ -93,6 +94,9 @@ def test_contract_rows_gives_each_row_the_bits_of_apply():
         singles = np.array([t.apply(x) for x in X])
         assert np.array_equal(contract_rows(t.data, X), singles)
         assert np.array_equal(contract_rows(t.data, np.asfortranarray(X)), singles)
+        values, residuals = oracle._rayleigh(t, X)
+        assert values.tolist() == [float(x @ ax) for x, ax in zip(X, singles)]
+        assert residuals.tolist() == [float(np.linalg.norm(ax - v * x)) for x, ax, v in zip(X, singles, values)]
 
 
 def test_newton_map_matches_enumeration():
@@ -664,18 +668,18 @@ def _chained_candidates(rng, count, dim, value_step, x_step, spread):
     "value_step, x_step, spread",
     [(0.9, 0.0, 3), (0.0, 0.9, 3), (0.6, 0.6, 5), (1.5, 0.0, 2), (0.0, 0.0, 40), (0.3, 0.3, 1)],
     ids=["chains in λ", "chains in x", "chains in both", "λ steps past the tolerance", "sign pairs and ties",
-         "one λ chain holding every candidate"],
+         "one λ-group holding every candidate"],
 )
 def test_distinct_matches_the_greedy_reference_on_chains(value_step, x_step, spread):
-    # a ~ b and b ~ c but not a ~ c: _distinct, which compares each kept
-    # candidate only within its λ window, gives the full greedy pass's
-    # result, order included.
+    # a ~ b and b ~ c but not a ~ c: _distinct, which keeps the best
+    # unclaimed candidate of every λ-group at once, gives the one-at-a-time
+    # greedy pass's result, order included.
     rng = np.random.default_rng(int(100 * value_step + 10 * x_step + spread))
     for trial in range(40):
         count = int(rng.integers(1, 120))
         values, X, ranks = _chained_candidates(rng, count, int(rng.integers(2, 5)), value_step, x_step, spread)
         assert _distinct(values, X, ranks) == reference_distinct(values, X, ranks), trial
-    # Every candidate within 2 DEDUPE_TOL_LAMBDA of the next, with pairwise distinct vectors: all kept.
+    # One λ-group of pairwise distinct vectors: all kept, one per round.
     X = _start_points(3, 200, 4)
     values = np.arange(200) * 1.9 * DEDUPE_TOL_LAMBDA
     ranks = rng.choice([1e-15, 2e-15], size=200)
