@@ -105,8 +105,8 @@ def _fmt(v: float) -> str:
 def _load_tensor(path: str) -> DenseTensor:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read '{path}': {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read '{path}': {getattr(exc, 'strerror', None) or exc}") from None
     try:
         return parse_tensor(text)
     except TensorFormatError as exc:

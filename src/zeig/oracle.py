@@ -37,7 +37,7 @@ import numpy as np
 
 from .bounds import bound_omega_max, compare_report
 from .regions import region_K, region_M, region_Omega
-from .tensor import DenseTensor, _fold, contract_rows
+from .tensor import DenseTensor, _fold, contract
 
 INCLUSION_TOL = 1e-8  # outward relaxation of each region and the bound, per unit of S
 MAX_ITER = 200  # Newton steps per restart
@@ -141,10 +141,11 @@ def _distinct(values: np.ndarray, X: np.ndarray, rank: np.ndarray) -> list[int]:
 
 def _rayleigh(tensor: DenseTensor, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Rayleigh values x . A x^{m-1} of the rows x of X and their
-    residuals |A x^{m-1} - λ x|, from one contraction, each the bits that
-    x @ tensor.apply(x) and np.linalg.norm give for x alone: the stacked
-    1 x n by n x 1 products are the same BLAS dot products."""
-    AX = contract_rows(tensor.data, X)
+    residuals |A x^{m-1} - λ x|, from one tensor.contract call, each the bits
+    that x @ tensor.apply(x) and np.linalg.norm give for x alone: contract
+    gives each row apply's bits, and the stacked 1 x n by n x 1 products are
+    the same BLAS dot products."""
+    AX = contract(tensor.data, X)
     values = np.matmul(X[:, None, :], AX[:, :, None])[:, 0, 0]
     R = AX - values[:, None] * X
     return values, np.sqrt(np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0])

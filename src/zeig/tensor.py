@@ -1,9 +1,10 @@
 """Dense real tensors, read from JSON documents with 1-based indices.
 
-Provides storage, parsing, the contraction with a vector, structural predicates
-(nonnegativity, symmetry, weak symmetry) and the row / partial-row
-aggregates (regions.RowAggregates) that every inclusion region and
-spectral-radius bound is built from.  Only _fold reads the layout of the
+Provides storage, parsing, structural predicates (nonnegativity, symmetry,
+weak symmetry), the row / partial-row aggregates (regions.RowAggregates)
+that every inclusion region and spectral-radius bound is built from, and the
+one contraction kernel, contract, that apply, those partial row sums and the
+oracle's re-verification share.  Only _fold reads the layout of the
 permutation classes of index tuples, numbered by _canonical_classes: it
 folds A's trailing mean over them into the blocks that weak symmetry and
 Newton's map read.
@@ -103,7 +104,7 @@ class DenseTensor:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"vector must have length {self.dim}, got shape {x.shape}")
-        return contract_rows(self.data, x[None])[0]
+        return contract(self.data, x[None])[0]
 
     # -- structural predicates ----------------------------------------------
 
@@ -144,32 +145,14 @@ class DenseTensor:
 
 
 def contract(data: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """result[b]: every axis of ``data`` but the first contracted with row b of X.
-
-    One BLAS product takes the last axis, then m - 2 einsum steps one axis
-    each, over chunks of rows sized to _CONTRACT_ITEMS.  Serves the partial
-    row sums; ``contract_rows`` serves apply and the oracle's re-verification,
-    Newton's map is a GEMM of monomials times the fold of ``_fold``
-    (``oracle._newton_map``) and the dim-2 solve reads A's polynomial
-    coefficients directly (``oracle._tangent_form``)."""
-    n = data.shape[0]
-    flat = data.reshape(-1, n)
-    out = np.empty((len(X), n))
-    step = max(1, _CONTRACT_ITEMS // len(flat))
-    for lo in range(0, len(X), step):
-        chunk = X[lo : lo + step]
-        acc = flat @ chunk.T
-        for _ in range(data.ndim - 2):
-            acc = np.einsum("kjb,bj->kb", acc.reshape(-1, n, len(chunk)), chunk)
-        out[lo : lo + step] = acc.T
-    return out
-
-
-def contract_rows(data: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """contract(data, X), with row b the bits that X[b] alone gets, as in
-    ``DenseTensor.apply``, whatever the other rows.  A BLAS matrix-vector
-    product per row, where contract's one GEMM sums otherwise at other
-    widths, then the einsum steps over each row's contiguous slots."""
+    """result[b]: every axis of ``data`` but the first contracted with row b
+    of X, with the bits that X[b] alone gets, whatever the other rows.  A
+    BLAS matrix-vector product per row takes the last axis, then m - 2 einsum
+    steps one axis each over that row's contiguous slots, over chunks of rows
+    sized to _CONTRACT_ITEMS.  Serves apply, the partial row sums and the
+    oracle's re-verification; Newton's map is a GEMM of monomials times the
+    fold of ``_fold`` (``oracle._newton_map``) and the dim-2 solve reads A's
+    polynomial coefficients directly (``oracle._tangent_form``)."""
     n = data.shape[0]
     flat = data.reshape(-1, n)
     X = np.ascontiguousarray(X, dtype=float)

@@ -26,6 +26,7 @@ CORRUPT = str(fixture_path("corrupt.json"))
 OVERSIZED = str(fixture_path("oversized_shape.json"))
 HUGE_INT = str(fixture_path("huge_integer.json"))
 HUGE_VALUES = str(fixture_path("huge_values.json"))
+NOT_UTF8 = str(fixture_path("not_utf8.json"))
 JORDAN = str(fixture_path("jordan_rot_m2_n2.json"))
 ONES_TINY = str(fixture_path("ones_tiny_m3_n3.json"))
 ONES_HUGE = str(fixture_path("ones_1e20_m4_n3.json"))
@@ -75,6 +76,16 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "info", "no_such_file.json")
     assert code == EXIT_USAGE
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("command", ["info", "bounds", "regions", "eigs", "verify"])
+def test_file_that_is_not_utf8_is_usage_error(capsys, command):
+    # A UTF-16 byte-order mark, then "{}": the decode fails before any parse.
+    code, out, err = run_cli(capsys, command, NOT_UTF8)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: cannot read '{NOT_UTF8}': ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 # -- bounds ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from zeig.oracle import (
     z_eigs_sweep_n2,
 )
 from zeig import tensor as tensor_module
-from zeig.tensor import DenseTensor, contract, contract_rows
+from zeig.tensor import DenseTensor, contract
 
 from conftest import load_fixture
 from helpers import (
@@ -56,34 +56,32 @@ def eigenvalues(pairs):
 # -- batched contraction kernel and the Newton map ------------------------------------
 
 
-@pytest.mark.parametrize("kernel", [contract, contract_rows])
-def test_contract_matches_enumeration(kernel):
+def test_contract_matches_enumeration():
     rng = np.random.default_rng(3)
     for order, dim in [(2, 3), (3, 2), (4, 3), (3, 4)]:
         t = random_tensor(rng, order, dim, signed=True)
         X = rng.normal(size=(7, dim))
-        batch = kernel(t.data, X)
+        batch = contract(t.data, X)
         assert batch.shape == (7, dim)
         for k in range(7):
             assert batch[k] == pytest.approx(brute_contract(t, X[k], order - 1), rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("kernel", [contract, contract_rows])
-def test_contract_batch_spanning_several_chunks(kernel):
+def test_contract_batch_spanning_several_chunks():
     rng = np.random.default_rng(4)
     order, dim, rows = 5, 9, 64
     step = tensor_module._CONTRACT_ITEMS // dim ** (order - 1)
     assert 0 < step < rows  # the batch is split into several chunks
     t = random_tensor(rng, order, dim, signed=True)
     X = rng.normal(size=(rows, dim))
-    batch = kernel(t.data, X)
+    batch = contract(t.data, X)
     for k in (0, step - 1, step, rows - 1):
         np.testing.assert_allclose(batch[k], brute_contract(t, X[k], order - 1), rtol=1e-12, atol=1e-12)
-    singles = np.concatenate([kernel(t.data, X[k : k + 1]) for k in range(rows)])
+    singles = np.concatenate([contract(t.data, X[k : k + 1]) for k in range(rows)])
     np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12)
 
 
-def test_contract_rows_and_rayleigh_give_each_row_the_bits_of_apply():
+def test_contract_and_rayleigh_give_each_row_the_bits_of_apply():
     # The oracle re-verifies a block of candidates and reports what apply
     # gives each one alone; a GEMM over the block, an einsum dot or a norm
     # along an axis rounds otherwise.
@@ -92,11 +90,26 @@ def test_contract_rows_and_rayleigh_give_each_row_the_bits_of_apply():
         t = random_tensor(rng, order, dim, signed=True)
         X = rng.normal(size=(rows, dim))
         singles = np.array([t.apply(x) for x in X])
-        assert np.array_equal(contract_rows(t.data, X), singles)
-        assert np.array_equal(contract_rows(t.data, np.asfortranarray(X)), singles)
+        assert np.array_equal(contract(t.data, X), singles)
+        assert np.array_equal(contract(t.data, np.asfortranarray(X)), singles)
         values, residuals = oracle._rayleigh(t, X)
         assert values.tolist() == [float(x @ ax) for x, ax in zip(X, singles)]
         assert residuals.tolist() == [float(np.linalg.norm(ax - v * x)) for x, ax, v in zip(X, singles, values)]
+
+
+def test_partial_sums_are_contract_with_one_slot_index_left_out():
+    # One kernel serves apply and the aggregates: column j of the partial row
+    # sums is |A| contracted with 1 - e_j alone, to the bit.
+    rng = np.random.default_rng(19)
+    chunked = [(3, 60), (4, 20), (5, 11)]  # the n rows of 1 - I span several chunks
+    assert all(tensor_module._CONTRACT_ITEMS // dim ** (order - 1) < dim for order, dim in chunked)
+    for order, dim in [(3, 4), (4, 5), (5, 3), *chunked]:
+        t = random_tensor(rng, order, dim, signed=True)
+        partial = t.aggregates().partial_sums
+        for j in range(dim):
+            column = contract(np.abs(t.data), (1.0 - np.eye(dim)[j])[None])[0]
+            off = np.arange(dim) != j
+            assert np.array_equal(partial[off, j], column[off])
 
 
 def test_newton_map_matches_enumeration():
@@ -224,10 +237,10 @@ def test_sweep_reports_a_sevenfold_root_once():
 
 
 def _counted_contractions(monkeypatch):
-    """A list that gets one entry, the vectors' row count, per contract_rows call of the oracle."""
+    """A list that gets one entry, the vectors' row count, per contract call of the oracle."""
     calls = []
-    run = oracle.contract_rows
-    monkeypatch.setattr(oracle, "contract_rows", lambda data, X: calls.append(len(X)) or run(data, X))
+    run = oracle.contract
+    monkeypatch.setattr(oracle, "contract", lambda data, X: calls.append(len(X)) or run(data, X))
     return calls
 
 
