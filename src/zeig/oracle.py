@@ -18,8 +18,11 @@ Newton's map and Jacobian come from one GEMM per step, the degree-(m-2)
 monomials of the iterates times the tensor folded over their permutation
 classes (tensor._fold), over blocks of restarts whose size keeps memory
 within BUDGET.  A block allocates its bordered Newton systems once: each step writes the
-active restarts' systems into the leading rows in place, and the active rows
-are compacted only when a restart leaves.
+active restarts' systems into the leading rows in place, the Jacobian
+(m - 1) G and the negated residual straight from the map's outputs, and the
+active rows are compacted only when a restart leaves.  One batched LAPACK
+solve gives every step; a singular system's step comes back NaN, and the
+finiteness test that drops diverging restarts drops its restart too.
 
 Determinism: restart k starts from a function of (seed, k) only, so the
 first k starts do not depend on how many restarts follow.  The start points
@@ -34,6 +37,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .bounds import bound_omega_max, compare_report
 from .regions import region_K, region_M, region_Omega
@@ -42,8 +46,8 @@ from .tensor import DenseTensor, _fold, contract
 INCLUSION_TOL = 1e-8  # outward relaxation of each region and the bound, per unit of S
 MAX_ITER = 200  # Newton steps per restart
 # Largest accepted restart count, checked before anything is allocated: at
-# this size a dim-3 Newton call's arrays peak near 40 MB at order 4, and near
-# 30 MB at order 3, which iterates half the restarts.
+# this size a dim-3 Newton call's arrays peak near 39 MB at order 4, and near
+# 27 MB at order 3, which iterates half the restarts (tracemalloc).
 MAX_RESTARTS = 100_000
 # Float64 items (8 MiB) in the widest array of one block of Newton restarts.
 BUDGET = 2**20
@@ -85,9 +89,10 @@ class OracleConfig:
 
 
 def _newton_map(data: np.ndarray):
-    """X -> (A x^{m-1}, its Jacobian) for each row x of X.  The trailing mean
-    T of A has the same map and Jacobian (m - 1) T x^{m-2}, so one
-    G = T x^{m-2} gives both: G x, (m - 1) G.  G is one GEMM: the row's
+    """X -> (A x^{m-1}, G) for each row x of X, with G = T x^{m-2} for the
+    trailing mean T of A, which has A's map and Jacobian: A x^{m-1} = G x and
+    the Jacobian is (m - 1) G, which _newton_block writes into its systems
+    (the order m is the map's ``order``).  G is one GEMM: the row's
     degree-(m-2) monomials, one per multiset of the last m - 2 slots, times
     the fold W of tensor._fold."""
     n, m = data.shape[0], data.ndim
@@ -99,8 +104,9 @@ def _newton_map(data: np.ndarray):
         for column in columns[1:]:
             P *= X[:, column]
         G = (P @ W).reshape(len(X), n, n)
-        return np.einsum("zij,zj->zi", G, X), np.multiply(G, m - 1, out=G)
+        return np.einsum("zij,zj->zi", G, X), G
 
+    evaluate.order = m
     return evaluate
 
 
@@ -265,70 +271,58 @@ def _start_points(n: int, restarts: int, seed: int) -> np.ndarray:
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
-def _solve_newton_steps(J: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched solves of J s = b (b: (k, n, 1)); singular systems are flagged out.  If
-    the batch raises, those with a zero LU pivot (slogdet sign 0) are solved one at a
-    time and the rest as one batch; all one at a time only if that still raises."""
-    try:
-        return np.linalg.solve(J, b)[..., 0], np.ones(len(J), dtype=bool)
-    except np.linalg.LinAlgError:
-        steps, ok = np.zeros(b.shape[:2]), np.linalg.slogdet(J)[0] != 0
-        try:
-            steps[ok] = np.linalg.solve(J[ok], b[ok])[..., 0]
-            one_by_one = np.flatnonzero(~ok)
-        except np.linalg.LinAlgError:
-            one_by_one = range(len(J))
-        for k in one_by_one:
-            try:
-                steps[k], ok[k] = np.linalg.solve(J[k], b[k])[:, 0], True
-            except np.linalg.LinAlgError:
-                ok[k] = False
-        return steps, ok
-
-
 def _newton_block(newton_map, X: np.ndarray, tol: float, final_x, final_lam, final_res) -> None:
     """Iterate the restarts starting at the rows of X.  Restart k that
     converges, its residual at most tol, writes its x, Newton λ and loop
     residual to row k of final_x, final_lam and final_res; the rows of the
-    others are left as they are."""
+    others are left as they are.
+
+    Each trip writes the active restarts' bordered systems into the leading
+    rows of arrays allocated once: (m - 1) G - λI from the map's G, and
+    λx - A x^{m-1}, the negated residual, from which it reads the residual's
+    norm.  One batched LAPACK solve (dgesv per system, as np.linalg.solve)
+    gives every step; a singular system's step comes back NaN, and the
+    finiteness test on the new x and λ drops that restart."""
     rows, n = X.shape
-    # Active restart k's bordered system [[J - λI, -x], [2x^T, 0]] s = [-r; 1 - x.x] is row k.
-    system, rhs = np.zeros((rows, n + 1, n + 1)), np.empty((rows, n + 1, 1))
+    # Active restart k's bordered system [[(m-1)G - λI, -x], [2x^T, 0]] s = [λx - A x^{m-1}; 1 - x.x] is row k.
+    system, rhs = np.zeros((rows, n + 1, n + 1)), np.empty((rows, n + 1))
     diagonal = system.reshape(rows, -1)[:, : n * (n + 2) : n + 2]
-    AX, J = newton_map(X)
+    AX, G = newton_map(X)
     lam = np.einsum("zi,zi->z", X, AX)
     order = np.arange(rows)
 
     for it in range(MAX_ITER + 1):
-        R = AX - lam[:, None] * X
-        res = np.sqrt(np.add.reduce(R * R, axis=1))
-        good = np.isfinite(res)
-        done = good & (res <= tol)
+        k = len(order)
+        minus_r = np.multiply(lam[:, None], X, out=rhs[:k, :n])
+        np.subtract(minus_r, AX, out=minus_r)
+        res = np.sqrt(np.add.reduce(minus_r * minus_r, axis=1))
+        done = res <= tol  # NaN fails this and the test below
         if done.any():
             hit = order[done]
             final_x[hit], final_lam[hit], final_res[hit] = X[done], lam[done], res[done]
-        active = good & ~done
+        active = (res > tol) & (res < np.inf)
         if not active.any() or it == MAX_ITER:
             break
         if not active.all():  # a restart left: keep the others' rows only
-            X, lam, R, J, order = X[active], lam[active], R[active], J[active], order[active]
+            X, lam, G, order = X[active], lam[active], G[active], order[active]
+            k = len(order)
+            rhs[:k, :n] = minus_r[active]
 
-        k = len(order)
-        system[:k, :n, :n] = J
+        np.multiply(G, newton_map.order - 1, out=system[:k, :n, :n])
         diagonal[:k] -= lam[:, None]
         np.negative(X, out=system[:k, :n, n])
         np.multiply(2.0, X, out=system[:k, n, :n])
-        np.negative(R, out=rhs[:k, :n, 0])
-        np.subtract(1.0, np.einsum("zi,zi->z", X, X), out=rhs[:k, n, 0])
-        steps, ok = _solve_newton_steps(system[:k], rhs[:k])
+        np.subtract(1.0, np.einsum("zi,zi->z", X, X), out=rhs[:k, n])
+        with np.errstate(invalid="ignore"):  # raised for the singular systems' NaN steps
+            steps = _umath_linalg.solve1(system[:k], rhs[:k])
         X = X + steps[:, :n]
         lam = lam + steps[:, n]
         norms = np.sqrt(np.add.reduce(X * X, axis=1))
-        ok &= np.isfinite(norms) & (norms > 1e-12) & np.isfinite(lam)
+        ok = np.isfinite(norms) & (norms > 1e-12) & np.isfinite(lam)
         if not ok.all():
             X, lam, order, norms = X[ok], lam[ok], order[ok], norms[ok]
         X /= norms[:, None]
-        AX, J = newton_map(X)
+        AX, G = newton_map(X)
 
 
 def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> list[Eigenpair]:

@@ -188,7 +188,7 @@ def test_criterion_8_oracle_self_consistency():
         dim = int(rng.integers(2, 4))
         tensor = random_symmetric_tensor(rng, order, dim, signed=True)
         x = rng.normal(size=dim)
-        J = _newton_map(tensor.data)(x[None, :])[1][0]
+        J = (order - 1) * _newton_map(tensor.data)(x[None, :])[1][0]
         J_fd = finite_difference_jacobian(tensor, x, step=1e-6)
         scale = max(1.0, float(np.abs(J).max()))
         jac_worst = max(jac_worst, float(np.abs(J - J_fd).max()) / scale)

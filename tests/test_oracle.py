@@ -1,3 +1,6 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,6 @@ from zeig.oracle import (
     _distinct,
     _finish,
     _newton_map,
-    _solve_newton_steps,
     _start_points,
     verify_inclusion,
     z_eigs_newton,
@@ -118,7 +120,8 @@ def test_newton_map_matches_enumeration():
         for dim in range(2, 7):
             t = random_tensor(rng, order, dim, signed=True)  # neither symmetric nor weakly symmetric
             X = rng.normal(size=(3, dim))
-            AX, J = _newton_map(t.data)(X)
+            AX, G = _newton_map(t.data)(X)
+            J = (order - 1) * G
             for k in range(3):
                 for got, want in ((AX[k], brute_apply(t, X[k])), (J[k], brute_jacobian(t, X[k]))):
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -131,9 +134,9 @@ def test_newton_map_batch_matches_rows():
         X = rng.normal(size=(257, dim))
         batch = newton_map(X)
         rows = [newton_map(X[k : k + 1]) for k in range(257)]
-        for part in range(2):
-            singles = np.concatenate([row[part] for row in rows])
-            np.testing.assert_allclose(batch[part], singles, rtol=1e-12, atol=1e-12 * np.abs(singles).max())
+        for part, factor in ((0, 1), (1, order - 1)):  # A x^{m-1}, then the Jacobian (m - 1) G
+            singles = factor * np.concatenate([row[part] for row in rows])
+            np.testing.assert_allclose(factor * batch[part], singles, rtol=1e-12, atol=1e-12 * np.abs(singles).max())
 
 
 def test_jacobian_matches_finite_differences():
@@ -143,7 +146,8 @@ def test_jacobian_matches_finite_differences():
             newton_map = _newton_map(t.data)
             for _ in range(4):
                 x = rng.normal(size=dim)
-                AX, J = newton_map(x[None, :])
+                AX, G = newton_map(x[None, :])
+                J = (order - 1) * G
                 assert AX[0] == pytest.approx(t.apply(x), rel=1e-12, abs=1e-12)
                 J_fd = finite_difference_jacobian(t, x)
                 scale = max(1.0, float(np.abs(J[0]).max()))
@@ -479,7 +483,8 @@ def _assert_newton_bit_exact(monkeypatch, tensor, cfg):
     z_eigs_newton's pairs equal those of the fresh-array kernel bit for bit."""
     n = tensor.dim
     starts = _start_points(n, cfg.restarts, cfg.seed)
-    for got, want in zip(_newton_map(tensor.data)(starts), reference_newton_map(tensor.data)(starts)):
+    AX, G = _newton_map(tensor.data)(starts)
+    for got, want in zip((AX, (tensor.order - 1) * G), reference_newton_map(tensor.data)(starts)):
         assert np.array_equal(got, want)
     finals = []
     for block, newton_map in ((oracle._newton_block, _newton_map), (reference_newton_block, reference_newton_map)):
@@ -520,70 +525,57 @@ def test_newton_bit_exact_across_restart_blocks(monkeypatch):
 
 def test_newton_bit_exact_on_all_ones_with_singular_systems(monkeypatch):
     # The restarts of the all-ones tensor all head for x = 1/sqrt(n); many of
-    # the batched systems on the way are exactly singular.
-    slogdets = []
-    slogdet = np.linalg.slogdet
+    # the batched systems on the way are exactly singular, and their steps NaN.
+    nan_steps = []
+    solve1 = oracle._umath_linalg.solve1
 
-    def counted_slogdet(J):
-        slogdets.append(len(J))
-        return slogdet(J)
+    def counted_solve1(system, rhs):
+        steps = solve1(system, rhs)
+        nan_steps.append(int(np.isnan(steps).any(axis=1).sum()))
+        return steps
 
-    monkeypatch.setattr(np.linalg, "slogdet", counted_slogdet)
+    monkeypatch.setattr(oracle, "_umath_linalg", SimpleNamespace(solve1=counted_solve1))
     _assert_newton_bit_exact(monkeypatch, load_fixture("ones_m4_n5.json"), OracleConfig())
-    assert slogdets
+    assert sum(nan_steps) > 0
 
 
 def _planted_singular_batch(rng, k=60, size=6):
     """Random systems, 15 of them exactly singular: a zero row or a zero
     column leaves an exact zero pivot.  (Two equal rows need not: LAPACK's
     blocked elimination may round them differently.)"""
-    J, b = rng.standard_normal((k, size, size)), rng.standard_normal((k, size, 1))
+    J, b = rng.standard_normal((k, size, size)), rng.standard_normal((k, size))
     planted = rng.choice(k, 15, replace=False)
     J[planted[:8], 2, :] = 0.0
     J[planted[8:], :, 4] = 0.0
     return J, b, planted
 
 
-def _single_solves(J, b):
-    steps, ok = np.zeros(b.shape[:2]), np.ones(len(J), dtype=bool)
-    for k in range(len(J)):
-        try:
-            steps[k] = np.linalg.solve(J[k], b[k])[:, 0]
-        except np.linalg.LinAlgError:
-            ok[k] = False
-    return steps, ok
-
-
-def test_singular_batch_solves_only_the_suspects_one_at_a_time(monkeypatch):
+def test_newton_solve_gives_nan_rows_exactly_for_the_singular_systems():
+    # _newton_block's one batched solve, the gufunc np.linalg.solve calls for
+    # a vector right-hand side: a singular system's row is NaN, and every
+    # other row has the bits of a one-at-a-time np.linalg.solve.
     rng = np.random.default_rng(29)
     for trial in range(5):
         J, b, planted = _planted_singular_batch(rng)
-        want_steps, want_ok = _single_solves(J, b)
-        assert sorted(np.flatnonzero(~want_ok)) == sorted(planted)
-        calls = []
-        solve = np.linalg.solve
-
-        def counted_solve(A, B):
-            calls.append(len(A))
-            return solve(A, B)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "solve", counted_solve)
-            steps, ok = _solve_newton_steps(J, b)
-        # the whole batch (raises), the rest as one batch, then each suspect
-        assert len(calls) <= 2 + len(planted), trial
-        assert np.array_equal(ok, want_ok)
-        assert np.array_equal(steps, want_steps)
+        with np.errstate(invalid="ignore"):
+            steps = oracle._umath_linalg.solve1(J, b)
+        assert np.array_equal(np.flatnonzero(np.isnan(steps).any(axis=1)), np.sort(planted)), trial
+        assert np.isnan(steps[planted]).all()
+        for k in np.setdiff1d(np.arange(len(J)), planted):
+            assert np.array_equal(steps[k], np.linalg.solve(J[k], b[k])), (trial, k)
+        for k in planted:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(J[k], b[k])
 
 
-def test_singular_batch_falls_back_to_single_solves_when_the_rest_raises(monkeypatch):
+def test_newton_solve_of_a_singular_system_raises_the_invalid_flag():
+    # What _newton_block's errstate silences: outside it, numpy warns.
     J, b, planted = _planted_singular_batch(np.random.default_rng(31))
-    want_steps, want_ok = _single_solves(J, b)
-    slogdet = np.linalg.slogdet
-    monkeypatch.setattr(np.linalg, "slogdet", lambda A: (np.ones(len(A)), slogdet(A)[1]))  # misses every suspect
-    steps, ok = _solve_newton_steps(J, b)
-    assert np.array_equal(ok, want_ok)
-    assert np.array_equal(steps, want_steps)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in solve1"), np.errstate(invalid="warn"):
+        oracle._umath_linalg.solve1(J, b)
+    with np.errstate(invalid="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oracle._umath_linalg.solve1(np.delete(J, planted, axis=0), np.delete(b, planted, axis=0))  # none singular: silent
 
 
 def test_newton_empty_result_is_legal():
