@@ -17,12 +17,12 @@ iff (s λ, x) is one of s A: every tolerance scales with the tensor.
 Newton's map and Jacobian come from one GEMM per step, the degree-(m-2)
 monomials of the iterates times the tensor folded over their permutation
 classes (tensor._fold), over blocks of restarts whose size keeps memory
-within BUDGET.  A block allocates its bordered Newton systems once: each step writes the
-active restarts' systems into the leading rows in place, the Jacobian
-(m - 1) G and the negated residual straight from the map's outputs, and the
-active rows are compacted only when a restart leaves.  One batched LAPACK
-solve gives every step; a singular system's step comes back NaN, and the
-finiteness test that drops diverging restarts drops its restart too.
+within BUDGET.  Each step is the bordered (n+1)-variable Newton step taken
+as one shifted inverse-iteration solve, B y = x with B = (m - 1) G - λI
+(_newton_step), all in one batched LAPACK call; a singular B's step comes
+back NaN, and the finiteness test that drops diverging restarts drops its
+restart too.  B is singular at every eigenpair with λ = 0 (G x = λx = 0),
+so a restart that lands on a λ = 0 family can be dropped there.
 
 Determinism: restart k starts from a function of (seed, k) only, so the
 first k starts do not depend on how many restarts follow.  The start points
@@ -47,9 +47,10 @@ INCLUSION_TOL = 1e-8  # outward relaxation of each region and the bound, per uni
 MAX_ITER = 200  # Newton steps per restart
 # Largest accepted restart count, checked before anything is allocated: at
 # this size a dim-3 Newton call's arrays peak near 39 MB at order 4, and near
-# 27 MB at order 3, which iterates half the restarts (tracemalloc).
+# 26 MB at order 3, which iterates half the restarts (tracemalloc).
 MAX_RESTARTS = 100_000
-# Float64 items (8 MiB) in the widest array of one block of Newton restarts.
+# Float64 items (8 MiB) in the widest array of one block of Newton restarts:
+# its n x n maps and systems, or its monomials.
 BUDGET = 2**20
 RESIDUAL_TOL = 1e-12  # largest accepted |A x^{m-1} - λ x| / S
 DEDUPE_TOL_LAMBDA = 1e-8  # eigenpairs this close in λ / S ...
@@ -178,12 +179,12 @@ def _finish(tensor: DenseTensor, X, values, rank) -> list[Eigenpair]:
 # -- exact solve (dim 2) -------------------------------------------------------
 
 
-def _tangent_form(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients h of the tangent g(x) = (A x^{m-1})_1 x_2 - (A x^{m-1})_2 x_1
-    of a dim-2 tensor, a form of degree m: g(x) = sum_j h[j] x_1^(m-j) x_2^j,
-    and b, the same form for |A| with its two terms added, which bounds the
-    terms of h.  Each row's coefficient j sums the tails holding j indices 2,
-    pairwise over one slot at a time, so it carries at most m - 1 roundings."""
+def _row_forms(data: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Coefficients of the two entries of A x^{m-1} of a dim-2 tensor, forms
+    of degree m - 1, (A x^{m-1})_i = sum_j c_i[j] x_1^(m-1-j) x_2^j, for A
+    and for |A|, which bounds their terms.  Each row's coefficient j sums the
+    tails holding j indices 2, pairwise over one slot at a time, so it
+    carries at most m - 1 roundings."""
     rows = []
     for array in (data, np.abs(data)):
         F = array.reshape(2, -1, 1)
@@ -191,9 +192,13 @@ def _tangent_form(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             F = F.reshape(2, -1, 2, F.shape[-1])  # last slot of the tail: index 1 or 2
             zero = np.zeros(F.shape[:2] + (1,))
             F = np.concatenate([F[:, :, 0], zero], axis=2) + np.concatenate([zero, F[:, :, 1]], axis=2)
-        rows.append(F[:, 0])
-    (c1, c2), (a1, a2) = rows
-    return np.append(0.0, c1) - np.append(c2, 0.0), np.append(0.0, a1) + np.append(a2, 0.0)
+        rows.append(tuple(F[:, 0]))
+    return rows
+
+
+def _tangent(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Coefficients of x_2 r_1(x) - x_1 r_2(x) for two forms of one degree."""
+    return np.append(0.0, r1) - np.append(r2, 0.0)
 
 
 def _poly_newton(f: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -235,18 +240,26 @@ def _chart_roots(p: np.ndarray, noise: np.ndarray) -> np.ndarray:
 
 def z_eigs_sweep_n2(tensor: DenseTensor) -> list[Eigenpair]:
     """All eigenpairs of a dimension-2 tensor: a unit x is an eigenvector iff
-    the tangent g(x) vanishes, and its Rayleigh pair has residual |g(x)|.
+    the tangent g(x) = x_2 (A x^{m-1})_1 - x_1 (A x^{m-1})_2 vanishes, and
+    its Rayleigh pair has residual |g(x)|.
 
     The real roots of g are taken in the charts x ~ (1, u) and x ~ (v, 1)
     with |u|, |v| <= 1, where g(v, 1) has the coefficients of g(1, u)
     reversed; -x is added for odd m since (λ, x) -> (-λ, -x).  If g vanishes
-    within its rounding, every direction is an eigenvector and the axes
-    stand for them."""
+    within its rounding, every direction is an eigenvector, and the critical
+    directions of λ(x) = F(x) = x . A x^{m-1}, the roots of F's own tangent
+    x_2 dF/dx_1 - x_1 dF/dx_2, stand for them: among them are λ's extremes.
+    If that vanishes too, λ is constant and the axes stand for them."""
     if tensor.dim != 2:
         raise ValueError(f"dim-2 solve requires dim = 2, got {tensor.dim}")
-    h, bound = _tangent_form(tensor.data)
+    m, eps = tensor.order, np.finfo(float).eps
+    (c1, c2), (a1, a2) = _row_forms(tensor.data)
     # m - 1 roundings in each coefficient, one in h's difference, 2m in Horner's rule
-    noise = 3 * tensor.order * np.finfo(float).eps * bound
+    h, noise = _tangent(c1, c2), 3 * m * eps * _tangent(a1, -a2)
+    if np.all(np.abs(h) <= noise):  # F = x_1 c1 + x_2 c2; dF/dx_1, dF/dx_2 have (m - j) f[j], j f[j]
+        j, f, bound = np.arange(m + 1), _tangent(c2, -c1), _tangent(a2, -a1)
+        h = _tangent(((m - j) * f)[:-1], (j * f)[1:])
+        noise = 3 * m * eps * _tangent(((m - j) * bound)[:-1], -(j * bound)[1:])
     if np.all(np.abs(h) <= noise):
         X = np.eye(2)
     else:
@@ -255,7 +268,7 @@ def z_eigs_sweep_n2(tensor: DenseTensor) -> list[Eigenpair]:
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         # Polished multiple roots repeat exactly: rank each direction once, first occurrence first.
         X = X[np.sort(np.unique(X, axis=0, return_index=True)[1])]
-        X = np.concatenate([X, -X]) if tensor.order % 2 else X
+        X = np.concatenate([X, -X]) if m % 2 else X
     # Ranked by the residual _finish tests, a failing candidate claims only later ones, which fail too.
     values, residuals = _rayleigh(tensor, X)
     return _finish(tensor, X, values, residuals)
@@ -271,31 +284,39 @@ def _start_points(n: int, restarts: int, seed: int) -> np.ndarray:
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
+def _newton_step(G: np.ndarray, X: np.ndarray, lam: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x+, λ+) after the Newton step of A x^{m-1} = λx, x.x = 1 from each
+    unit row x of X and its λ, taken as one shifted inverse-iteration solve
+    (Peters & Wilkinson, SIAM Review 21, 1979); G, the map's second output,
+    is overwritten by B = (m - 1) G - λI, the Jacobian shifted.
+
+    The bordered step solves [[B, -x], [2x^T, 0]] s = [-r; 1 - x.x] for the
+    residual r = G x - λx.  B x = (m - 1) r + (m - 2) λx, so with y = B^-1 x
+    and x.x = 1 it is x+ = (m - 2) / (m - 1) x + α y and λ+ = λ / (m - 1) + α,
+    α = 1 / ((m - 1) x.y).  A singular B's y is NaN, and so is its step; an
+    x.y of 0 gives an infinite α."""
+    G *= m - 1
+    G.reshape(len(X), -1)[:, :: X.shape[1] + 1] -= lam[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Y = _umath_linalg.solve1(G, X)  # one dgesv per system, as np.linalg.solve
+        alpha = 1.0 / ((m - 1) * np.einsum("zi,zi->z", X, Y))
+        return (m - 2) / (m - 1) * X + alpha[:, None] * Y, lam / (m - 1) + alpha
+
+
 def _newton_block(newton_map, X: np.ndarray, tol: float, final_x, final_lam, final_res) -> None:
     """Iterate the restarts starting at the rows of X.  Restart k that
     converges, its residual at most tol, writes its x, Newton λ and loop
     residual to row k of final_x, final_lam and final_res; the rows of the
-    others are left as they are.
-
-    Each trip writes the active restarts' bordered systems into the leading
-    rows of arrays allocated once: (m - 1) G - λI from the map's G, and
-    λx - A x^{m-1}, the negated residual, from which it reads the residual's
-    norm.  One batched LAPACK solve (dgesv per system, as np.linalg.solve)
-    gives every step; a singular system's step comes back NaN, and the
-    finiteness test on the new x and λ drops that restart."""
-    rows, n = X.shape
-    # Active restart k's bordered system [[(m-1)G - λI, -x], [2x^T, 0]] s = [λx - A x^{m-1}; 1 - x.x] is row k.
-    system, rhs = np.zeros((rows, n + 1, n + 1)), np.empty((rows, n + 1))
-    diagonal = system.reshape(rows, -1)[:, : n * (n + 2) : n + 2]
+    others are left as they are.  Each trip takes every active restart's
+    _newton_step in one batched solve, then renormalizes x; the finiteness
+    test on the new x and λ drops the restarts whose B was singular."""
     AX, G = newton_map(X)
     lam = np.einsum("zi,zi->z", X, AX)
-    order = np.arange(rows)
+    order = np.arange(len(X))
 
     for it in range(MAX_ITER + 1):
-        k = len(order)
-        minus_r = np.multiply(lam[:, None], X, out=rhs[:k, :n])
-        np.subtract(minus_r, AX, out=minus_r)
-        res = np.sqrt(np.add.reduce(minus_r * minus_r, axis=1))
+        R = AX - lam[:, None] * X
+        res = np.sqrt(np.add.reduce(R * R, axis=1))
         done = res <= tol  # NaN fails this and the test below
         if done.any():
             hit = order[done]
@@ -305,18 +326,8 @@ def _newton_block(newton_map, X: np.ndarray, tol: float, final_x, final_lam, fin
             break
         if not active.all():  # a restart left: keep the others' rows only
             X, lam, G, order = X[active], lam[active], G[active], order[active]
-            k = len(order)
-            rhs[:k, :n] = minus_r[active]
 
-        np.multiply(G, newton_map.order - 1, out=system[:k, :n, :n])
-        diagonal[:k] -= lam[:, None]
-        np.negative(X, out=system[:k, :n, n])
-        np.multiply(2.0, X, out=system[:k, n, :n])
-        np.subtract(1.0, np.einsum("zi,zi->z", X, X), out=rhs[:k, n])
-        with np.errstate(invalid="ignore"):  # raised for the singular systems' NaN steps
-            steps = _umath_linalg.solve1(system[:k], rhs[:k])
-        X = X + steps[:, :n]
-        lam = lam + steps[:, n]
+        X, lam = _newton_step(G, X, lam, newton_map.order)
         norms = np.sqrt(np.add.reduce(X * X, axis=1))
         ok = np.isfinite(norms) & (norms > 1e-12) & np.isfinite(lam)
         if not ok.all():
@@ -331,23 +342,24 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
 
     Restart k starts at row k of the seeded sphere draw and iterates the
     full (n+1)-variable Newton step with the exact Jacobian of the
-    contraction map, renormalizing x after every step.  Restarts that fail
-    to reach RESIDUAL_TOL * S within MAX_ITER steps are dropped; an empty result
-    is legal.
+    contraction map, taken as one n x n solve (_newton_step), renormalizing
+    x after every step.  Restarts that fail to reach RESIDUAL_TOL * S within
+    MAX_ITER steps, or whose B is singular on the way, are dropped; an empty
+    result is legal.
 
     For odd m, (x, λ) -> (-x, -λ) maps eigenpairs to eigenpairs.  Restart 2j
-    starts at row j and restart 2j + 1 at -row j.  With B = J - λI, the
-    antipode's bordered system is -[[B, -x], [2x^T, 0]] with the same
-    right-hand side, so its step is the negated step, and its result (-x, -λ,
-    the same loop residual) is written down instead of iterated: of R
+    starts at row j and restart 2j + 1 at -row j.  G(-x) = -G(x), so the
+    antipode's B = (m - 1) G - λI is -B: it solves to the same y, α changes
+    sign, and its step is the negated step, bit for bit.  So its result (-x,
+    -λ, the same loop residual) is written down instead of iterated: of R
     restarts only ceil(R / 2) run.  Recall is no worse in distribution: a pair
     that one start reaches with probability q is reached, itself or its
     mirror, with probability 2q, and (1 - 2q)^(R/2) <= (1 - q)^R.  A pair with
     λ = 0 is its own mirror up to sign, so it has the recall of ceil(R / 2)
     starts.
 
-    The restarts run in consecutive blocks whose widest array (the
-    Newton systems or the monomials) holds at most BUDGET items, or of one
+    The restarts run in consecutive blocks whose widest array (the n x n
+    maps and systems or the monomials) holds at most BUDGET items, or of one
     restart when that alone exceeds it, so memory does not grow with the
     restart count.  The BLAS picks its GEMM kernel by row count, so another
     block size can change a restart's iterates, and with them which rarely
@@ -363,7 +375,7 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
     # Per iterated restart: converged x, Newton λ and loop residual (inf: never converged).
     final_x, final_lam = np.empty((iterated, n)), np.empty(iterated)
     final_res = np.full(iterated, np.inf)
-    block = max(1, BUDGET // max((n + 1) ** 2, math.comb(n + m - 3, m - 2)))
+    block = max(1, BUDGET // max(n * n, math.comb(n + m - 3, m - 2)))
     tol = RESIDUAL_TOL * _scale(tensor)
     for lo in range(0, iterated, block):
         rows = slice(lo, lo + block)

@@ -4,7 +4,8 @@ Everything here enumerates index tuples directly with itertools and
 evaluates the defining inequalities literally, staying independent of the
 library's numpy contractions and interval algebra.  Two exceptions:
 region_of builds regions through the library's own normalization, and the
-fresh-array Newton kernel at the end is a bit-exact reference, not a brute one.
+fresh-array Newton kernels at the end are a bit-exact reference and a
+cross-check of the step, not brute ones.
 """
 
 import itertools
@@ -485,14 +486,17 @@ def finite_difference_jacobian(tensor, x, step=1e-6):
     return J
 
 
-# -- the fresh-array Newton kernel (bit-exact reference) ----------------------------
+# -- the fresh-array Newton kernels --------------------------------------------------
 #
 # The Newton map, step solve, restart loop and dedupe in their first, plainest
 # form: every array of every step allocated anew, every restart compacted on
-# every step, every candidate compared with every other.  The library's lean
-# loop must do the same floating-point operations in the same order, so
-# z_eigs_newton with these swapped in must give the same bits.  Kept verbatim:
-# do not tidy.
+# every step, every candidate compared with every other.  One restart loop,
+# two steps: reference_shifted_newton_block takes the library's step, one
+# n x n solve of B y = x, and must do the same floating-point operations in
+# the same order, so z_eigs_newton with it swapped in must give the same bits;
+# reference_newton_block takes the same Newton step from the bordered
+# (n+1) x (n+1) system instead, an independent check of that step that agrees
+# within rounding, not in the bits.  Kept verbatim: do not tidy.
 
 
 def reference_newton_map(data: np.ndarray):
@@ -516,6 +520,7 @@ def reference_newton_map(data: np.ndarray):
         G = (P @ W).reshape(len(X), n, n)
         return np.einsum("zij,zj->zi", G, X), (m - 1) * G
 
+    evaluate.order = m
     return evaluate
 
 
@@ -544,9 +549,29 @@ def reference_solve_newton_steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarr
         return steps, ok
 
 
-def reference_newton_block(newton_map, X: np.ndarray, tol, final_x, final_lam, final_res) -> None:
+def bordered_newton_step(J: np.ndarray, AX: np.ndarray, X: np.ndarray, lam: np.ndarray):
+    """Each row's x + s_x and λ + s_λ for the solution s of its bordered
+    system [[J - λI, -x], [2x^T, 0]] s = -[A x^{m-1} - λx; x.x - 1], the mask
+    of the nonsingular systems, and the systems."""
     n = X.shape[1]
-    eye = np.eye(n)
+    full = np.zeros((len(X), n + 1, n + 1))
+    full[:, :n, :n] = J - lam[:, None, None] * np.eye(n)
+    full[:, :n, n] = -X
+    full[:, n, :n] = 2.0 * X
+    F = np.concatenate([AX - lam[:, None] * X, (np.einsum("zi,zi->z", X, X) - 1.0)[:, None]], axis=1)
+    steps, ok = reference_solve_newton_steps(full, F)
+    return X + steps[:, :n], lam + steps[:, n], ok, full
+
+
+def shifted_newton_step(J: np.ndarray, X: np.ndarray, lam: np.ndarray, m: int):
+    """The same step from y = B^-1 x, B = J - λI: B x = (m-1) r + (m-2) λ x."""
+    Y, ok = reference_solve_newton_steps(J - lam[:, None, None] * np.eye(X.shape[1]), -X)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the singular rows, dropped by ok
+        alpha = 1.0 / ((m - 1) * np.einsum("zi,zi->z", X, Y))
+        return (m - 2) / (m - 1) * X + alpha[:, None] * Y, lam / (m - 1) + alpha, ok
+
+
+def _reference_restarts(step, newton_map, X: np.ndarray, tol, final_x, final_lam, final_res) -> None:
     AX, J = newton_map(X)
     lam = np.einsum("zi,zi->z", X, AX)
     order = np.arange(len(X))
@@ -562,19 +587,20 @@ def reference_newton_block(newton_map, X: np.ndarray, tol, final_x, final_lam, f
             break
         X, lam, AX, J, order = X[active], lam[active], AX[active], J[active], order[active]
 
-        full = np.zeros((len(order), n + 1, n + 1))
-        full[:, :n, :n] = J - lam[:, None, None] * eye
-        full[:, :n, n] = -X
-        full[:, n, :n] = 2.0 * X
-        F = np.concatenate([AX - lam[:, None] * X, (np.einsum("zi,zi->z", X, X) - 1.0)[:, None]], axis=1)
-        steps, ok = reference_solve_newton_steps(full, F)
-        X = X + steps[:, :n]
-        lam = lam + steps[:, n]
+        X, lam, ok = step(J, AX, X, lam)
         norms = np.linalg.norm(X, axis=1)
         ok &= np.isfinite(norms) & (norms > 1e-12) & np.isfinite(lam)
         X, lam, order, norms = X[ok], lam[ok], order[ok], norms[ok]
         X = X / norms[:, None]
         AX, J = newton_map(X)
+
+
+def reference_newton_block(newton_map, X: np.ndarray, *out) -> None:
+    _reference_restarts(lambda J, AX, X, lam: bordered_newton_step(J, AX, X, lam)[:3], newton_map, X, *out)
+
+
+def reference_shifted_newton_block(newton_map, X: np.ndarray, *out) -> None:
+    _reference_restarts(lambda J, AX, X, lam: shifted_newton_step(J, X, lam, newton_map.order), newton_map, X, *out)
 
 
 # -- JSON rendering --------------------------------------------------------------

@@ -29,6 +29,7 @@ from zeig.tensor import DenseTensor, contract
 
 from conftest import load_fixture
 from helpers import (
+    bordered_newton_step,
     brute_apply,
     brute_contract,
     brute_dedupe,
@@ -41,6 +42,7 @@ from helpers import (
     reference_distinct,
     reference_newton_block,
     reference_newton_map,
+    reference_shifted_newton_block,
     sign_change_candidates,
     sign_change_indices,
 )
@@ -240,6 +242,51 @@ def test_sweep_reports_a_sevenfold_root_once():
     assert values[1] == pytest.approx(0.0, abs=1e-12)
 
 
+def _rotated_constant_tangent(order, angle):
+    """A x^{m-1} = (u.x)^(m-2) x with u = (cos angle, sin angle): g vanishes,
+    and λ(x) = (u.x)^(m-2) on the unit circle."""
+    u = np.array([np.cos(angle), np.sin(angle)])
+    data = np.eye(2)
+    for _ in range(order - 2):
+        data = np.multiply.outer(data, u)
+    return DenseTensor(data), u
+
+
+def test_sweep_reports_the_extremes_of_a_continuum_of_eigenvectors():
+    # A x^3 = (u.x)^2 x with u = (cos 0.6, sin 0.6): every unit x is an
+    # eigenvector, with λ = (u.x)^2 spanning [0, 1], and the axes alone give
+    # 0.681 and 0.319.  The critical directions of λ give its extremes: 1 at
+    # ±u and 0 at u⊥.
+    t, (built, u) = load_fixture("rotated_g0_m4_n2.json"), _rotated_constant_tangent(4, 0.6)
+    assert np.array_equal(t.data, built.data)
+    pairs = z_eigs_sweep_n2(t)
+    assert len(pairs) == 2
+    assert pairs[0].value == pytest.approx(1.0, abs=1e-12)
+    assert abs(pairs[0].x @ u) == pytest.approx(1.0, abs=1e-12)
+    assert pairs[1].value == pytest.approx(0.0, abs=1e-12)
+    assert abs(pairs[1].x @ u) <= 1e-12
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 6])
+@pytest.mark.parametrize("angle", [0.1, 0.6, 2.0, 2.9])
+def test_sweep_reports_the_extremes_of_lambda_where_every_direction_is_an_eigenvector(order, angle):
+    # λ(x) = (u.x)^(m-2): its extremes ±1 (odd m) or 1 and 0 (even m) sit at ±u.
+    t, u = _rotated_constant_tangent(order, angle)
+    pairs = z_eigs_sweep_n2(t)
+    values = eigenvalues(pairs)
+    assert values[0] == pytest.approx(1.0, abs=1e-12)
+    assert values[-1] == pytest.approx(-1.0 if order % 2 else 0.0, abs=1e-12)
+    assert abs(pairs[0].x @ u) == pytest.approx(1.0, abs=1e-12)
+    assert all(p.residual <= RESIDUAL_TOL for p in pairs)
+
+
+def test_sweep_keeps_the_axes_where_lambda_is_constant():
+    # A x^3 = (x.x) x: every unit x is an eigenvector with λ = 1.
+    pairs = z_eigs_sweep_n2(DenseTensor(np.multiply.outer(np.eye(2), np.eye(2))))
+    assert [p.value for p in pairs] == [1.0, 1.0]
+    assert np.array_equal([p.x for p in pairs], [[0.0, 1.0], [1.0, 0.0]])  # sorted by x after λ
+
+
 def _counted_contractions(monkeypatch):
     """A list that gets one entry, the vectors' row count, per contract call of the oracle."""
     calls = []
@@ -400,7 +447,7 @@ def test_newton_restart_blocks_find_the_same_eigenvalues(monkeypatch):
             blocks.append(len(X))
             run_block(newton_map, X, *out)
 
-        monkeypatch.setattr(oracle, "BUDGET", 50 * (t.dim + 1) ** 2)  # blocks of 50 iterated starts
+        monkeypatch.setattr(oracle, "BUDGET", 50 * t.dim**2)  # blocks of 50 iterated starts
         monkeypatch.setattr(oracle, "_newton_block", counted_block)
         split = eigenvalues(z_eigs_newton(t, cfg))
         monkeypatch.undo()
@@ -466,7 +513,7 @@ def _reference_z_eigs_newton(monkeypatch, tensor, cfg):
     """z_eigs_newton with the fresh-array kernel of tests/helpers.py swapped in."""
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_newton_map", reference_newton_map)
-        patch.setattr(oracle, "_newton_block", reference_newton_block)
+        patch.setattr(oracle, "_newton_block", reference_shifted_newton_block)
         patch.setattr(oracle, "_distinct", reference_distinct)
         return z_eigs_newton(tensor, cfg)
 
@@ -487,7 +534,8 @@ def _assert_newton_bit_exact(monkeypatch, tensor, cfg):
     for got, want in zip((AX, (tensor.order - 1) * G), reference_newton_map(tensor.data)(starts)):
         assert np.array_equal(got, want)
     finals = []
-    for block, newton_map in ((oracle._newton_block, _newton_map), (reference_newton_block, reference_newton_map)):
+    kernels = (oracle._newton_block, _newton_map), (reference_shifted_newton_block, reference_newton_map)
+    for block, newton_map in kernels:
         final = np.full((cfg.restarts, n), np.nan), np.full(cfg.restarts, np.nan), np.full(cfg.restarts, np.inf)
         block(newton_map(tensor.data), starts, RESIDUAL_TOL * np.abs(tensor.data).sum(), *final)
         finals.append(final)
@@ -516,7 +564,7 @@ def test_newton_bit_exact_across_restart_blocks(monkeypatch):
         blocks.append(len(X))
         run_block(newton_map, X, *out)
 
-    monkeypatch.setattr(oracle, "BUDGET", 70 * (t.dim + 1) ** 2)  # blocks of 70 restarts, the last of 20
+    monkeypatch.setattr(oracle, "BUDGET", 70 * t.dim**2)  # blocks of 70 restarts, the last of 20
     monkeypatch.setattr(oracle, "_newton_block", counted_block)
     found = z_eigs_newton(t, cfg)
     assert blocks == [70, 70, 70, 70, 20]
@@ -524,8 +572,9 @@ def test_newton_bit_exact_across_restart_blocks(monkeypatch):
 
 
 def test_newton_bit_exact_on_all_ones_with_singular_systems(monkeypatch):
-    # The restarts of the all-ones tensor all head for x = 1/sqrt(n); many of
-    # the batched systems on the way are exactly singular, and their steps NaN.
+    # All ones at order 4: A x^3 = s^3 (1, ..., 1) with s = sum(x), so B = 3 s^2 11^T - s^4 I.
+    # Restarts heading for the λ = 0 eigenvectors, s = 0, meet B that are rank
+    # one in floating point once s^4 is below the rounding of 3 s^2: their steps are NaN.
     nan_steps = []
     solve1 = oracle._umath_linalg.solve1
 
@@ -537,6 +586,88 @@ def test_newton_bit_exact_on_all_ones_with_singular_systems(monkeypatch):
     monkeypatch.setattr(oracle, "_umath_linalg", SimpleNamespace(solve1=counted_solve1))
     _assert_newton_bit_exact(monkeypatch, load_fixture("ones_m4_n5.json"), OracleConfig())
     assert sum(nan_steps) > 0
+
+
+def _bordered_disagreement(t, X, lam):
+    """_newton_step's (x, λ) against the bordered Newton step's, each row's
+    largest difference relative to its largest entry, in units of eps times
+    the condition number of its bordered system."""
+    AX, G = _newton_map(t.data)(X)
+    want_x, want_lam, ok, full = bordered_newton_step((t.order - 1) * G, AX, X, lam)
+    assert ok.all()
+    got_x, got_lam = oracle._newton_step(G, X, lam, t.order)
+    diff = np.abs(np.column_stack([got_x - want_x, got_lam - want_lam]))
+    relative = diff.max(axis=1) / np.abs(np.column_stack([want_x, want_lam])).max(axis=1)
+    return relative, relative / (np.linalg.cond(full) * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_newton_step_is_the_bordered_newton_step(order):
+    # y = B^-1 x gives the bordered system's step: B x = (m-1) r + (m-2) λ x.
+    # Random unit states, λ anywhere in the spectrum's range, 6 tensors of each order.
+    rng = np.random.default_rng(80 + order)
+    relative = []
+    for trial in range(6):
+        t = random_tensor(rng, order=order, dim=int(rng.integers(2, 7)), signed=bool(trial % 2))
+        X = _start_points(t.dim, 50, trial)
+        lam = rng.uniform(-1.0, 1.0, 50) * np.abs(t.data).sum()
+        rows, conditioned = _bordered_disagreement(t, X, lam)
+        assert conditioned.max() <= 10.0, (trial, conditioned.max())
+        relative.append(rows)
+    assert np.median(np.concatenate(relative)) <= 1e-14
+
+
+def test_newton_finds_the_pairs_of_the_bordered_kernel(monkeypatch):
+    # The bordered kernel takes the same steps up to rounding, so on generic
+    # tensors both find the same pairs, within the dedupe tolerances.
+    rng = np.random.default_rng(12)
+    for trial in range(6):
+        order, dim = int(rng.integers(3, 6)), int(rng.integers(3, 5))
+        t = random_tensor(rng, order=order, dim=dim, signed=bool(trial % 2))
+        cfg = OracleConfig(300, seed=trial)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_newton_map", reference_newton_map)
+            patch.setattr(oracle, "_newton_block", reference_newton_block)
+            bordered = z_eigs_newton(t, cfg)
+        found = z_eigs_newton(t, cfg)
+        assert len(found) == len(bordered) >= 2, trial
+        scale = np.abs(t.data).sum()
+        for p in found:
+            assert any(
+                abs(p.value - q.value) <= DEDUPE_TOL_LAMBDA * scale
+                and min(np.linalg.norm(p.x - q.x), np.linalg.norm(p.x + q.x)) <= DEDUPE_TOL_X
+                for q in bordered
+            ), (trial, p)
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_newton_iterates_the_antipode_to_the_mirror_bit_for_bit(monkeypatch, order):
+    # At odd order G(-x) = -G(x), so B(-x, -λ) = -B: y is the same, α changes
+    # sign, and every trip from -x gives exactly the mirror of the trip from x.
+    # This is what lets z_eigs_newton report the mirror instead of iterating it.
+    t = random_tensor(np.random.default_rng(90 + order), order=order, dim=4, signed=True)
+    starts = _start_points(4, 200, 3)
+    trips = []
+    solve1 = oracle._umath_linalg.solve1
+
+    def recorded_solve1(B, X):
+        trips[-1].append((B.copy(), X.copy()))
+        return solve1(B, X)
+
+    monkeypatch.setattr(oracle, "_umath_linalg", SimpleNamespace(solve1=recorded_solve1))
+    finals = []
+    for X in (starts, -starts):
+        trips.append([])
+        final = np.full((200, 4), np.nan), np.full(200, np.nan), np.full(200, np.inf)
+        oracle._newton_block(_newton_map(t.data), X, RESIDUAL_TOL * np.abs(t.data).sum(), *final)
+        finals.append(final)
+    assert len(trips[0]) == len(trips[1]) > 5
+    for (B, X), (mirror_B, mirror_X) in zip(*trips):
+        assert np.array_equal(mirror_B, -B) and np.array_equal(mirror_X, -X)
+    (x, lam, res), (mirror_x, mirror_lam, mirror_res) = finals
+    assert np.isfinite(res).sum() > 100
+    assert np.array_equal(mirror_x, -x, equal_nan=True) and np.array_equal(mirror_lam, -lam, equal_nan=True)
+    assert np.array_equal(mirror_res, res)
 
 
 def _planted_singular_batch(rng, k=60, size=6):
