@@ -448,10 +448,10 @@ class VerificationReport:
 
 
 def verify_inclusion(tensor: DenseTensor, pairs: list[Eigenpair]) -> VerificationReport:
-    """Check every eigenvalue magnitude against the three region closures of
-    the tensor, and against the closed-form bound when compare_report finds
-    that it applies (the tensor is weakly symmetric and nonnegative), each
-    relaxed outward by INCLUSION_TOL * S; all_passed also requires
+    """Check every eigenvalue magnitude against the three regions of the
+    tensor, each the disk [0, sup], and against the closed-form bound when
+    compare_report finds that it applies (the tensor is weakly symmetric and
+    nonnegative): |λ| <= sup + INCLUSION_TOL * S.  all_passed also requires
     compare_report's bound chain ordering to hold."""
     agg = tensor.aggregates()
     bounds = compare_report(tensor, agg)

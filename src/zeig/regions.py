@@ -1,11 +1,11 @@
 """Eigenvalue inclusion regions on the radius axis.
 
-Each inclusion set constrains a complex number z only through r = |z|, so
-a region is represented exactly as a normalized union of intervals on
-r >= 0 with per-endpoint openness flags.  Three constructors build the
-radial traces of the classic single-row disk union (K), the pairwise
-quadratic/box union (M) and the tighter pairwise set (Omega), the last two
-from the per-pair tables RowAggregates builds once (agg.m, agg.omega).
+Each inclusion set constrains a complex number z only through r = |z|, and
+each one is a disk: its radial trace is the closed interval [0, sup].  Three
+constructors build the traces of the classic single-row disk union (K), the
+pairwise quadratic/box union (M) and the tighter pairwise set (Omega), the
+last two from the per-pair tables RowAggregates builds once (agg.m,
+agg.omega).
 """
 
 from __future__ import annotations
@@ -58,26 +58,12 @@ class RadialInterval:
     lo_open: bool = False
     hi_open: bool = False
 
-    def contains(self, r: float, tol: float = 0.0) -> bool:
-        if tol > 0.0:
-            return self.lo - tol <= r <= self.hi + tol
-        if r < self.lo or r > self.hi:
-            return False
-        if r == self.lo and self.lo_open:
-            return False
-        if r == self.hi and self.hi_open:
-            return False
-        return True
-
 
 @dataclass(frozen=True)
 class RadialRegion:
-    """Normalized union of radius intervals.
+    """A region's radial trace as radius intervals.
 
-    Normalization guarantees the stored intervals are non-empty, pairwise
-    disjoint, sorted by lower endpoint, and merged wherever two intervals
-    overlap or touch with at least one closed endpoint.  The empty region
-    is the empty tuple.
+    Every region built here is the one closed interval [0, supremum].
     """
 
     intervals: tuple[RadialInterval, ...]
@@ -88,22 +74,12 @@ class RadialRegion:
 
     @property
     def supremum(self) -> float:
-        """Largest upper endpoint; 0 by convention for the empty region."""
-        if not self.intervals:
-            return 0.0
+        """Largest upper endpoint."""
         return self.intervals[-1].hi
 
     def contains(self, r: float, tol: float = 0.0) -> bool:
-        """Membership of the radius r.
-
-        With tol == 0 open endpoints are honored exactly; with tol > 0 the
-        query tests the closure with every endpoint relaxed outward by tol.
-        """
-        if r < 0.0:
-            raise ValueError("radius must be >= 0")
-        if tol < 0.0:
-            raise ValueError("tol must be >= 0")
-        return any(iv.contains(r, tol) for iv in self.intervals)
+        """Membership of the radius r in the disk [0, supremum + tol]."""
+        return 0.0 <= r <= self.supremum + tol
 
     def to_csv(self) -> str:
         """CSV rendering: one row per interval, openness flags as 0/1."""
@@ -113,51 +89,19 @@ class RadialRegion:
         return "\n".join(lines) + "\n"
 
 
-def _union(lo, hi, lo_open=False, hi_open=False) -> tuple[RadialInterval, ...]:
-    """Normalized union of the intervals with endpoint arrays lo and hi and
-    openness flags lo_open and hi_open (a scalar flag holds for all).
-
-    The non-empty intervals are sorted by (lo, lo_open), closed starts
-    first, and each one's running end is the largest (hi, closed) among it
-    and those before it.  An interval starts a new piece where its lo is past
-    the running end before it, or equals that end with both ends open; a
-    piece ends at the running end of its last interval.
-    """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    lo_open, hi_open = (np.broadcast_to(np.asarray(flag, dtype=bool), lo.shape) for flag in (lo_open, hi_open))
-    keep = ~((lo > hi) | ((lo == hi) & (lo_open | hi_open)))
-    lo, hi, lo_open, hi_open = lo[keep], hi[keep], lo_open[keep], hi_open[keep]
-    if np.any(lo < 0.0):
-        bad = RadialInterval(*(a[np.argmax(lo < 0.0)].item() for a in (lo, hi, lo_open, hi_open)))
-        raise ValueError(f"interval extends below the radius axis: {bad}")
-    order = np.lexsort((lo_open, lo))
-    lo, hi, lo_open, hi_open = lo[order], hi[order], lo_open[order], hi_open[order]
-    by_end = np.lexsort((~hi_open, hi))  # ascending (hi, closed)
-    # argsort(by_end) ranks each interval's end; the running max of the ranks
-    # names the interval holding each running end
-    end = by_end[np.maximum.accumulate(np.argsort(by_end))]
-    end_hi, end_open = hi[end], hi_open[end]
-    start = np.ones(len(lo), dtype=bool)
-    start[1:] = (lo[1:] > end_hi[:-1]) | ((lo[1:] == end_hi[:-1]) & lo_open[1:] & end_open[:-1])
-    first, last = np.flatnonzero(start), np.flatnonzero(np.append(start[1:], True)[: len(lo)])
-    return tuple(
-        map(RadialInterval, lo[first].tolist(), end_hi[last].tolist(), lo_open[first].tolist(), end_open[last].tolist())
-    )
-
-
 class PairTable(NamedTuple):
     """Per-pair quantities of one pairwise inclusion set.
 
     Entry k belongs to the k-th ordered pair (i, j), i != j, in
     lexicographic order (see ordered_pairs).  The pair contributes the
-    closed band [lo, hi] and the half-open box [0, cap); p and q are the
-    two centres of its quadratic.  Empty bands (lo > hi) and boxes
-    (cap == 0) contribute nothing.
+    half-open box [0, cap), cap = min(p, q), and the closed band of its
+    quadratic (r - p)(r - q) <= c, whose top is hi; p and q are the two
+    centres.  As c >= 0 the band's smaller root is at most cap, and hi is
+    at least cap, so box and band join into [0, hi].
     """
 
     p: np.ndarray
     q: np.ndarray
-    lo: np.ndarray
     hi: np.ndarray
     cap: np.ndarray
 
@@ -200,7 +144,7 @@ class RowAggregates:
         R, P = self.row_sums, self.partial_sums
         p, q = P[i, j], P[j, i]
         roots = solve_radial_quadratic(p, q, np.maximum(0.0, R[i] - p) * np.maximum(0.0, R[j] - q))
-        return _read_only(p, q, np.maximum(0.0, roots.r_minus), np.minimum(roots.r_plus, R[i]), np.minimum(p, q))
+        return _read_only(p, q, np.minimum(roots.r_plus, R[i]), np.minimum(p, q))
 
     @functools.cached_property
     def m(self) -> PairTable:
@@ -212,7 +156,7 @@ class RowAggregates:
         p = np.maximum(0.0, R[i] - d)
         q = P[j, i]
         roots = solve_radial_quadratic(p, q, d * np.maximum(0.0, R[j] - q))
-        return _read_only(p, q, np.maximum(0.0, roots.r_minus), roots.r_plus, np.minimum(p, q))
+        return _read_only(p, q, roots.r_plus, np.minimum(p, q))
 
 
 def _read_only(*columns: np.ndarray) -> PairTable:
@@ -221,28 +165,34 @@ def _read_only(*columns: np.ndarray) -> PairTable:
     return PairTable(*columns)
 
 
-def _pair_region(table: PairTable) -> RadialRegion:
-    # The half-open boxes all start at 0, so their union is the widest one.
-    lo, hi = np.append(table.lo, 0.0), np.append(table.hi, table.cap.max())
-    return RadialRegion(_union(lo, hi, False, np.arange(lo.size) == lo.size - 1))
+def _disk(sup: float) -> RadialRegion:
+    return RadialRegion((RadialInterval(0.0, float(sup)),))
+
+
+def _pair_disk(table: PairTable) -> RadialRegion:
+    # cap <= hi in exact arithmetic; cap stays in the max so that the
+    # supremum is bound_omega_max's float whichever way hi rounds.
+    return _disk(max(table.cap.max(), table.hi.max()))
 
 
 def region_K(agg: RowAggregates) -> RadialRegion:
     """Radial trace of the union of the n single-row disks: [0, max row sum]."""
-    return RadialRegion(_union([0.0], [np.max(agg.row_sums)]))
+    return _disk(np.max(agg.row_sums))
 
 
 def region_M(agg: RowAggregates) -> RadialRegion:
-    """Pairwise quadratic-plus-box union.
+    """Pairwise quadratic-plus-box union, the disk [0, max over pairs of hi].
 
     For every ordered pair (i, j), i != j, take the closed solution band of
 
         (r - (R_i - d_ij)) (r - P_j^i) <= d_ij (R_j - P_j^i)
 
     together with the half-open box r < min(R_i - d_ij, P_j^i), where d_ij
-    is the trailing-diagonal magnitude |a[i, j, ..., j]|.
+    is the trailing-diagonal magnitude |a[i, j, ..., j]|.  The band's top
+    is its larger root, at least max(R_i - d_ij, P_j^i), and its smaller
+    root is at most the box's cap, so the pair covers [0, top].
     """
-    return _pair_region(agg.m)
+    return _pair_disk(agg.m)
 
 
 def region_Omega(agg: RowAggregates) -> RadialRegion:
@@ -253,6 +203,8 @@ def region_Omega(agg: RowAggregates) -> RadialRegion:
 
         (r - P_i^j) (r - P_j^i) <= (R_i - P_i^j) (R_j - P_j^i)
 
-    intersected with [0, R_i].
+    intersected with [0, R_i].  The band's top, min(R_i, larger root), is
+    at least P_i^j and its smaller root at most the box's cap, so the pair
+    covers [0, top] and the region is the disk [0, omega_max].
     """
-    return _pair_region(agg.omega)
+    return _pair_disk(agg.omega)

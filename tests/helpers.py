@@ -2,8 +2,7 @@
 
 Everything here enumerates index tuples directly with itertools and
 evaluates the defining inequalities literally, staying independent of the
-library's numpy contractions and interval algebra.  Two exceptions:
-region_of builds regions through the library's own normalization, and the
+library's numpy contractions and region suprema.  One exception: the
 fresh-array Newton kernels at the end are a bit-exact reference and a
 cross-check of the step, not brute ones.
 """
@@ -15,7 +14,6 @@ import math
 import numpy as np
 
 from zeig.oracle import DEDUPE_TOL_LAMBDA, DEDUPE_TOL_X, MAX_ITER, Eigenpair
-from zeig.regions import RadialRegion, _union
 from zeig.tensor import MAX_ABS_VALUE, MAX_ENTRIES, DenseTensor, TensorFormatError, _canonical_classes
 
 
@@ -87,12 +85,6 @@ def rank_one_tensor(x, order):
     for _ in range(order - 1):
         out = np.multiply.outer(out, data)
     return DenseTensor(out, copy=False)
-
-
-def region_of(items):
-    """The normalized RadialRegion of RadialInterval items."""
-    cols = np.array([(iv.lo, iv.hi, iv.lo_open, iv.hi_open) for iv in items], dtype=float).reshape(-1, 4)
-    return RadialRegion(_union(cols[:, 0], cols[:, 1], cols[:, 2] != 0.0, cols[:, 3] != 0.0))
 
 
 # -- brute-force tensor operations ----------------------------------------------
@@ -366,13 +358,6 @@ def brute_delta(R, P, i, j):
     """Literal transcription of the half-sum-plus-radical closed form."""
     p, q = P[i, j], P[j, i]
     return 0.5 * (p + q + math.sqrt((p - q) ** 2 + 4.0 * (R[i] - p) * (R[j] - q)))
-
-
-def region_endpoints(region):
-    out = []
-    for iv in region.intervals:
-        out.extend([iv.lo, iv.hi])
-    return out
 
 
 # -- angle sweep (dim-2 reference) ------------------------------------------------

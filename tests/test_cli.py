@@ -30,6 +30,7 @@ NOT_UTF8 = str(fixture_path("not_utf8.json"))
 JORDAN = str(fixture_path("jordan_rot_m2_n2.json"))
 ONES_TINY = str(fixture_path("ones_tiny_m3_n3.json"))
 ONES_HUGE = str(fixture_path("ones_1e20_m4_n3.json"))
+ULP_HOLE = str(fixture_path("omega_ulp_hole_m3_n3.json"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -224,6 +225,16 @@ def test_regions_csv_requires_single_set(tmp_path, capsys):
     code, _, err = run_cli(capsys, "regions", EX1, "--csv", str(tmp_path / "r.csv"))
     assert code == EXIT_USAGE
     assert "single set" in err
+
+
+def test_regions_are_one_interval_where_a_band_root_rounds_past_its_box(capsys):
+    # One Omega pair's smaller root, 1.0086330573509419e17, is one ulp above
+    # its box's cap: the set is still the disk [0, sup], and so is its region.
+    code, out, _ = run_cli(capsys, "regions", ULP_HOLE, "--set", "all", "--json")
+    assert code == EXIT_OK
+    for doc in json.loads(out).values():
+        assert doc["intervals"] == [{"lo": 0.0, "hi": doc["supremum"], "lo_open": False, "hi_open": False}]
+    assert run_cli(capsys, "verify", ULP_HOLE)[0] == EXIT_OK
 
 
 # -- eigs ------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from zeig.oracle import z_eigs_sweep_n2
 from zeig.regions import (
     RadialInterval,
+    ordered_pairs,
     region_K,
     region_M,
     region_Omega,
@@ -24,8 +25,6 @@ from helpers import (
     permuted_tensor,
     random_dyadic_tensor,
     random_tensor,
-    region_endpoints,
-    region_of,
 )
 
 # frozen independently: 0.5*(3.5 + sqrt(2.5**2 + 4*(49/9)))
@@ -85,96 +84,16 @@ def test_solve_quadratic_is_cancellation_safe():
     assert roots.r_plus == pytest.approx(1.0 + 1e-8, rel=1e-9)
 
 
-# -- interval normalization ------------------------------------------------------
+# -- CSV export ----------------------------------------------------------------
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
     return RadialInterval(lo, hi, lo_open, hi_open)
 
 
-def test_normalization_merges_overlap():
-    region = region_of([iv(0.0, 2.5, hi_open=True), iv(1 / 3, 31 / 6)])
-    assert region.intervals == (iv(0.0, 31 / 6),)
-
-
-def test_normalization_keeps_hole_between_open_endpoints():
-    region = region_of([iv(0.0, 1.0, hi_open=True), iv(1.0, 2.0, lo_open=True)])
-    assert len(region.intervals) == 2
-    assert not region.contains(1.0)
-
-
-def test_normalization_merges_half_open_touch():
-    region = region_of([iv(0.0, 1.0, hi_open=True), iv(1.0, 2.0)])
-    assert region.intervals == (iv(0.0, 2.0),)
-
-
-def test_normalization_point_interval_plugs_open_end():
-    region = region_of([iv(0.0, 1.0, hi_open=True), iv(1.0, 1.0)])
-    assert region.intervals == (iv(0.0, 1.0),)
-
-
-def test_normalization_drops_empty_intervals():
-    region = region_of([iv(3.0, 3.0, lo_open=True), iv(5.0, 4.0), iv(1.0, 2.0)])
-    assert region.intervals == (iv(1.0, 2.0),)
-
-
-def test_normalization_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        region_of([iv(-0.5, 1.0)])
-
-
-def interval_strategy(endpoint):
-    return st.builds(RadialInterval, lo=endpoint, hi=endpoint, lo_open=st.booleans(), hi_open=st.booleans())
-
-
-@given(
-    st.lists(interval_strategy(st.floats(0.0, 10.0)), max_size=8)
-    # small integers: equal endpoints with mixed openness are common
-    | st.lists(interval_strategy(st.integers(0, 5).map(float)), max_size=8)
-)
-@settings(max_examples=300, deadline=None)
-def test_normalization_invariants_and_membership(items):
-    region = region_of(items)
-    # stored intervals are non-empty, sorted, pairwise separated
-    for a in region.intervals:
-        assert a.lo < a.hi or (a.lo == a.hi and not (a.lo_open or a.hi_open))
-        assert a.lo >= 0.0
-    for a, b in zip(region.intervals, region.intervals[1:]):
-        assert b.lo > a.hi or (b.lo == a.hi and b.lo_open and a.hi_open)
-    # membership at tol=0 is preserved by normalization
-    probes = set()
-    for item in items:
-        probes.update([item.lo, item.hi, 0.5 * (item.lo + item.hi)])
-    for r in probes:
-        if r < 0.0:
-            continue
-        raw = any(item.contains(r) for item in items)
-        assert region.contains(r) == raw
-
-
-def test_contains_honors_openness_and_closure():
-    region = region_of([iv(0.0, 5.0, hi_open=True)])
-    assert not region.contains(5.0, tol=0.0)
-    assert region.contains(5.0, tol=1e-9)
-    assert region.contains(0.0)
-    assert not region.contains(5.1, tol=1e-9)
-    with pytest.raises(ValueError):
-        region.contains(-1.0)
-
-
-def test_empty_region_conventions():
-    region = region_of([])
-    assert region.is_empty
-    assert region.supremum == 0.0
-    assert not region.contains(0.0)
-
-
-def test_csv_export_format():
-    region = region_of([iv(0.0, 1 / 3, hi_open=True), iv(1.0, 2.0)])
-    lines = region.to_csv().splitlines()
-    assert lines[0] == "lo,hi,lo_open,hi_open"
-    assert lines[1] == "0,0.33333333333333331,0,1"
-    assert lines[2] == "1,2,0,0"
+def test_csv_export_format(example1, example2):
+    assert region_K(example2.aggregates()).to_csv() == "lo,hi,lo_open,hi_open\n0,14.5,0,0\n"
+    assert region_Omega(example1.aggregates()).to_csv().splitlines()[1] == "0,4.3970633623780984,0,0"
 
 
 # -- region constructors -----------------------------------------------------------
@@ -265,16 +184,14 @@ def test_region_membership_matches_defining_inequalities():
             "Omega": (region_Omega(agg), brute_in_Omega),
         }
         R, P, D = brute_aggregates(t)
-        endpoints = []
-        for reg, _ in regions.values():
-            endpoints.extend(region_endpoints(reg))
+        sups = [reg.supremum for reg, _ in regions.values()]
         top = 1.2 * max(float(agg.row_sums.max()), 1e-6)
         for r in rng.uniform(0.0, top, size=1000):
             r = float(r)
-            if any(abs(r - e) <= 1e-12 * max(1.0, e) for e in endpoints):
+            if any(abs(r - e) <= 1e-12 * max(1.0, e) for e in sups):
                 continue  # brute check uses independently-summed aggregates
             for name, (reg, brute) in regions.items():
-                assert reg.contains(r) == brute(R, P, D, r), (name, r)
+                assert (r <= reg.supremum) == brute(R, P, D, r), (name, r)
 
 
 def test_regions_scale_exactly_with_power_of_two():
@@ -293,9 +210,7 @@ def test_regions_scale_exactly_with_power_of_two():
 def test_region_intervals_hold_python_scalars(example1):
     # render_json prints only Python floats and bools; it rejects numpy's
     agg = example1.aggregates()
-    built = [region_K(agg), region_M(agg), region_Omega(agg)]
-    built.append(region_of([iv(0, 1, hi_open=True), iv(1, 2), iv(3, 4, True, 1)]))
-    for region in built:
+    for region in (region_K(agg), region_M(agg), region_Omega(agg)):
         for interval in region.intervals:
             fields = (interval.lo, interval.hi, interval.lo_open, interval.hi_open)
             assert [type(v) for v in fields] == [float, float, bool, bool]
@@ -308,6 +223,44 @@ def test_pair_tables_are_kept_and_read_only(example2):
         for column in table:
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0.0
+
+
+def _family_tensors(count, seed):
+    """Random tensors of orders 2-5 and dims 2-6, in turn signed, nonnegative,
+    sparse, spread over magnitudes 1e-20..1e20, and integer."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+        a = rng.standard_normal((n,) * m)
+        family = k % 5
+        if family == 1:
+            a = np.abs(a)
+        elif family == 2:
+            a = a * (rng.random(a.shape) < 0.3)
+        elif family == 3:
+            a = a * 10.0 ** rng.uniform(-20, 20, a.shape)
+        elif family == 4:
+            a = np.round(a)
+        yield DenseTensor(a, copy=False)
+
+
+def test_each_pair_band_joins_its_box_into_one_interval():
+    # c >= 0 puts the band's smaller root at or below cap = min(p, q), and its
+    # top is at least cap, so box and band form [0, hi]: the regions are disks.
+    for t in _family_tensors(500, seed=7):
+        agg = t.aggregates()
+        i, j = ordered_pairs(agg.dim)
+        R, P, D = agg.row_sums, agg.partial_sums, agg.diag_abs
+        products = {
+            "omega": np.maximum(0.0, R[i] - P[i, j]) * np.maximum(0.0, R[j] - P[j, i]),
+            "m": D[i, j] * np.maximum(0.0, R[j] - P[j, i]),
+        }
+        for name, c in products.items():
+            table = getattr(agg, name)
+            r_minus = solve_radial_quadratic(table.p, table.q, c).r_minus
+            ulps = 4.0 * np.spacing(table.cap)
+            assert np.all(r_minus <= table.cap + ulps), (name, t.data.tolist())
+            assert np.all(table.hi >= table.cap - ulps), (name, t.data.tolist())
 
 
 def test_regions_invariant_under_index_permutation():
