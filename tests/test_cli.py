@@ -237,6 +237,20 @@ def test_regions_are_one_interval_where_a_band_root_rounds_past_its_box(capsys):
     assert run_cli(capsys, "verify", ULP_HOLE)[0] == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["example1.json", "example2.json", "diagonal_123_m3.json", "zero_m2_n2.json", "rank_one_m4_n2.json", "jordan_rot_m2_n2.json"],
+)
+def test_regions_json_reports_each_set_as_a_nonempty_closed_disk(capsys, name):
+    code, out, _ = run_cli(capsys, "regions", str(fixture_path(name)), "--set", "all", "--json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    for region in doc.values():
+        assert region["empty"] is False
+        assert region["intervals"] == [{"lo": 0.0, "hi": region["supremum"], "lo_open": False, "hi_open": False}]
+    assert doc["Omega"]["supremum"] <= doc["M"]["supremum"] <= doc["K"]["supremum"]
+
+
 # -- eigs ------------------------------------------------------------------------
 
 

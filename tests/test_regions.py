@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zeig.bounds import bound_omega_max
 from zeig.oracle import z_eigs_sweep_n2
 from zeig.regions import (
     RadialInterval,
+    RadialRegion,
     ordered_pairs,
     region_K,
     region_M,
@@ -94,6 +96,25 @@ def iv(lo, hi, lo_open=False, hi_open=False):
 def test_csv_export_format(example1, example2):
     assert region_K(example2.aggregates()).to_csv() == "lo,hi,lo_open,hi_open\n0,14.5,0,0\n"
     assert region_Omega(example1.aggregates()).to_csv().splitlines()[1] == "0,4.3970633623780984,0,0"
+
+
+def test_csv_export_renders_each_interval_and_its_openness():
+    region = RadialRegion((iv(0.0, 1 / 3, hi_open=True), iv(1.0, 2.0, lo_open=True)))
+    assert region.to_csv().splitlines() == ["lo,hi,lo_open,hi_open", "0,0.33333333333333331,0,1", "1,2,1,0"]
+
+
+# -- membership ------------------------------------------------------------------
+
+
+def test_contains_is_the_closed_disk_widened_by_tol():
+    region = RadialRegion((iv(0.0, 5.0),))
+    assert region.contains(0.0)
+    assert region.contains(5.0, tol=0.0)
+    assert not region.contains(5.0 + 1e-9, tol=0.0)
+    assert region.contains(5.0 + 1e-10, tol=1e-9)
+    assert not region.contains(5.1, tol=1e-9)
+    assert not region.contains(-1.0)
+    assert not region.contains(-5e-324, tol=1.0)
 
 
 # -- region constructors -----------------------------------------------------------
@@ -261,6 +282,49 @@ def test_each_pair_band_joins_its_box_into_one_interval():
             ulps = 4.0 * np.spacing(table.cap)
             assert np.all(r_minus <= table.cap + ulps), (name, t.data.tolist())
             assert np.all(table.hi >= table.cap - ulps), (name, t.data.tolist())
+
+
+def test_built_regions_are_one_closed_interval_from_zero():
+    for t in _family_tensors(200, seed=11):
+        for build in (region_K, region_M, region_Omega):
+            region = build(t.aggregates())
+            assert not region.is_empty
+            assert region.intervals == (iv(0.0, region.supremum),), (build.__name__, t.data.tolist())
+
+
+def test_region_suprema_are_the_largest_row_sum_and_pair_table_maxima():
+    for t in _family_tensors(200, seed=13):
+        agg = t.aggregates()
+        assert region_K(agg).supremum == float(agg.row_sums.max())
+        assert region_M(agg).supremum == float(max(agg.m.cap.max(), agg.m.hi.max()))
+        # the same float, not merely a close one: verify and bounds print both
+        assert region_Omega(agg).supremum == bound_omega_max(agg)
+
+
+def test_ordered_pairs_are_lexicographic_and_need_two_indices():
+    i, j = ordered_pairs(3)
+    assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    assert len(ordered_pairs(6)[0]) == 30
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            ordered_pairs(n)
+
+
+def test_pair_table_centres_and_caps_match_the_brute_aggregates():
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        t = random_tensor(rng, order=3, dim=4, signed=True)
+        agg = t.aggregates()
+        R, P, D = brute_aggregates(t)
+        i, j = ordered_pairs(agg.dim)
+        for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+            assert agg.omega.p[k] == pytest.approx(P[a][b], rel=1e-12)
+            assert agg.omega.q[k] == pytest.approx(P[b][a], rel=1e-12)
+            assert agg.omega.hi[k] <= R[a] * (1 + 1e-12)
+            assert agg.m.p[k] == pytest.approx(max(0.0, R[a] - D[a][b]), rel=1e-12, abs=1e-12)
+            assert agg.m.q[k] == pytest.approx(P[b][a], rel=1e-12)
+        for table in (agg.omega, agg.m):
+            assert np.array_equal(table.cap, np.minimum(table.p, table.q))
 
 
 def test_regions_invariant_under_index_permutation():
