@@ -419,6 +419,22 @@ def test_json_output_matches_golden_bytes(capsys, name, command):
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{command[0]}.json").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_regions_text_matches_golden_bytes(capsys, name):
+    code, out, _ = run_cli(capsys, "regions", str(fixture_path(f"{name}.json")), "--set", "all")
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.regions.txt").read_bytes()
+
+
+@pytest.mark.parametrize("region", ["K", "M", "Omega"])
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_regions_csv_matches_golden_bytes(capsys, tmp_path, name, region):
+    csv_path = tmp_path / f"{region}.csv"
+    code, _, _ = run_cli(capsys, "regions", str(fixture_path(f"{name}.json")), "--set", region, "--csv", str(csv_path))
+    assert code == EXIT_OK
+    assert csv_path.read_bytes() == (GOLDEN / f"{name}.{region}.csv").read_bytes()
+
+
 # -- exit-code contract over the fixture corpus --------------------------------------
 
 
