@@ -15,14 +15,11 @@ from .oracle import (
     z_eigs_sweep_n2,
 )
 from .regions import (
-    QuadraticRootPair,
-    RadialInterval,
     RadialRegion,
     RowAggregates,
     region_K,
     region_M,
     region_Omega,
-    solve_radial_quadratic,
 )
 from .tensor import (
     DEFAULT_STRUCT_TOL,
@@ -40,8 +37,6 @@ __all__ = [
     "Eigenpair",
     "OracleConfig",
     "PairCheck",
-    "QuadraticRootPair",
-    "RadialInterval",
     "RadialRegion",
     "RowAggregates",
     "TensorFormatError",
@@ -52,7 +47,6 @@ __all__ = [
     "region_K",
     "region_M",
     "region_Omega",
-    "solve_radial_quadratic",
     "verify_inclusion",
     "z_eigs_newton",
     "z_eigs_sweep_n2",

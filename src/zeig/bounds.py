@@ -2,9 +2,9 @@
 
 The three bounds form a chain: the pairwise partial-row-sum bound
 (omega_max) is at most the pairwise quadratic bound (chain_middle), which
-is at most the plain maximum row sum (gershgorin).  All of them are
-suprema of the matching inclusion regions, read off the same per-pair
-tables (agg.omega, agg.m) the regions are built from.
+is at most the plain maximum row sum (gershgorin).  They are read off the
+same per-pair tables (agg.omega, agg.m) the regions are built from, and
+omega_max is Omega's supremum, PairTable.sup.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def bound_omega_max(agg: RowAggregates) -> float:
     """Supremum of the Omega region in closed form: the largest box cap
     min(P_i^j, P_j^i) or band top min(R_i, delta(i, j)) over ordered pairs,
     delta being the larger root of the pair's quadratic."""
-    return float(max(agg.omega.cap.max(), agg.omega.hi.max()))
+    return agg.omega.sup
 
 
 def compare_report(tensor: DenseTensor, agg: RowAggregates) -> BoundReport:
@@ -68,8 +68,9 @@ def compare_report(tensor: DenseTensor, agg: RowAggregates) -> BoundReport:
     an internal defect and is flagged with a distinguished warning.
     """
     omega, m = agg.omega, agg.m
-    best = np.maximum(omega.cap, omega.hi)
-    k = int(np.argmax(best))  # first maximum: the lexicographically smallest attaining pair
+    omega_max = omega.sup
+    # The first maximum: the lexicographically smallest attaining pair.
+    k = int(np.argmax(np.maximum(omega.cap, omega.hi)))
     i, j = ordered_pairs(agg.dim)
     # p and q stay in: the larger root can round one ulp below max(p, q).
     middle = float(max(m.hi.max(), m.p.max(), m.q.max()))
@@ -80,10 +81,10 @@ def compare_report(tensor: DenseTensor, agg: RowAggregates) -> BoundReport:
         warnings.append("tensor has negative entries; bounds are formal quantities only")
     if not weakly_symmetric:
         warnings.append("tensor is not weakly symmetric; bounds are formal quantities only")
-    if best[k] > middle + _CHAIN_SLACK or middle > gersh + _CHAIN_SLACK:
+    if omega_max > middle + _CHAIN_SLACK or middle > gersh + _CHAIN_SLACK:
         warnings.append(CHAIN_VIOLATION_WARNING)
     return BoundReport(
-        omega_max=float(best[k]),
+        omega_max=omega_max,
         omega_hat_max=float(omega.cap.max()),
         omega_tilde_max=float(omega.hi.max()),
         chain_middle=middle,

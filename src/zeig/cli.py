@@ -30,7 +30,7 @@ from .oracle import (
     z_eigs_newton,
     z_eigs_sweep_n2,
 )
-from .regions import RadialRegion, region_K, region_M, region_Omega
+from .regions import region_K, region_M, region_Omega
 from .tensor import DenseTensor, TensorFormatError, parse_tensor
 
 EXIT_OK = 0
@@ -171,23 +171,6 @@ def cmd_bounds(args) -> int:
     return EXIT_OK if report.chain_ok else EXIT_VERIFY
 
 
-def _interval_text(iv) -> str:
-    left = "(" if iv.lo_open else "["
-    right = ")" if iv.hi_open else "]"
-    return f"{left}{_fmt(iv.lo)}, {_fmt(iv.hi)}{right}"
-
-
-def _region_doc(region: RadialRegion) -> dict:
-    return {
-        "intervals": [
-            {"lo": iv.lo, "hi": iv.hi, "lo_open": iv.lo_open, "hi_open": iv.hi_open}
-            for iv in region.intervals
-        ],
-        "supremum": region.supremum,
-        "empty": region.is_empty,
-    }
-
-
 def cmd_regions(args) -> int:
     tensor = _load_tensor(args.file)
     agg = tensor.aggregates()
@@ -201,13 +184,12 @@ def cmd_regions(args) -> int:
         except OSError as exc:
             raise UsageError(f"cannot write '{args.csv}': {exc.strerror or exc}") from None
     if args.json:
-        sys.stdout.write(render_json({name: _region_doc(reg) for name, reg in regions.items()}))
+        sys.stdout.write(render_json({name: reg.to_dict() for name, reg in regions.items()}))
     else:
-        for name in names:
-            reg = regions[name]
-            print(f"{name}: {len(reg.intervals)} interval(s), sup {_fmt(reg.supremum)}")
-            for iv in reg.intervals:
-                print(f"  {_interval_text(iv)}")
+        for name, reg in regions.items():
+            sup = _fmt(reg.supremum)
+            print(f"{name}: 1 interval(s), sup {sup}")
+            print(f"  [0, {sup}]")
     return EXIT_OK
 
 

@@ -92,10 +92,10 @@ class OracleConfig:
 def _newton_map(data: np.ndarray):
     """X -> (A x^{m-1}, G) for each row x of X, with G = T x^{m-2} for the
     trailing mean T of A, which has A's map and Jacobian: A x^{m-1} = G x and
-    the Jacobian is (m - 1) G, which _newton_block writes into its systems
-    (the order m is the map's ``order``).  G is one GEMM: the row's
-    degree-(m-2) monomials, one per multiset of the last m - 2 slots, times
-    the fold W of tensor._fold."""
+    the Jacobian is (m - 1) G, from which _newton_step forms the shifted
+    B = (m - 1) G - λI (the order m is the map's ``order``).  G is one GEMM:
+    the row's degree-(m-2) monomials, one per multiset of the last m - 2
+    slots, times the fold W of tensor._fold."""
     n, m = data.shape[0], data.ndim
     W, columns = _fold(data)
 

@@ -1,11 +1,12 @@
 """Eigenvalue inclusion regions on the radius axis.
 
 Each inclusion set constrains a complex number z only through r = |z|, and
-each one is a disk: its radial trace is the closed interval [0, sup].  Three
-constructors build the traces of the classic single-row disk union (K), the
-pairwise quadratic/box union (M) and the tighter pairwise set (Omega), the
-last two from the per-pair tables RowAggregates builds once (agg.m,
-agg.omega).
+each one is a disk: its radial trace is the closed interval [0, sup], held
+as the one number sup.  Three constructors build the traces of the classic
+single-row disk union (K), the pairwise quadratic/box union (M) and the
+tighter pairwise set (Omega), the last two from the per-pair tables
+RowAggregates builds once (agg.m, agg.omega); a table's sup is
+PairTable.sup, which the bounds read too.
 """
 
 from __future__ import annotations
@@ -17,76 +18,45 @@ from typing import NamedTuple
 import numpy as np
 
 
-class QuadraticRootPair(NamedTuple):
-    """Both real roots of (r - p)(r - q) = c, r_minus <= r_plus."""
+def _band_top(p, q, c):
+    """Larger root of r^2 - (p + q) r + (p q - c) = 0 for p, q >= 0 and c >= 0.
 
-    r_minus: float
-    r_plus: float
-
-
-def solve_radial_quadratic(p, q, c) -> QuadraticRootPair:
-    """Roots of r^2 - (p + q) r + (p q - c) = 0 for p, q >= 0 and c >= 0.
-
-    Works elementwise: scalars give scalar roots, arrays give arrays of
-    roots.  The larger root comes from the stable + branch of the quadratic
-    formula and the smaller from the product of roots divided by the
-    larger, which avoids catastrophic cancellation when c ~ 0 and p ~ q.
-    c == 0 short-circuits to exactly (min(p, q), max(p, q)) so that
-    degenerate cases (diagonal tensors) stay exact in floating point.
+    Works elementwise: scalars give a scalar root, arrays an array of roots.
+    The root comes from the stable + branch of the quadratic formula.  c == 0
+    short-circuits to exactly max(p, q) so that degenerate cases (diagonal
+    tensors) stay exact in floating point.
     """
     p, q, c = (np.asarray(v, dtype=float) for v in (p, q, c))
     if np.any(c < 0.0):
         raise ValueError(f"product bound must be >= 0, got {c.min()} (internal invariant violated)")
     # float_power calls the C library pow, as Python's float ** does; np.square
     # rounds differently in the last bit for about 1 in 1,000 inputs, and the
-    # roots are printed to the last bit.
-    disc = np.sqrt(np.float_power(p - q, 2) + 4.0 * c)
-    r_plus = 0.5 * ((p + q) + disc)
-    exact, positive = c == 0.0, r_plus > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_minus = np.where(exact, np.minimum(p, q), np.where(positive, (p * q - c) / r_plus, 0.0))
-    r_plus = np.where(exact, np.maximum(p, q), np.where(positive, r_plus, 0.0))
-    return QuadraticRootPair(r_minus[()], r_plus[()])
-
-
-@dataclass(frozen=True, slots=True)
-class RadialInterval:
-    """One interval on the radius axis; endpoints may be open."""
-
-    lo: float
-    hi: float
-    lo_open: bool = False
-    hi_open: bool = False
+    # band tops are printed to the last bit.
+    top = 0.5 * ((p + q) + np.sqrt(np.float_power(p - q, 2) + 4.0 * c))
+    return np.where(c == 0.0, np.maximum(p, q), top)[()]
 
 
 @dataclass(frozen=True)
 class RadialRegion:
-    """A region's radial trace as radius intervals.
+    """A region's radial trace, the closed interval [0, supremum]."""
 
-    Every region built here is the one closed interval [0, supremum].
-    """
-
-    intervals: tuple[RadialInterval, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    @property
-    def supremum(self) -> float:
-        """Largest upper endpoint."""
-        return self.intervals[-1].hi
+    supremum: float
 
     def contains(self, r: float, tol: float = 0.0) -> bool:
         """Membership of the radius r in the disk [0, supremum + tol]."""
         return 0.0 <= r <= self.supremum + tol
 
     def to_csv(self) -> str:
-        """CSV rendering: one row per interval, openness flags as 0/1."""
-        lines = ["lo,hi,lo_open,hi_open"]
-        for iv in self.intervals:
-            lines.append(f"{iv.lo:.17g},{iv.hi:.17g},{int(iv.lo_open)},{int(iv.hi_open)}")
-        return "\n".join(lines) + "\n"
+        """CSV rendering: the header and the region's one interval, openness flags as 0/1."""
+        return f"lo,hi,lo_open,hi_open\n0,{self.supremum:.17g},0,0\n"
+
+    def to_dict(self) -> dict:
+        """The ``regions --json`` document: the one closed interval and the supremum."""
+        return {
+            "intervals": [{"lo": 0.0, "hi": self.supremum, "lo_open": False, "hi_open": False}],
+            "supremum": self.supremum,
+            "empty": False,
+        }
 
 
 class PairTable(NamedTuple):
@@ -104,6 +74,13 @@ class PairTable(NamedTuple):
     q: np.ndarray
     hi: np.ndarray
     cap: np.ndarray
+
+    @property
+    def sup(self) -> float:
+        """The set's supremum, the largest cap or band top.  cap <= hi in exact
+        arithmetic; cap stays in the max so that the float does not depend on
+        which way hi rounds."""
+        return float(max(self.cap.max(), self.hi.max()))
 
 
 def ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,8 +120,8 @@ class RowAggregates:
         i, j = ordered_pairs(self.dim)
         R, P = self.row_sums, self.partial_sums
         p, q = P[i, j], P[j, i]
-        roots = solve_radial_quadratic(p, q, np.maximum(0.0, R[i] - p) * np.maximum(0.0, R[j] - q))
-        return _read_only(p, q, np.minimum(roots.r_plus, R[i]), np.minimum(p, q))
+        top = _band_top(p, q, np.maximum(0.0, R[i] - p) * np.maximum(0.0, R[j] - q))
+        return _read_only(p, q, np.minimum(top, R[i]), np.minimum(p, q))
 
     @functools.cached_property
     def m(self) -> PairTable:
@@ -155,8 +132,7 @@ class RowAggregates:
         d = D[i, j]
         p = np.maximum(0.0, R[i] - d)
         q = P[j, i]
-        roots = solve_radial_quadratic(p, q, d * np.maximum(0.0, R[j] - q))
-        return _read_only(p, q, roots.r_plus, np.minimum(p, q))
+        return _read_only(p, q, _band_top(p, q, d * np.maximum(0.0, R[j] - q)), np.minimum(p, q))
 
 
 def _read_only(*columns: np.ndarray) -> PairTable:
@@ -165,19 +141,9 @@ def _read_only(*columns: np.ndarray) -> PairTable:
     return PairTable(*columns)
 
 
-def _disk(sup: float) -> RadialRegion:
-    return RadialRegion((RadialInterval(0.0, float(sup)),))
-
-
-def _pair_disk(table: PairTable) -> RadialRegion:
-    # cap <= hi in exact arithmetic; cap stays in the max so that the
-    # supremum is bound_omega_max's float whichever way hi rounds.
-    return _disk(max(table.cap.max(), table.hi.max()))
-
-
 def region_K(agg: RowAggregates) -> RadialRegion:
     """Radial trace of the union of the n single-row disks: [0, max row sum]."""
-    return _disk(np.max(agg.row_sums))
+    return RadialRegion(float(np.max(agg.row_sums)))
 
 
 def region_M(agg: RowAggregates) -> RadialRegion:
@@ -192,7 +158,7 @@ def region_M(agg: RowAggregates) -> RadialRegion:
     is its larger root, at least max(R_i - d_ij, P_j^i), and its smaller
     root is at most the box's cap, so the pair covers [0, top].
     """
-    return _pair_disk(agg.m)
+    return RadialRegion(agg.m.sup)
 
 
 def region_Omega(agg: RowAggregates) -> RadialRegion:
@@ -207,4 +173,4 @@ def region_Omega(agg: RowAggregates) -> RadialRegion:
     at least P_i^j and its smaller root at most the box's cap, so the pair
     covers [0, top] and the region is the disk [0, omega_max].
     """
-    return _pair_disk(agg.omega)
+    return RadialRegion(agg.omega.sup)

@@ -152,7 +152,7 @@ def contract(data: np.ndarray, X: np.ndarray) -> np.ndarray:
     sized to _CONTRACT_ITEMS.  Serves apply, the partial row sums and the
     oracle's re-verification; Newton's map is a GEMM of monomials times the
     fold of ``_fold`` (``oracle._newton_map``) and the dim-2 solve reads A's
-    polynomial coefficients directly (``oracle._tangent_form``)."""
+    polynomial coefficients directly (``oracle._row_forms``)."""
     n = data.shape[0]
     flat = data.reshape(-1, n)
     X = np.ascontiguousarray(X, dtype=float)

@@ -396,13 +396,13 @@ def test_violated_bound_chain_fails_the_library_and_the_cli_alike(capsys, monkey
 def test_each_pair_table_is_built_once_per_command(capsys, monkeypatch, path, command, calls):
     # Each of Omega's and M's tables solves its pairs' quadratics in one call.
     solved = []
-    solve = regions.solve_radial_quadratic
+    solve = regions._band_top
 
     def counted(*args):
         solved.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(regions, "solve_radial_quadratic", counted)
+    monkeypatch.setattr(regions, "_band_top", counted)
     code, _, err = run_cli(capsys, command[0], path, *command[1:])
     assert code == EXIT_OK, err
     assert len(solved) == calls

@@ -1,20 +1,20 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeig.bounds import bound_omega_max
+from zeig.bounds import bound_omega_max, compare_report
 from zeig.oracle import z_eigs_sweep_n2
 from zeig.regions import (
-    RadialInterval,
     RadialRegion,
+    _band_top,
     ordered_pairs,
     region_K,
     region_M,
     region_Omega,
-    solve_radial_quadratic,
 )
 from zeig.tensor import DenseTensor
 
@@ -38,19 +38,18 @@ EX1_OMEGA_SUP = 4.3970633623780984
 
 def test_solve_quadratic_example1_pair():
     c = (17 / 6 - 0.5) * (16 / 3 - 3.0)
-    roots = solve_radial_quadratic(0.5, 3.0, c)
-    assert roots.r_plus == pytest.approx(EX1_OMEGA_SUP, rel=1e-14)
+    assert _band_top(0.5, 3.0, c) == pytest.approx(EX1_OMEGA_SUP, rel=1e-14)
 
 
 def test_solve_quadratic_degenerate_cases():
-    assert solve_radial_quadratic(0.0, 0.0, 0.0) == (0.0, 0.0)
-    assert solve_radial_quadratic(1.0, 3.0, 0.0) == (1.0, 3.0)
-    assert solve_radial_quadratic(3.0, 1.0, 0.0) == (1.0, 3.0)
+    assert _band_top(0.0, 0.0, 0.0) == 0.0
+    assert _band_top(1.0, 3.0, 0.0) == 3.0
+    assert _band_top(3.0, 1.0, 0.0) == 3.0
 
 
 def test_solve_quadratic_rejects_negative_product_bound():
     with pytest.raises(ValueError):
-        solve_radial_quadratic(1.0, 1.0, -1e-9)
+        _band_top(1.0, 1.0, -1e-9)
 
 
 @given(
@@ -60,12 +59,10 @@ def test_solve_quadratic_rejects_negative_product_bound():
 )
 @settings(max_examples=300, deadline=None)
 def test_solve_quadratic_roots_satisfy_equation(p, q, c):
-    roots = solve_radial_quadratic(p, q, c)
+    top = _band_top(p, q, c)
     scale = max(1.0, p, q, c)
-    for r in roots:
-        assert abs((r - p) * (r - q) - c) <= 1e-10 * scale * scale
-    assert roots.r_plus >= max(p, q) - 1e-12 * scale
-    assert roots.r_minus <= min(p, q) + 1e-12 * scale
+    assert abs((top - p) * (top - q) - c) <= 1e-10 * scale * scale
+    assert top >= max(p, q) - 1e-12 * scale
 
 
 def test_solve_quadratic_arrays_match_scalar_formula_bit_for_bit():
@@ -73,24 +70,17 @@ def test_solve_quadratic_arrays_match_scalar_formula_bit_for_bit():
     rng = np.random.default_rng(7)
     p, q = 10.0 * rng.random(20_000), 10.0 * rng.random(20_000)
     c = rng.random(20_000) * rng.choice([1e-18, 1e-6, 1.0, 100.0], size=20_000)
-    roots = solve_radial_quadratic(p, q, c)
+    tops = _band_top(p, q, c)
     for k, (pk, qk, ck) in enumerate(zip(p.tolist(), q.tolist(), c.tolist())):
-        r_plus = 0.5 * ((pk + qk) + math.sqrt((pk - qk) ** 2 + 4.0 * ck))
-        assert (roots.r_minus[k], roots.r_plus[k]) == ((pk * qk - ck) / r_plus, r_plus)
+        assert tops[k] == 0.5 * ((pk + qk) + math.sqrt((pk - qk) ** 2 + 4.0 * ck))
 
 
-def test_solve_quadratic_is_cancellation_safe():
-    # p ~ q with tiny c: the naive (s - disc)/2 form would lose the small root
-    roots = solve_radial_quadratic(1.0, 1.0, 1e-16)
-    assert roots.r_minus == pytest.approx(1.0 - 1e-8, rel=1e-9)
-    assert roots.r_plus == pytest.approx(1.0 + 1e-8, rel=1e-9)
+def test_band_top_of_equal_centres_is_sqrt_c_above_them():
+    # p = q with tiny c: the top is p + sqrt(c), not lost to rounding
+    assert _band_top(1.0, 1.0, 1e-16) == pytest.approx(1.0 + 1e-8, rel=1e-9)
 
 
 # -- CSV export ----------------------------------------------------------------
-
-
-def iv(lo, hi, lo_open=False, hi_open=False):
-    return RadialInterval(lo, hi, lo_open, hi_open)
 
 
 def test_csv_export_format(example1, example2):
@@ -98,16 +88,11 @@ def test_csv_export_format(example1, example2):
     assert region_Omega(example1.aggregates()).to_csv().splitlines()[1] == "0,4.3970633623780984,0,0"
 
 
-def test_csv_export_renders_each_interval_and_its_openness():
-    region = RadialRegion((iv(0.0, 1 / 3, hi_open=True), iv(1.0, 2.0, lo_open=True)))
-    assert region.to_csv().splitlines() == ["lo,hi,lo_open,hi_open", "0,0.33333333333333331,0,1", "1,2,1,0"]
-
-
 # -- membership ------------------------------------------------------------------
 
 
 def test_contains_is_the_closed_disk_widened_by_tol():
-    region = RadialRegion((iv(0.0, 5.0),))
+    region = RadialRegion(5.0)
     assert region.contains(0.0)
     assert region.contains(5.0, tol=0.0)
     assert not region.contains(5.0 + 1e-9, tol=0.0)
@@ -122,17 +107,17 @@ def test_contains_is_the_closed_disk_widened_by_tol():
 
 def test_region_K_golden(example1, example2, zero_m2_n2):
     agg1 = example1.aggregates()
-    assert region_K(agg1).intervals == (iv(0.0, agg1.row_sums[1]),)
+    assert region_K(agg1).supremum == agg1.row_sums[1]
     assert region_K(example2.aggregates()).supremum == 14.5
     zero_region = region_K(zero_m2_n2.aggregates())
-    assert zero_region.intervals == (iv(0.0, 0.0),)
+    assert zero_region.supremum == 0.0
     assert zero_region.contains(0.0)
 
 
 def test_region_M_golden(example1, zero_m2_n2):
     sup = region_M(example1.aggregates()).supremum
     assert sup == pytest.approx(31 / 6, rel=1e-13)
-    assert region_M(zero_m2_n2.aggregates()).intervals == (iv(0.0, 0.0),)
+    assert region_M(zero_m2_n2.aggregates()).supremum == 0.0
 
 
 def test_region_M_diagonal_contains_top_eigenvalue():
@@ -220,20 +205,16 @@ def test_regions_scale_exactly_with_power_of_two():
         for c in (2.0, 0.5):
             scaled = DenseTensor(c * t.data)
             for build in (region_K, region_M, region_Omega):
-                base = build(t.aggregates()).intervals
-                got = build(scaled.aggregates()).intervals
-                assert len(base) == len(got)
-                for a, b in zip(base, got):
-                    assert b.lo == c * a.lo and b.hi == c * a.hi
-                    assert (b.lo_open, b.hi_open) == (a.lo_open, a.hi_open)
+                assert build(scaled.aggregates()).supremum == c * build(t.aggregates()).supremum
 
 
 def test_region_intervals_hold_python_scalars(example1):
     # render_json prints only Python floats and bools; it rejects numpy's
     agg = example1.aggregates()
     for region in (region_K(agg), region_M(agg), region_Omega(agg)):
-        for interval in region.intervals:
-            fields = (interval.lo, interval.hi, interval.lo_open, interval.hi_open)
+        assert type(region.supremum) is float
+        for interval in region.to_dict()["intervals"]:
+            fields = (interval["lo"], interval["hi"], interval["lo_open"], interval["hi_open"])
             assert [type(v) for v in fields] == [float, float, bool, bool]
 
 
@@ -266,8 +247,9 @@ def _family_tensors(count, seed):
 
 
 def test_each_pair_band_joins_its_box_into_one_interval():
-    # c >= 0 puts the band's smaller root at or below cap = min(p, q), and its
-    # top is at least cap, so box and band form [0, hi]: the regions are disks.
+    # c >= 0 puts cap = min(p, q) inside the band (r - p)(r - q) <= c, checked
+    # exactly on the tables' floats, and the band's top is at least cap, so
+    # box and band form [0, hi]: the regions are disks.
     for t in _family_tensors(500, seed=7):
         agg = t.aggregates()
         i, j = ordered_pairs(agg.dim)
@@ -278,9 +260,9 @@ def test_each_pair_band_joins_its_box_into_one_interval():
         }
         for name, c in products.items():
             table = getattr(agg, name)
-            r_minus = solve_radial_quadratic(table.p, table.q, c).r_minus
+            for p, q, cap, ck in zip(*(map(Fraction, v.tolist()) for v in (table.p, table.q, table.cap, c))):
+                assert (cap - p) * (cap - q) <= ck, (name, t.data.tolist())
             ulps = 4.0 * np.spacing(table.cap)
-            assert np.all(r_minus <= table.cap + ulps), (name, t.data.tolist())
             assert np.all(table.hi >= table.cap - ulps), (name, t.data.tolist())
 
 
@@ -288,8 +270,12 @@ def test_built_regions_are_one_closed_interval_from_zero():
     for t in _family_tensors(200, seed=11):
         for build in (region_K, region_M, region_Omega):
             region = build(t.aggregates())
-            assert not region.is_empty
-            assert region.intervals == (iv(0.0, region.supremum),), (build.__name__, t.data.tolist())
+            assert region.supremum >= 0.0
+            assert region.to_dict() == {
+                "intervals": [{"lo": 0.0, "hi": region.supremum, "lo_open": False, "hi_open": False}],
+                "supremum": region.supremum,
+                "empty": False,
+            }, (build.__name__, t.data.tolist())
 
 
 def test_region_suprema_are_the_largest_row_sum_and_pair_table_maxima():
@@ -299,6 +285,15 @@ def test_region_suprema_are_the_largest_row_sum_and_pair_table_maxima():
         assert region_M(agg).supremum == float(max(agg.m.cap.max(), agg.m.hi.max()))
         # the same float, not merely a close one: verify and bounds print both
         assert region_Omega(agg).supremum == bound_omega_max(agg)
+
+
+def test_chain_middle_is_M_supremum_or_one_ulp_above():
+    # chain_middle = max(hi, p, q) keeps p and q, as M's band top can round
+    # one ulp below max(p, q); M's supremum is max(cap, hi).
+    for t in _family_tensors(500, seed=7):
+        agg = t.aggregates()
+        sup_M = region_M(agg).supremum
+        assert sup_M <= compare_report(t, agg).chain_middle <= np.nextafter(sup_M, math.inf), t.data.tolist()
 
 
 def test_ordered_pairs_are_lexicographic_and_need_two_indices():
@@ -334,4 +329,4 @@ def test_regions_invariant_under_index_permutation():
         perm = rng.permutation(4)
         pt = permuted_tensor(t, perm)
         for build in (region_K, region_M, region_Omega):
-            assert build(t.aggregates()).intervals == build(pt.aggregates()).intervals
+            assert build(t.aggregates()) == build(pt.aggregates())
