@@ -1,10 +1,5 @@
 """Z-eigenvalue inclusion regions and spectral-radius bounds for real tensors."""
 
-from .bounds import (
-    BoundReport,
-    bound_omega_max,
-    compare_report,
-)
 from .oracle import (
     Eigenpair,
     OracleConfig,
@@ -15,8 +10,11 @@ from .oracle import (
     z_eigs_sweep_n2,
 )
 from .regions import (
+    BoundReport,
     RadialRegion,
     RowAggregates,
+    bound_omega_max,
+    compare_report,
     region_K,
     region_M,
     region_Omega,

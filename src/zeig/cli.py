@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import compare_report
 from .oracle import (
     MAX_RESTARTS,
     Eigenpair,
@@ -30,7 +29,7 @@ from .oracle import (
     z_eigs_newton,
     z_eigs_sweep_n2,
 )
-from .regions import region_K, region_M, region_Omega
+from .regions import compare_report, region_K, region_M, region_Omega
 from .tensor import DenseTensor, TensorFormatError, parse_tensor
 
 EXIT_OK = 0

@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .bounds import bound_omega_max, compare_report
-from .regions import region_K, region_M, region_Omega
+from .regions import bound_omega_max, compare_report, region_K, region_M, region_Omega
 from .tensor import DenseTensor, _fold, contract
 
 INCLUSION_TOL = 1e-8  # outward relaxation of each region and the bound, per unit of S

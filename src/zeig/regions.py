@@ -1,21 +1,29 @@
-"""Eigenvalue inclusion regions on the radius axis.
+"""Eigenvalue inclusion regions and spectral-radius bounds on the radius axis.
 
 Each inclusion set constrains a complex number z only through r = |z|, and
 each one is a disk: its radial trace is the closed interval [0, sup], held
 as the one number sup.  Three constructors build the traces of the classic
 single-row disk union (K), the pairwise quadratic/box union (M) and the
 tighter pairwise set (Omega), the last two from the per-pair tables
-RowAggregates builds once (agg.m, agg.omega); a table's sup is
-PairTable.sup, which the bounds read too.
+RowAggregates builds once (agg.m, agg.omega).  The closed-form bounds on the
+Z-spectral radius are read off the same tables and form the chain omega_max
+(Omega's sup, PairTable.sup) <= chain_middle <= gershgorin (K's sup), which
+compare_report re-checks on the computed values.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:  # tensor.py imports this module
+    from .tensor import DenseTensor
+
+_CHAIN_SLACK = 1e-12
+CHAIN_VIOLATION_WARNING = "internal error: bound chain ordering violated"
 
 
 def _band_top(p, q, c):
@@ -174,3 +182,78 @@ def region_Omega(agg: RowAggregates) -> RadialRegion:
     covers [0, top] and the region is the disk [0, omega_max].
     """
     return RadialRegion(agg.omega.sup)
+
+
+@dataclass
+class BoundReport:
+    """Named bound values plus structural-check warnings."""
+
+    omega_max: float
+    omega_hat_max: float
+    omega_tilde_max: float
+    chain_middle: float
+    gershgorin: float
+    attaining_pair: tuple[int, int]
+    bound_applies: bool  # nonnegative and weakly symmetric: the bounds are certified
+    chain_ok: bool  # omega_max <= chain_middle <= gershgorin held on the computed values
+    warnings: list[str] = field(default_factory=list)
+
+    def to_dict(self) -> dict:
+        return {
+            "omega_max": self.omega_max,
+            "omega_hat_max": self.omega_hat_max,
+            "omega_tilde_max": self.omega_tilde_max,
+            "chain_middle": self.chain_middle,
+            "gershgorin": self.gershgorin,
+            "attaining_pair": list(self.attaining_pair),
+            "warnings": list(self.warnings),
+        }
+
+
+def bound_omega_max(agg: RowAggregates) -> float:
+    """Supremum of the Omega region in closed form: the largest box cap
+    min(P_i^j, P_j^i) or band top min(R_i, delta(i, j)) over ordered pairs,
+    delta being the larger root of the pair's quadratic."""
+    return agg.omega.sup
+
+
+def compare_report(tensor: DenseTensor, agg: RowAggregates) -> BoundReport:
+    """All three bounds of the tensor with aggregates agg plus structural
+    checks, as one report.
+
+    The bound values are certified spectral-radius bounds only for weakly
+    symmetric nonnegative tensors; when either check fails they are still
+    computed as formal quantities and a warning is recorded.  The chain
+    ordering is re-verified on the computed values, rounded from different
+    sums of the same entries, within _CHAIN_SLACK relative to gershgorin; a
+    larger crossing would mean an internal defect and is flagged with a
+    distinguished warning.
+    """
+    omega, m = agg.omega, agg.m
+    omega_max = omega.sup
+    # The first maximum: the lexicographically smallest attaining pair.
+    k = int(np.argmax(np.maximum(omega.cap, omega.hi)))
+    i, j = ordered_pairs(agg.dim)
+    # p and q stay in: the larger root can round one ulp below max(p, q).
+    middle = float(max(m.hi.max(), m.p.max(), m.q.max()))
+    gersh = float(np.max(agg.row_sums))
+    nonnegative, weakly_symmetric = tensor.is_nonnegative(), tensor.is_weakly_symmetric()
+    warnings = []
+    if not nonnegative:
+        warnings.append("tensor has negative entries; bounds are formal quantities only")
+    if not weakly_symmetric:
+        warnings.append("tensor is not weakly symmetric; bounds are formal quantities only")
+    chain_ok = max(omega_max - middle, middle - gersh) <= _CHAIN_SLACK * gersh
+    if not chain_ok:
+        warnings.append(CHAIN_VIOLATION_WARNING)
+    return BoundReport(
+        omega_max=omega_max,
+        omega_hat_max=float(omega.cap.max()),
+        omega_tilde_max=float(omega.hi.max()),
+        chain_middle=middle,
+        gershgorin=gersh,
+        attaining_pair=(int(i[k]) + 1, int(j[k]) + 1),
+        bound_applies=nonnegative and weakly_symmetric,
+        chain_ok=chain_ok,
+        warnings=warnings,
+    )

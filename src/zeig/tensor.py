@@ -63,8 +63,9 @@ class DenseTensor:
             raise ValueError(f"tensor dimension must be >= 2, got {n}")
         if any(s != n for s in arr.shape):
             raise ValueError(f"all axes must have the same length, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor entries must be finite")
+        # NaN fails the comparisons too, so this also checks finiteness.
+        if not -MAX_ABS_VALUE <= arr.min() <= arr.max() <= MAX_ABS_VALUE:
+            raise ValueError(f"tensor entries must be finite with magnitude <= {MAX_ABS_VALUE:g}")
         arr.flags.writeable = False
         self.data = arr
 

@@ -8,9 +8,8 @@ import time
 
 import numpy as np
 
-from zeig.bounds import bound_omega_max, compare_report
 from zeig.oracle import OracleConfig, _newton_map, z_eigs_newton, z_eigs_sweep_n2
-from zeig.regions import region_K, region_M, region_Omega
+from zeig.regions import bound_omega_max, compare_report, region_K, region_M, region_Omega
 
 from helpers import (
     diagonal_tensor,

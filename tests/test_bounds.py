@@ -4,10 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from zeig.bounds import CHAIN_VIOLATION_WARNING, bound_omega_max, compare_report
-from zeig.regions import ordered_pairs, region_K, region_M, region_Omega
+from zeig.regions import (
+    CHAIN_VIOLATION_WARNING,
+    PairTable,
+    bound_omega_max,
+    compare_report,
+    ordered_pairs,
+    region_K,
+    region_M,
+    region_Omega,
+)
 from zeig.tensor import DenseTensor
 
+from conftest import load_fixture
 from helpers import brute_aggregates, brute_delta, diagonal_tensor, random_tensor
 
 EX1_OMEGA_MAX = 4.3970633623780984
@@ -100,6 +109,18 @@ def test_bound_gershgorin_golden(example1, example2, zero_m2_n2):
     assert compare_report(example1, example1.aggregates()).gershgorin == pytest.approx(5.3333, abs=5e-5)
     assert compare_report(example2, example2.aggregates()).gershgorin == 14.5
     assert compare_report(zero_m2_n2, zero_m2_n2.aggregates()).gershgorin == 0.0
+
+
+def test_chain_violation_of_a_millionth_of_a_tiny_chain_is_caught():
+    # All entries 1e-12: the three bounds are all 9e-12, so M's table shrunk
+    # by 1e-6 relative puts chain_middle 9e-18 below omega_max.
+    tensor = load_fixture("ones_tiny_m3_n3.json")
+    agg = tensor.aggregates()
+    vars(agg)["m"] = PairTable(*(column * (1.0 - 1e-6) for column in agg.m))  # fills the cached table
+    report = compare_report(tensor, agg)
+    assert report.omega_max > report.chain_middle
+    assert report.chain_ok is False
+    assert CHAIN_VIOLATION_WARNING in report.warnings
 
 
 def _random_ensemble(count, seed, signed):

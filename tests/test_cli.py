@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zeig import bounds, regions
+from zeig import regions
 from zeig.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, render_json
 from zeig.oracle import MAX_RESTARTS, verify_inclusion, z_eigs_newton, z_eigs_sweep_n2
 from zeig.tensor import parse_tensor
@@ -31,6 +31,7 @@ JORDAN = str(fixture_path("jordan_rot_m2_n2.json"))
 ONES_TINY = str(fixture_path("ones_tiny_m3_n3.json"))
 ONES_HUGE = str(fixture_path("ones_1e20_m4_n3.json"))
 ULP_HOLE = str(fixture_path("omega_ulp_hole_m3_n3.json"))
+CHAIN_ULP = str(fixture_path("chain_ulp_m2_n6.json"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -364,7 +365,7 @@ def test_verify_json_report(capsys):
 
 def test_violated_bound_chain_fails_the_library_and_the_cli_alike(capsys, monkeypatch):
     # Every pair of example1 passes, so the chain check alone decides.
-    monkeypatch.setattr(bounds, "_CHAIN_SLACK", -math.inf)
+    monkeypatch.setattr(regions, "_CHAIN_SLACK", -math.inf)
     tensor = load_fixture("example1.json")
     report = verify_inclusion(tensor, z_eigs_sweep_n2(tensor))
     assert report.failures() == []
@@ -384,7 +385,16 @@ def test_violated_bound_chain_fails_the_library_and_the_cli_alike(capsys, monkey
 
     code, out, _ = run_cli(capsys, "bounds", EX1)
     assert code == EXIT_VERIFY
-    assert f"warning: {bounds.CHAIN_VIOLATION_WARNING}\n" in out
+    assert f"warning: {regions.CHAIN_VIOLATION_WARNING}\n" in out
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_a_chain_middle_one_ulp_above_gershgorin_is_no_violation(capsys, command):
+    # chain_middle rounds to 20376.09250453987, one ulp above gershgorin
+    # 20376.092504539865: far inside a slack relative to the chain's top.
+    code, out, err = run_cli(capsys, command, CHAIN_ULP)
+    assert code == EXIT_OK, out
+    assert "internal error" not in out + err
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeig.bounds import compare_report
 from zeig import oracle
 from zeig.oracle import (
     DEDUPE_TOL_LAMBDA,
@@ -24,6 +23,7 @@ from zeig.oracle import (
     z_eigs_newton,
     z_eigs_sweep_n2,
 )
+from zeig.regions import compare_report
 from zeig import tensor as tensor_module
 from zeig.tensor import DenseTensor, contract
 

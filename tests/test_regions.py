@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeig.bounds import bound_omega_max, compare_report
 from zeig.oracle import z_eigs_sweep_n2
 from zeig.regions import (
     RadialRegion,
     _band_top,
+    bound_omega_max,
+    compare_report,
     ordered_pairs,
     region_K,
     region_M,
@@ -294,6 +295,15 @@ def test_chain_middle_is_M_supremum_or_one_ulp_above():
         agg = t.aggregates()
         sup_M = region_M(agg).supremum
         assert sup_M <= compare_report(t, agg).chain_middle <= np.nextafter(sup_M, math.inf), t.data.tolist()
+
+
+def test_bound_chain_holds_at_every_scale():
+    # The three bounds are rounded from different sums of the same entries,
+    # so on the computed values they can cross by an ulp of the chain's top.
+    for t in _family_tensors(100, seed=7):
+        for k in range(-20, 21):
+            scaled = DenseTensor(10.0**k * t.data)
+            assert compare_report(scaled, scaled.aggregates()).chain_ok, (k, t.data.tolist())
 
 
 def test_ordered_pairs_are_lexicographic_and_need_two_indices():

@@ -232,6 +232,17 @@ def test_constructor_rejects_bad_arrays():
         DenseTensor(np.array([[1.0, np.nan], [0.0, 0.0]]))
 
 
+def test_constructor_enforces_the_magnitude_limit_of_the_file_format():
+    # Past the limit M's table overflows: chain_middle came out inf, and a
+    # false internal error, behind a RuntimeWarning.
+    data = np.random.default_rng(0).random((3, 3, 3))
+    for scale in (1e200, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="magnitude <= 1e"):
+            DenseTensor(scale * data)
+    data[0, 0, 0] = -1.0
+    assert DenseTensor(MAX_ABS_VALUE * data).data.min() == -MAX_ABS_VALUE
+
+
 def test_tensor_data_is_immutable(example1):
     with pytest.raises(ValueError):
         example1.data[0, 0, 0, 0] = 9.0
