@@ -13,6 +13,7 @@ round-trip bit-exactly; human tables use 6 significant digits.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -106,10 +107,18 @@ def _load_tensor(path: str) -> DenseTensor:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read '{path}': {getattr(exc, 'strerror', None) or exc}") from None
+    # A parsed JSON document holds no reference cycles, so a cyclic collection
+    # during the parse frees nothing.  The pause is here, not in parse_tensor,
+    # because the GC is one switch for the whole process and its threads.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return parse_tensor(text)
     except TensorFormatError as exc:
         raise UsageError(f"{path}: {exc}") from None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _finite_float(text: str) -> float:
@@ -300,10 +309,14 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args returns a fresh Namespace on every call
+# and help reads the terminal width only when it is printed, so main can reuse it.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

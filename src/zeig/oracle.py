@@ -99,8 +99,8 @@ def _newton_map(data: np.ndarray):
     W, columns = _fold(data)
 
     def evaluate(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # np.take keeps P C-ordered: X[:, cols] is F-ordered and changes the GEMM's sums.
-        P = np.take(X, columns[0], axis=1) if m > 2 else np.ones((len(X), 1))
+        # take keeps P C-ordered: X[:, cols] is F-ordered and changes the GEMM's sums.
+        P = X.take(columns[0], axis=1) if m > 2 else np.ones((len(X), 1))
         for column in columns[1:]:
             P *= X[:, column]
         G = (P @ W).reshape(len(X), n, n)
@@ -293,13 +293,13 @@ def _newton_step(G: np.ndarray, X: np.ndarray, lam: np.ndarray, m: int) -> tuple
     residual r = G x - λx.  B x = (m - 1) r + (m - 2) λx, so with y = B^-1 x
     and x.x = 1 it is x+ = (m - 2) / (m - 1) x + α y and λ+ = λ / (m - 1) + α,
     α = 1 / ((m - 1) x.y).  A singular B's y is NaN, and so is its step; an
-    x.y of 0 gives an infinite α."""
+    x.y of 0 gives an infinite α.  Both raise numpy's invalid and divide
+    flags, which _newton_block silences once around all of its trips."""
     G *= m - 1
     G.reshape(len(X), -1)[:, :: X.shape[1] + 1] -= lam[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Y = _umath_linalg.solve1(G, X)  # one dgesv per system, as np.linalg.solve
-        alpha = 1.0 / ((m - 1) * np.einsum("zi,zi->z", X, Y))
-        return (m - 2) / (m - 1) * X + alpha[:, None] * Y, lam / (m - 1) + alpha
+    Y = _umath_linalg.solve1(G, X)  # one dgesv per system, as np.linalg.solve
+    alpha = 1.0 / ((m - 1) * np.einsum("zi,zi->z", X, Y))
+    return (m - 2) / (m - 1) * X + alpha[:, None] * Y, lam / (m - 1) + alpha
 
 
 def _newton_block(newton_map, X: np.ndarray, tol: float, final_x, final_lam, final_res) -> None:
@@ -313,26 +313,30 @@ def _newton_block(newton_map, X: np.ndarray, tol: float, final_x, final_lam, fin
     lam = np.einsum("zi,zi->z", X, AX)
     order = np.arange(len(X))
 
-    for it in range(MAX_ITER + 1):
-        R = AX - lam[:, None] * X
-        res = np.sqrt(np.add.reduce(R * R, axis=1))
-        done = res <= tol  # NaN fails this and the test below
-        if done.any():
-            hit = order[done]
-            final_x[hit], final_lam[hit], final_res[hit] = X[done], lam[done], res[done]
-        active = (res > tol) & (res < np.inf)
-        if not active.any() or it == MAX_ITER:
-            break
-        if not active.all():  # a restart left: keep the others' rows only
-            X, lam, G, order = X[active], lam[active], G[active], order[active]
+    # Desk-scale blocks make many short trips, so the fixed cost of each counts:
+    # one errstate (a singular B's step) for all trips, count_nonzero for any / all.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(MAX_ITER + 1):
+            R = AX - lam[:, None] * X
+            res = np.sqrt(np.add.reduce(R * R, axis=1))
+            done = res <= tol  # NaN fails this and the test below
+            if np.count_nonzero(done):
+                hit = order[done]
+                final_x[hit], final_lam[hit], final_res[hit] = X[done], lam[done], res[done]
+            active = (res > tol) & (res < np.inf)
+            kept = np.count_nonzero(active)
+            if not kept or it == MAX_ITER:
+                break
+            if kept < len(active):  # a restart left: keep the others' rows only
+                X, lam, G, order = X[active], lam[active], G[active], order[active]
 
-        X, lam = _newton_step(G, X, lam, newton_map.order)
-        norms = np.sqrt(np.add.reduce(X * X, axis=1))
-        ok = np.isfinite(norms) & (norms > 1e-12) & np.isfinite(lam)
-        if not ok.all():
-            X, lam, order, norms = X[ok], lam[ok], order[ok], norms[ok]
-        X /= norms[:, None]
-        AX, G = newton_map(X)
+            X, lam = _newton_step(G, X, lam, newton_map.order)
+            norms = np.sqrt(np.add.reduce(X * X, axis=1))
+            ok = np.isfinite(norms) & (norms > 1e-12) & np.isfinite(lam)
+            if np.count_nonzero(ok) < len(ok):
+                X, lam, order, norms = X[ok], lam[ok], order[ok], norms[ok]
+            X /= norms[:, None]
+            AX, G = newton_map(X)
 
 
 def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> list[Eigenpair]:

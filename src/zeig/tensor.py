@@ -288,9 +288,11 @@ def parse_tensor(text: str) -> DenseTensor:
             raise TensorFormatError("entries: expected an array")
         data = _entries_in_bulk(entries, shape, default)
         itemwise = functools.partial(_entries_itemwise, entries, shape, default)
-    # NaN fails the comparison too, so this also checks finiteness.
-    if data is not None and np.abs(data).max() <= MAX_ABS_VALUE:
-        return DenseTensor(data, copy=False)
+    if data is not None:
+        try:
+            return DenseTensor(data, copy=False)  # checks every magnitude, NaN included, in place
+        except ValueError:
+            pass
     # A check rejected the document: the item-by-item walk raises its first
     # fault in document order.
     return DenseTensor(itemwise(), copy=False)

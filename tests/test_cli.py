@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zeig import regions
+from zeig import cli, regions
 from zeig.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, render_json
 from zeig.oracle import MAX_RESTARTS, verify_inclusion, z_eigs_newton, z_eigs_sweep_n2
 from zeig.tensor import parse_tensor
@@ -526,3 +527,60 @@ def test_closed_stdout_exits_1_without_a_traceback(args):
         os.close(write_end)
     assert result.returncode == EXIT_USAGE
     assert result.stderr == ""
+
+
+# -- per-process state: the one parser, the GC pause -----------------------------
+
+
+def test_reused_parser_gives_each_command_its_output_run_alone(capsys, monkeypatch):
+    # main reuses one parser for the life of the process.  A flag given to one
+    # command must not reach the next, nor --help or a usage error in between.
+    monkeypatch.setenv("COLUMNS", "80")  # help's width, here and in the lone processes
+    sequence = [
+        ["verify", EX1, "--inject-lambda", "100", "--json"],
+        ["--help"],
+        ["verify", EX1, "--seed", "x"],
+        ["verify", EX1, "--json"],
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in sequence]
+    for argv, got in zip(sequence, in_process):
+        alone = subprocess.run([sys.executable, "-m", "zeig.cli", *argv], capture_output=True, text=True)
+        assert got == (alone.returncode, alone.stdout, alone.stderr), argv
+    (injected_code, injected, _), _, (usage_code, _, _), (code, out, _) = in_process
+    assert injected_code == EXIT_VERIFY and usage_code == EXIT_USAGE
+    assert 100.0 in [p["lambda"] for p in json.loads(injected)["eigenpairs"]]
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["all_passed"] and 100.0 not in [p["lambda"] for p in doc["eigenpairs"]]
+
+
+def test_gc_is_paused_while_a_document_is_parsed(capsys, monkeypatch):
+    seen = []
+
+    def recorded_parse(text):
+        seen.append(gc.isenabled())
+        return parse_tensor(text)
+
+    monkeypatch.setattr(cli, "parse_tensor", recorded_parse)
+    assert gc.isenabled()
+    assert run_cli(capsys, "info", EX1)[0] == EXIT_OK
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("path, expected", [(EX1, EXIT_OK), (CORRUPT, EXIT_USAGE), (NOT_UTF8, EXIT_USAGE)],
+                         ids=["valid", "invalid_json", "not_utf8"])
+def test_gc_is_back_on_after_a_command(capsys, path, expected):
+    assert gc.isenabled()
+    assert run_cli(capsys, "info", path)[0] == expected
+    assert gc.isenabled()
+
+
+def test_gc_the_caller_disabled_stays_disabled(capsys):
+    gc.disable()
+    try:
+        assert run_cli(capsys, "info", EX1)[0] == EXIT_OK
+        assert run_cli(capsys, "info", CORRUPT)[0] == EXIT_USAGE
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

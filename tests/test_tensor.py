@@ -78,6 +78,18 @@ def test_parse_default_without_entries():
     assert np.all(t.data == 0.25)
 
 
+def test_parse_checks_magnitudes_without_a_tensor_sized_temporary():
+    # 2^22 entries, the largest shape: the constructor's in-place min / max
+    # accepts the filled array, with no |A| copy alongside it.
+    tracemalloc.start()
+    try:
+        t = parse_tensor('{"order": 22, "dim": 2, "default": 1.0}')
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * t.data.nbytes, peak / t.data.nbytes
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
