@@ -53,49 +53,17 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def render_json(value) -> str:
-    parts: list[str] = []
-    _render(value, 0, parts)
-    parts.append("\n")
-    return "".join(parts)
+    def unserializable(item):
+        raise TypeError(f"cannot serialize {type(item).__name__}")
 
-
-def _render(value, level: int, out: list[str]) -> None:
-    pad, close_pad = "  " * (level + 1), "  " * level
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for k, (key, item) in enumerate(value.items()):
-            out.append(pad + json.dumps(key) + ": ")
-            _render(item, level + 1, out)
-            out.append(",\n" if k < len(value) - 1 else "\n")
-        out.append(close_pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        if all(type(item) is float for item in value):  # one join; numpy scalars go the long way
-            out.append("[\n" + ",\n".join(f"{pad}{v:.17g}" for v in value) + "\n" + close_pad + "]")
-            return
-        out.append("[\n")
-        for k, item in enumerate(value):
-            out.append(pad)
-            _render(item, level + 1, out)
-            out.append(",\n" if k < len(value) - 1 else "\n")
-        out.append(close_pad + "]")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, float):
-        out.append(f"{value:.17g}")
-    elif isinstance(value, int):
-        out.append(repr(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+    # json.dumps always prints floats with float.__repr__; the encoder's private
+    # _make_iterencode is the one stdlib entry point that takes a float format.
+    # Its first ten parameters are the same in Python 3.10 through 3.13.
+    iterencode = json.encoder._make_iterencode(
+        None, unserializable, json.encoder.encode_basestring_ascii, "  ", "{:.17g}".format,
+        ": ", ",", False, False, False,
+    )
+    return "".join(iterencode(value, 0)) + "\n"
 
 
 def _fmt(v: float) -> str:

@@ -127,18 +127,25 @@ def test_bounds_json_round_trips_byte_identical(capsys):
 _AWKWARD_FLOATS = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308, 0.1, float("inf"), float("nan")]
 
 
+# Each needs escaping: a quote, a backslash, a newline, a control character,
+# U+2028 and a character outside the BMP (a surrogate pair in the output).
+_AWKWARD_STRINGS = ["s\u00e9p", 'q"t', "b\\s", "n\nl", "\x01", "\u2028", "\U0001f600"]
+
+
 def _random_document(rng, depth=0):
-    """A nested JSON document: dicts, lists of Python floats (the one-join
-    path), mixed lists (the item-by-item path) and every scalar kind the CLI
-    prints."""
+    """A nested JSON document: dicts with awkward keys, lists of Python
+    floats, mixed lists and every scalar kind the CLI prints, plus strings
+    that need escaping and an int past 2**64."""
     roll = rng.random()
     if depth >= 4 or roll < 0.3:
-        return [1.5, True, None, 7, "s\u00e9p", -0.0, 3][int(rng.integers(0, 7))]
+        scalars = [1.5, True, None, 7, -0.0, 3, 2**70 + 1, *_AWKWARD_STRINGS]
+        return scalars[int(rng.integers(0, len(scalars)))]
     if roll < 0.6:
         pool = _AWKWARD_FLOATS + list(rng.normal(size=4) * 10.0 ** rng.integers(-20, 20, 4))
         return [float(v) for v in rng.choice(pool, size=int(rng.integers(0, 6)))]
     if roll < 0.8:
-        return {f"k{j}": _random_document(rng, depth + 1) for j in range(int(rng.integers(0, 4)))}
+        keys = [f"k{j}{rng.choice(_AWKWARD_STRINGS)}" for j in range(int(rng.integers(0, 4)))]
+        return {key: _random_document(rng, depth + 1) for key in keys}
     return [_random_document(rng, depth + 1) for _ in range(int(rng.integers(0, 5)))] + [float(rng.normal()), 2]
 
 
@@ -148,8 +155,8 @@ def test_render_json_float_list_path_matches_item_by_item_rendering():
         doc = {"top": _random_document(rng), "floats": [float(v) for v in rng.normal(size=int(rng.integers(1, 5)))]}
         doc["almost"] = doc["floats"] + [True]  # a bool is not a float
         assert render_json(doc) == brute_render_json(doc) + "\n", trial
-    # numpy scalars are not Python floats: they take the item-by-item path,
-    # which prints np.float64 like a float and rejects np.bool_.
+    # numpy scalars: np.float64 subclasses float and prints like one;
+    # np.bool_ is neither a bool nor an int, and is rejected.
     doc = [np.float64(0.1), np.float64(-0.0)]
     assert render_json(doc) == brute_render_json(doc) + "\n" == "[\n  0.10000000000000001,\n  -0\n]\n"
     with pytest.raises(TypeError):
