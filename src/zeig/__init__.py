@@ -11,7 +11,6 @@ from .oracle import (
 )
 from .regions import (
     BoundReport,
-    RadialRegion,
     RowAggregates,
     bound_omega_max,
     compare_report,
@@ -35,7 +34,6 @@ __all__ = [
     "Eigenpair",
     "OracleConfig",
     "PairCheck",
-    "RadialRegion",
     "RowAggregates",
     "TensorFormatError",
     "VerificationReport",

@@ -153,19 +153,22 @@ def cmd_regions(args) -> int:
     names = ["K", "M", "Omega"] if args.set == "all" else [args.set]
     if args.csv is not None and len(names) != 1:
         raise UsageError("--csv requires a single set (K, M or Omega), not 'all'")
-    regions = {name: _REGION_BUILDERS[name](agg) for name in names}
+    # Each set is the closed disk [0, sup]: one interval, printed from its sup.
+    sups = {name: _REGION_BUILDERS[name](agg) for name in names}
     if args.csv is not None:
         try:
-            Path(args.csv).write_text(regions[names[0]].to_csv(), encoding="utf-8")
+            csv = f"lo,hi,lo_open,hi_open\n0,{sups[names[0]]:.17g},0,0\n"
+            Path(args.csv).write_text(csv, encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"cannot write '{args.csv}': {exc.strerror or exc}") from None
     if args.json:
-        sys.stdout.write(render_json({name: reg.to_dict() for name, reg in regions.items()}))
+        doc = {name: {"intervals": [{"lo": 0.0, "hi": sup, "lo_open": False, "hi_open": False}],
+                      "supremum": sup, "empty": False} for name, sup in sups.items()}
+        sys.stdout.write(render_json(doc))
     else:
-        for name, reg in regions.items():
-            sup = _fmt(reg.supremum)
-            print(f"{name}: 1 interval(s), sup {sup}")
-            print(f"  [0, {sup}]")
+        for name, sup in sups.items():
+            print(f"{name}: 1 interval(s), sup {_fmt(sup)}")
+            print(f"  [0, {_fmt(sup)}]")
     return EXIT_OK
 
 

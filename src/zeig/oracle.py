@@ -230,6 +230,8 @@ def _chart_roots(p: np.ndarray, noise: np.ndarray) -> np.ndarray:
     u = _poly_newton(p, r[(np.abs(r.imag) <= _ROOT_IMAG) & (np.abs(r.real) <= 1.0 + 1e-6)].real)
     live, f = np.arange(len(u)), p
     for _ in range(len(p) - 2):
+        if not len(live):  # usually after the first level, when every root is simple
+            break
         t = _poly_newton(np.polyder(f), u[live])
         ok = np.abs(np.polyval(f, t)) <= np.polyval(noise, np.abs(t))
         u[live[ok]] = t[ok]
@@ -332,6 +334,7 @@ def _newton_block(newton_map, X: np.ndarray, tol: float, final_x, final_lam, fin
 
             X, lam = _newton_step(G, X, lam, newton_map.order)
             norms = np.sqrt(np.add.reduce(X * X, axis=1))
+            # Beside λ's test: a finite x+ whose norm overflows divides to x = 0, residual 0.
             ok = np.isfinite(norms) & (norms > 1e-12) & np.isfinite(lam)
             if np.count_nonzero(ok) < len(ok):
                 X, lam, order, norms = X[ok], lam[ok], order[ok], norms[ok]
@@ -459,11 +462,11 @@ def verify_inclusion(tensor: DenseTensor, pairs: list[Eigenpair]) -> Verificatio
     agg = tensor.aggregates()
     bounds = compare_report(tensor, agg)
     tol = INCLUSION_TOL * _scale(tensor)
-    regions = (region_Omega(agg), region_M(agg), region_K(agg))
+    sups = (region_Omega(agg), region_M(agg), region_K(agg))
     omega_max = bound_omega_max(agg)
     checks = []
     for pair in pairs:
-        r = abs(pair.value)
+        r = abs(pair.value)  # a NaN fails every comparison
         within_omega_max = r <= omega_max + tol if bounds.bound_applies else None
-        checks.append(PairCheck(pair.value, *(region.contains(r, tol) for region in regions), within_omega_max))
+        checks.append(PairCheck(pair.value, *(r <= sup + tol for sup in sups), within_omega_max))
     return VerificationReport(checks, omega_max, bounds.bound_applies, bounds.chain_ok)

@@ -1,10 +1,10 @@
 """Eigenvalue inclusion regions and spectral-radius bounds on the radius axis.
 
 Each inclusion set constrains a complex number z only through r = |z|, and
-each one is a disk: its radial trace is the closed interval [0, sup], held
-as the one number sup.  Three constructors build the traces of the classic
-single-row disk union (K), the pairwise quadratic/box union (M) and the
-tighter pairwise set (Omega), the last two from the per-pair tables
+each one is a disk: its radial trace is the closed interval [0, sup], so a
+set is the one float sup.  region_K, region_M and region_Omega return it for
+the classic single-row disk union (K), the pairwise quadratic/box union (M)
+and the tighter pairwise set (Omega), the last two from the per-pair tables
 RowAggregates builds once (agg.m, agg.omega).  The closed-form bounds on the
 Z-spectral radius are read off the same tables and form the chain omega_max
 (Omega's sup, PairTable.sup) <= chain_middle <= gershgorin (K's sup), which
@@ -42,29 +42,6 @@ def _band_top(p, q, c):
     # band tops are printed to the last bit.
     top = 0.5 * ((p + q) + np.sqrt(np.float_power(p - q, 2) + 4.0 * c))
     return np.where(c == 0.0, np.maximum(p, q), top)[()]
-
-
-@dataclass(frozen=True)
-class RadialRegion:
-    """A region's radial trace, the closed interval [0, supremum]."""
-
-    supremum: float
-
-    def contains(self, r: float, tol: float = 0.0) -> bool:
-        """Membership of the radius r in the disk [0, supremum + tol]."""
-        return 0.0 <= r <= self.supremum + tol
-
-    def to_csv(self) -> str:
-        """CSV rendering: the header and the region's one interval, openness flags as 0/1."""
-        return f"lo,hi,lo_open,hi_open\n0,{self.supremum:.17g},0,0\n"
-
-    def to_dict(self) -> dict:
-        """The ``regions --json`` document: the one closed interval and the supremum."""
-        return {
-            "intervals": [{"lo": 0.0, "hi": self.supremum, "lo_open": False, "hi_open": False}],
-            "supremum": self.supremum,
-            "empty": False,
-        }
 
 
 class PairTable(NamedTuple):
@@ -149,13 +126,13 @@ def _read_only(*columns: np.ndarray) -> PairTable:
     return PairTable(*columns)
 
 
-def region_K(agg: RowAggregates) -> RadialRegion:
-    """Radial trace of the union of the n single-row disks: [0, max row sum]."""
-    return RadialRegion(float(np.max(agg.row_sums)))
+def region_K(agg: RowAggregates) -> float:
+    """Supremum of the union of the n single-row disks: the largest row sum."""
+    return float(np.max(agg.row_sums))
 
 
-def region_M(agg: RowAggregates) -> RadialRegion:
-    """Pairwise quadratic-plus-box union, the disk [0, max over pairs of hi].
+def region_M(agg: RowAggregates) -> float:
+    """Supremum of the pairwise quadratic-plus-box union, the largest pair top.
 
     For every ordered pair (i, j), i != j, take the closed solution band of
 
@@ -166,11 +143,12 @@ def region_M(agg: RowAggregates) -> RadialRegion:
     is its larger root, at least max(R_i - d_ij, P_j^i), and its smaller
     root is at most the box's cap, so the pair covers [0, top].
     """
-    return RadialRegion(agg.m.sup)
+    return agg.m.sup
 
 
-def region_Omega(agg: RowAggregates) -> RadialRegion:
-    """Pairwise partial-row-sum union; tighter than both K and M.
+def region_Omega(agg: RowAggregates) -> float:
+    """Supremum of the pairwise partial-row-sum union, omega_max; the set is
+    tighter than both K and M.
 
     For every ordered pair (i, j), i != j, take the half-open box
     r < min(P_i^j, P_j^i) together with the closed band of
@@ -181,7 +159,7 @@ def region_Omega(agg: RowAggregates) -> RadialRegion:
     at least P_i^j and its smaller root at most the box's cap, so the pair
     covers [0, top] and the region is the disk [0, omega_max].
     """
-    return RadialRegion(agg.omega.sup)
+    return agg.omega.sup
 
 
 @dataclass

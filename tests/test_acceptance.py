@@ -81,18 +81,17 @@ def test_criterion_4_region_nesting():
         for tensor in _chain_ensemble(1000, seed=515 if signed else 414, signed=signed):
             agg = tensor.aggregates()
             omega = region_Omega(agg)
-            m_reg = region_M(agg)
-            k_reg = region_K(agg)
+            m_sup = region_M(agg)
+            k_sup = region_K(agg)
             top = 1.1 * max(float(agg.row_sums.max()), 1e-9)
             for r in rng.uniform(0.0, top, size=100):
                 r = float(r)
-                in_omega = omega.contains(r)
-                in_m = m_reg.contains(r)
-                in_k = k_reg.contains(r)
+                in_omega = r <= omega
+                in_m = r <= m_sup
+                in_k = r <= k_sup
                 if (in_omega and not in_m) or (in_m and not in_k):
                     membership_violations += 1
-            if not (omega.supremum <= m_reg.supremum + 1e-12
-                    and m_reg.supremum <= k_reg.supremum + 1e-12):
+            if not (omega <= m_sup + 1e-12 and m_sup <= k_sup + 1e-12):
                 supremum_violations += 1
     ok = membership_violations == 0 and supremum_violations == 0
     _report(4, "region nesting on 2000 tensors x 100 radii", ok,
@@ -109,10 +108,10 @@ def test_criterion_5_region_bound_duality():
     tensors += list(_chain_ensemble(50, seed=8089, signed=True))
     for tensor in tensors:
         agg = tensor.aggregates()
-        worst = max(worst, abs(bound_omega_max(agg) - region_Omega(agg).supremum))
+        worst = max(worst, abs(bound_omega_max(agg) - region_Omega(agg)))
         report = compare_report(tensor, agg)
-        worst = max(worst, abs(report.chain_middle - region_M(agg).supremum))
-        worst = max(worst, abs(report.gershgorin - region_K(agg).supremum))
+        worst = max(worst, abs(report.chain_middle - region_M(agg)))
+        worst = max(worst, abs(report.gershgorin - region_K(agg)))
     ok = worst <= 1e-10
     _report(5, "region/bound duality on 100 tensors", ok, time.perf_counter() - start,
             f"worst gap {worst:.2e}")
@@ -129,7 +128,7 @@ def test_criterion_6_oracle_inclusion(example1):
         omega_max = bound_omega_max(agg)
         for pair in pairs:
             magnitude = abs(pair.value)
-            if not omega.contains(magnitude, tol=1e-8):
+            if not magnitude <= omega + 1e-8:
                 violations.append((label, pair.value, "outside Omega"))
             if magnitude > omega_max + 1e-8:
                 violations.append((label, pair.value, "exceeds omega_max"))

@@ -242,6 +242,20 @@ def test_sweep_reports_a_sevenfold_root_once():
     assert values[1] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("order, seed", [(4, 5), (6, 2)])
+def test_sweep_stops_the_derivative_chain_once_no_root_is_left(monkeypatch, order, seed):
+    # Each chart's roots are simple: the root of p' next to each is no root of p,
+    # so the chain ends after one derivative level, two polishes, not m.
+    log = []
+    chart_roots, poly_newton = oracle._chart_roots, oracle._poly_newton
+    monkeypatch.setattr(oracle, "_chart_roots", lambda p, noise: log.append("chart") or chart_roots(p, noise))
+    monkeypatch.setattr(oracle, "_poly_newton", lambda f, t: log.append(len(t)) or poly_newton(f, t))
+    assert z_eigs_sweep_n2(random_tensor(np.random.default_rng(seed), order, 2, signed=True))
+    charts = " ".join(map(str, log)).split("chart")[1:]
+    assert [len(chart.split()) for chart in charts] == [2, 2], log
+    assert all(int(chart.split()[0]) > 0 for chart in charts), log
+
+
 def _rotated_constant_tangent(order, angle):
     """A x^{m-1} = (u.x)^(m-2) x with u = (cos angle, sin angle): g vanishes,
     and λ(x) = (u.x)^(m-2) on the unit circle."""
@@ -389,6 +403,27 @@ def test_newton_results_sorted_and_verified(example2):
     for p in pairs:
         assert p.residual <= 1e-12
         assert np.linalg.norm(example2.apply(p.x) - p.value * p.x) == p.residual
+
+
+def test_newton_drops_a_step_whose_norm_overflows(monkeypatch, example2):
+    # Half the first steps come back with entries of 1e200: finite, but their
+    # norm is inf, and x / inf = 0 has residual 0. The norm's finiteness test
+    # drops them; only unit eigenvectors are reported.
+    newton_step, trips = oracle._newton_step, []
+
+    def overflowing_step(G, X, lam, m):
+        X, lam = newton_step(G, X, lam, m)
+        if not trips:
+            X[::2] = 1e200
+        trips.append(len(X))
+        return X, lam
+
+    monkeypatch.setattr(oracle, "_newton_step", overflowing_step)
+    with np.errstate(over="ignore"):
+        pairs = z_eigs_newton(example2, OracleConfig(restarts=200, seed=0))
+    assert trips and pairs
+    for p in pairs:
+        assert np.linalg.norm(p.x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_newton_is_deterministic(example2):
@@ -914,6 +949,19 @@ def test_verify_inclusion_flags_escaped_eigenvalue(example1):
     check = report.failures()[0]
     assert not check.in_omega and not check.in_m and not check.in_k
     assert check.within_omega_max is False
+
+
+def test_verify_inclusion_reports_a_nan_eigenvalue_outside_every_set(example1):
+    # The CLI rejects --inject-lambda nan, but a library caller can pass one:
+    # every comparison with NaN is false, so it is in no set and fails.
+    x = np.array([1.0, 0.0])
+    pairs = [Eigenpair(float("nan"), x, 0.0), Eigenpair(0.0, x, 0.0)]
+    report = verify_inclusion(example1, pairs)
+    assert report.bound_applies and report.chain_ok
+    nan_check, zero_check = report.checks
+    assert (nan_check.in_omega, nan_check.in_m, nan_check.in_k, nan_check.within_omega_max) == (False,) * 4
+    assert zero_check.passed and not report.all_passed
+    assert report.failures() == [nan_check]
 
 
 def test_verify_inclusion_skips_bound_when_hypothesis_fails():

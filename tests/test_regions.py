@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeig.oracle import z_eigs_sweep_n2
+from zeig.cli import main
+from zeig.oracle import INCLUSION_TOL, Eigenpair, verify_inclusion, z_eigs_sweep_n2
 from zeig.regions import (
-    RadialRegion,
     _band_top,
     bound_omega_max,
     compare_report,
@@ -19,6 +19,7 @@ from zeig.regions import (
 )
 from zeig.tensor import DenseTensor
 
+from conftest import fixture_path
 from helpers import (
     brute_aggregates,
     brute_in_K,
@@ -84,23 +85,31 @@ def test_band_top_of_equal_centres_is_sqrt_c_above_them():
 # -- CSV export ----------------------------------------------------------------
 
 
-def test_csv_export_format(example1, example2):
-    assert region_K(example2.aggregates()).to_csv() == "lo,hi,lo_open,hi_open\n0,14.5,0,0\n"
-    assert region_Omega(example1.aggregates()).to_csv().splitlines()[1] == "0,4.3970633623780984,0,0"
+def test_csv_export_format(tmp_path, capsys):
+    def csv(name, region):
+        path = tmp_path / f"{name}.{region}.csv"
+        assert main(["regions", str(fixture_path(f"{name}.json")), "--set", region, "--csv", str(path)]) == 0
+        return path.read_text(encoding="utf-8")
+
+    assert csv("example2", "K") == "lo,hi,lo_open,hi_open\n0,14.5,0,0\n"
+    assert csv("example1", "Omega").splitlines()[1] == "0,4.3970633623780984,0,0"
 
 
 # -- membership ------------------------------------------------------------------
 
 
 def test_contains_is_the_closed_disk_widened_by_tol():
-    region = RadialRegion(5.0)
-    assert region.contains(0.0)
-    assert region.contains(5.0, tol=0.0)
-    assert not region.contains(5.0 + 1e-9, tol=0.0)
-    assert region.contains(5.0 + 1e-10, tol=1e-9)
-    assert not region.contains(5.1, tol=1e-9)
-    assert not region.contains(-1.0)
-    assert not region.contains(-5e-324, tol=1.0)
+    # verify's membership test is |λ| <= sup + tol with tol = INCLUSION_TOL * S;
+    # the diagonal tensor's sets are all [0, 3] and S = 6.
+    t = diagonal_tensor([1, 2, 3], order=3)
+    tol = INCLUSION_TOL * 6.0
+    x = np.array([1.0, 0.0, 0.0])
+    values = [0.0, 3.0, -3.0, 3.0 + tol / 2, -3.0 - tol / 2, 3.0 + 2 * tol, -3.0 - 2 * tol, 3.1]
+    report = verify_inclusion(t, [Eigenpair(v, x, 0.0) for v in values])
+    for check in report.checks:
+        inside = abs(check.value) <= 3.0 + tol
+        assert (check.in_omega, check.in_m, check.in_k, check.within_omega_max) == (inside,) * 4, check.value
+    assert [c.in_k for c in report.checks] == [True] * 5 + [False] * 3
 
 
 # -- region constructors -----------------------------------------------------------
@@ -108,48 +117,43 @@ def test_contains_is_the_closed_disk_widened_by_tol():
 
 def test_region_K_golden(example1, example2, zero_m2_n2):
     agg1 = example1.aggregates()
-    assert region_K(agg1).supremum == agg1.row_sums[1]
-    assert region_K(example2.aggregates()).supremum == 14.5
-    zero_region = region_K(zero_m2_n2.aggregates())
-    assert zero_region.supremum == 0.0
-    assert zero_region.contains(0.0)
+    assert region_K(agg1) == agg1.row_sums[1]
+    assert region_K(example2.aggregates()) == 14.5
+    assert region_K(zero_m2_n2.aggregates()) == 0.0
 
 
 def test_region_M_golden(example1, zero_m2_n2):
-    sup = region_M(example1.aggregates()).supremum
+    sup = region_M(example1.aggregates())
     assert sup == pytest.approx(31 / 6, rel=1e-13)
-    assert region_M(zero_m2_n2.aggregates()).supremum == 0.0
+    assert region_M(zero_m2_n2.aggregates()) == 0.0
 
 
 def test_region_M_diagonal_contains_top_eigenvalue():
     t = diagonal_tensor([1, 2, 3], order=3)
-    region = region_M(t.aggregates())
+    sup = region_M(t.aggregates())
     R, P, D = brute_aggregates(t)
     for r in np.linspace(0.0, 3.5, 113):
-        assert region.contains(float(r)) == brute_in_M(R, P, D, float(r))
-    assert region.contains(3.0)
+        assert (float(r) <= sup) == brute_in_M(R, P, D, float(r))
+    assert 3.0 <= sup
 
 
 def test_region_Omega_golden(example1, example2):
-    sup1 = region_Omega(example1.aggregates()).supremum
+    sup1 = region_Omega(example1.aggregates())
     assert sup1 == pytest.approx(EX1_OMEGA_SUP, rel=1e-13)
-    sup2 = region_Omega(example2.aggregates()).supremum
+    sup2 = region_Omega(example2.aggregates())
     assert sup2 == pytest.approx(11.7268, abs=5e-4)  # reported bound
     assert sup2 == pytest.approx(11.726812023536855, rel=1e-13)
 
 
 def test_region_Omega_diagonal_structure():
     t = diagonal_tensor([1, 2, 3], order=4)
-    region = region_Omega(t.aggregates())
-    assert region.supremum == 3.0
-    for r in (1.0, 2.0, 3.0):
-        assert region.contains(r)
+    assert region_Omega(t.aggregates()) == 3.0
 
 
 def test_region_Omega_contains_sweep_eigenvalues(example1):
-    region = region_Omega(example1.aggregates())
+    sup = region_Omega(example1.aggregates())
     for pair in z_eigs_sweep_n2(example1):
-        assert region.contains(abs(pair.value), tol=1e-8)
+        assert abs(pair.value) <= sup + 1e-8
 
 
 # -- cross-cutting properties ---------------------------------------------------
@@ -169,16 +173,16 @@ def test_region_nesting_on_random_tensors():
     rng = np.random.default_rng(101)
     for t in _random_mixed_tensors(30, seed=303):
         agg = t.aggregates()
-        omega, m_reg, k_reg = region_Omega(agg), region_M(agg), region_K(agg)
+        omega, m_sup, k_sup = region_Omega(agg), region_M(agg), region_K(agg)
         top = 1.1 * max(agg.row_sums.max(), 1e-6)
         for r in rng.uniform(0.0, top, size=100):
             r = float(r)
-            if omega.contains(r):
-                assert m_reg.contains(r)
-            if m_reg.contains(r):
-                assert k_reg.contains(r)
-        assert omega.supremum <= m_reg.supremum + 1e-12
-        assert m_reg.supremum <= k_reg.supremum + 1e-12
+            if r <= omega:
+                assert r <= m_sup
+            if r <= m_sup:
+                assert r <= k_sup
+        assert omega <= m_sup + 1e-12
+        assert m_sup <= k_sup + 1e-12
 
 
 def test_region_membership_matches_defining_inequalities():
@@ -191,14 +195,14 @@ def test_region_membership_matches_defining_inequalities():
             "Omega": (region_Omega(agg), brute_in_Omega),
         }
         R, P, D = brute_aggregates(t)
-        sups = [reg.supremum for reg, _ in regions.values()]
+        sups = [sup for sup, _ in regions.values()]
         top = 1.2 * max(float(agg.row_sums.max()), 1e-6)
         for r in rng.uniform(0.0, top, size=1000):
             r = float(r)
             if any(abs(r - e) <= 1e-12 * max(1.0, e) for e in sups):
                 continue  # brute check uses independently-summed aggregates
-            for name, (reg, brute) in regions.items():
-                assert (r <= reg.supremum) == brute(R, P, D, r), (name, r)
+            for name, (sup, brute) in regions.items():
+                assert (r <= sup) == brute(R, P, D, r), (name, r)
 
 
 def test_regions_scale_exactly_with_power_of_two():
@@ -206,17 +210,13 @@ def test_regions_scale_exactly_with_power_of_two():
         for c in (2.0, 0.5):
             scaled = DenseTensor(c * t.data)
             for build in (region_K, region_M, region_Omega):
-                assert build(scaled.aggregates()).supremum == c * build(t.aggregates()).supremum
+                assert build(scaled.aggregates()) == c * build(t.aggregates())
 
 
 def test_region_intervals_hold_python_scalars(example1):
     # render_json prints only Python floats and bools; it rejects numpy's
     agg = example1.aggregates()
-    for region in (region_K(agg), region_M(agg), region_Omega(agg)):
-        assert type(region.supremum) is float
-        for interval in region.to_dict()["intervals"]:
-            fields = (interval["lo"], interval["hi"], interval["lo_open"], interval["hi_open"])
-            assert [type(v) for v in fields] == [float, float, bool, bool]
+    assert [type(sup) for sup in (region_K(agg), region_M(agg), region_Omega(agg))] == [float] * 3
 
 
 def test_pair_tables_are_kept_and_read_only(example2):
@@ -270,22 +270,17 @@ def test_each_pair_band_joins_its_box_into_one_interval():
 def test_built_regions_are_one_closed_interval_from_zero():
     for t in _family_tensors(200, seed=11):
         for build in (region_K, region_M, region_Omega):
-            region = build(t.aggregates())
-            assert region.supremum >= 0.0
-            assert region.to_dict() == {
-                "intervals": [{"lo": 0.0, "hi": region.supremum, "lo_open": False, "hi_open": False}],
-                "supremum": region.supremum,
-                "empty": False,
-            }, (build.__name__, t.data.tolist())
+            sup = build(t.aggregates())
+            assert type(sup) is float and sup >= 0.0, (build.__name__, t.data.tolist())
 
 
 def test_region_suprema_are_the_largest_row_sum_and_pair_table_maxima():
     for t in _family_tensors(200, seed=13):
         agg = t.aggregates()
-        assert region_K(agg).supremum == float(agg.row_sums.max())
-        assert region_M(agg).supremum == float(max(agg.m.cap.max(), agg.m.hi.max()))
+        assert region_K(agg) == float(agg.row_sums.max())
+        assert region_M(agg) == float(max(agg.m.cap.max(), agg.m.hi.max()))
         # the same float, not merely a close one: verify and bounds print both
-        assert region_Omega(agg).supremum == bound_omega_max(agg)
+        assert region_Omega(agg) == bound_omega_max(agg)
 
 
 def test_chain_middle_is_M_supremum_or_one_ulp_above():
@@ -293,7 +288,7 @@ def test_chain_middle_is_M_supremum_or_one_ulp_above():
     # one ulp below max(p, q); M's supremum is max(cap, hi).
     for t in _family_tensors(500, seed=7):
         agg = t.aggregates()
-        sup_M = region_M(agg).supremum
+        sup_M = region_M(agg)
         assert sup_M <= compare_report(t, agg).chain_middle <= np.nextafter(sup_M, math.inf), t.data.tolist()
 
 
