@@ -102,8 +102,7 @@ def _finite_float(text: str) -> float:
 # -- commands ------------------------------------------------------------------
 
 
-def cmd_info(args) -> int:
-    tensor = _load_tensor(args.file)
+def cmd_info(tensor: DenseTensor, args) -> int:
     agg = tensor.aggregates()
     doc = {
         "order": tensor.order,
@@ -113,7 +112,7 @@ def cmd_info(args) -> int:
         "symmetric": tensor.is_symmetric(),
         "weakly_symmetric": tensor.is_weakly_symmetric(),
         "row_sums": [float(v) for v in agg.row_sums],
-        "max_row_sum": float(np.max(agg.row_sums)),
+        "max_row_sum": region_K(agg),
     }
     if args.json:
         sys.stdout.write(render_json(doc))
@@ -130,8 +129,7 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
-def cmd_bounds(args) -> int:
-    tensor = _load_tensor(args.file)
+def cmd_bounds(tensor: DenseTensor, args) -> int:
     report = compare_report(tensor, tensor.aggregates())
     if args.json:
         sys.stdout.write(render_json(report.to_dict()))
@@ -147,8 +145,7 @@ def cmd_bounds(args) -> int:
     return EXIT_OK if report.chain_ok else EXIT_VERIFY
 
 
-def cmd_regions(args) -> int:
-    tensor = _load_tensor(args.file)
+def cmd_regions(tensor: DenseTensor, args) -> int:
     agg = tensor.aggregates()
     names = ["K", "M", "Omega"] if args.set == "all" else [args.set]
     if args.csv is not None and len(names) != 1:
@@ -186,8 +183,7 @@ def _run_oracle(tensor: DenseTensor, args) -> tuple[str, list[Eigenpair]]:
     return method, z_eigs_sweep_n2(tensor)
 
 
-def cmd_eigs(args) -> int:
-    tensor = _load_tensor(args.file)
+def cmd_eigs(tensor: DenseTensor, args) -> int:
     method, pairs = _run_oracle(tensor, args)
     if args.json:
         sys.stdout.write(render_json([p.to_dict() for p in pairs]))
@@ -199,8 +195,7 @@ def cmd_eigs(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    tensor = _load_tensor(args.file)
+def cmd_verify(tensor: DenseTensor, args) -> int:
     method, pairs = _run_oracle(tensor, args)
     if args.inject_lambda is not None:
         # Fault-injection hook: append a fabricated eigenpair to exercise the
@@ -236,9 +231,16 @@ def cmd_verify(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+def _add_oracle_flags(p: _ArgumentParser) -> None:
+    p.add_argument("--restarts", type=int, default=1000,
+                   help=f"newton restarts (default 1000, at most {MAX_RESTARTS})")
+    p.add_argument("--seed", type=int, default=0, help="newton master seed (default 0)")
+
+
 def build_parser() -> _ArgumentParser:
     common = _ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    common.add_argument("file", help="tensor JSON file")
 
     parser = _ArgumentParser(
         prog="zeig",
@@ -247,32 +249,23 @@ def build_parser() -> _ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_ArgumentParser)
 
     p = sub.add_parser("info", parents=[common], help="tensor structure and row sums")
-    p.add_argument("file", help="tensor JSON file")
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("bounds", parents=[common], help="closed-form spectral-radius bounds")
-    p.add_argument("file", help="tensor JSON file")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("regions", parents=[common], help="inclusion regions as radius intervals")
-    p.add_argument("file", help="tensor JSON file")
     p.add_argument("--set", choices=["K", "M", "Omega", "all"], default="all", help="which set to build")
     p.add_argument("--csv", metavar="PATH", help="write the chosen set as CSV (single set only)")
     p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("eigs", parents=[common], help="find Z-eigenpairs")
-    p.add_argument("file", help="tensor JSON file")
     p.add_argument("--method", choices=["sweep", "newton"], help="default: sweep when dim = 2, else newton")
-    p.add_argument("--restarts", type=int, default=1000,
-                   help=f"newton restarts (default 1000, at most {MAX_RESTARTS})")
-    p.add_argument("--seed", type=int, default=0, help="newton master seed (default 0)")
+    _add_oracle_flags(p)
     p.set_defaults(func=cmd_eigs)
 
     p = sub.add_parser("verify", parents=[common], help="check found eigenvalues against regions and bounds")
-    p.add_argument("file", help="tensor JSON file")
-    p.add_argument("--restarts", type=int, default=1000,
-                   help=f"newton restarts (default 1000, at most {MAX_RESTARTS})")
-    p.add_argument("--seed", type=int, default=0, help="newton master seed (default 0)")
+    _add_oracle_flags(p)
     p.add_argument("--inject-lambda", type=_finite_float, default=None, metavar="VALUE",
                    help="fault-injection hook: add a fabricated finite eigenvalue before verification")
     p.set_defaults(func=cmd_verify, method=None)
@@ -288,20 +281,15 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
+        if getattr(args, "func", None) is None:
+            raise UsageError("a command is required (info, bounds, regions, eigs, verify)")
+        code = args.func(_load_tensor(args.file), args)
+        sys.stdout.flush()  # a reader that closed stdout early fails it here, not at exit
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # --help exits through argparse
         return int(exc.code or 0)
-    if getattr(args, "func", None) is None:
-        print("error: a command is required (info, bounds, regions, eigs, verify)", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        code = args.func(args)
-        sys.stdout.flush()  # a reader that closed stdout early fails it here, not at exit
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BrokenPipeError:
         # Unflushed output would fail again when the interpreter exits.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -34,6 +34,7 @@ result is restart 2j's mirrored rather than iterated (z_eigs_newton).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,12 +72,15 @@ class Eigenpair:
         return {"lambda": self.value, "x": self.x.tolist(), "residual": self.residual}
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleConfig:
     restarts: int = 1000
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("restarts", self.restarts), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.restarts > MAX_RESTARTS:

@@ -188,11 +188,8 @@ class BoundReport:
         }
 
 
-def bound_omega_max(agg: RowAggregates) -> float:
-    """Supremum of the Omega region in closed form: the largest box cap
-    min(P_i^j, P_j^i) or band top min(R_i, delta(i, j)) over ordered pairs,
-    delta being the larger root of the pair's quadratic."""
-    return agg.omega.sup
+# omega_max is Omega's supremum; the public name stays, and bench/spans.py patches it.
+bound_omega_max = region_Omega
 
 
 def compare_report(tensor: DenseTensor, agg: RowAggregates) -> BoundReport:
@@ -208,13 +205,13 @@ def compare_report(tensor: DenseTensor, agg: RowAggregates) -> BoundReport:
     distinguished warning.
     """
     omega, m = agg.omega, agg.m
-    omega_max = omega.sup
+    omega_max = region_Omega(agg)
     # The first maximum: the lexicographically smallest attaining pair.
     k = int(np.argmax(np.maximum(omega.cap, omega.hi)))
     i, j = ordered_pairs(agg.dim)
     # p and q stay in: the larger root can round one ulp below max(p, q).
     middle = float(max(m.hi.max(), m.p.max(), m.q.max()))
-    gersh = float(np.max(agg.row_sums))
+    gersh = region_K(agg)
     nonnegative, weakly_symmetric = tensor.is_nonnegative(), tensor.is_weakly_symmetric()
     warnings = []
     if not nonnegative:

@@ -55,6 +55,8 @@ class DenseTensor:
     __slots__ = ("data",)
 
     def __init__(self, data, copy: bool = True):
+        if np.iscomplexobj(data):
+            raise ValueError("tensor entries must be real")
         arr = np.array(data, dtype=float, copy=copy)
         if arr.ndim < 2:
             raise ValueError(f"tensor order must be >= 2, got {arr.ndim}")

@@ -236,6 +236,15 @@ def test_regions_csv_requires_single_set(tmp_path, capsys):
     assert "single set" in err
 
 
+@pytest.mark.parametrize("target, reason", [("missing/x.csv", "No such file or directory"), (".", "Is a directory")])
+def test_regions_csv_that_cannot_be_written_is_usage_error(tmp_path, capsys, target, reason):
+    path = str(tmp_path / target)
+    code, out, err = run_cli(capsys, "regions", EX1, "--set", "K", "--csv", path)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: cannot write '{path}': {reason}\n"
+
+
 def test_regions_are_one_interval_where_a_band_root_rounds_past_its_box(capsys):
     # One Omega pair's smaller root, 1.0086330573509419e17, is one ulp above
     # its box's cap: the set is still the disk [0, sup], and so is its region.
@@ -507,9 +516,10 @@ def test_oversized_oracle_flags_are_usage_errors(capsys, command, path, flags, m
 
 
 def test_no_command_is_usage_error(capsys):
-    code, _, err = run_cli(capsys)
+    code, out, err = run_cli(capsys)
     assert code == EXIT_USAGE
-    assert "command" in err
+    assert out == ""
+    assert err == "error: a command is required (info, bounds, regions, eigs, verify)\n"
 
 
 def test_cli_runs_as_module(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
@@ -915,6 +916,39 @@ def test_oracle_config_validation():
         OracleConfig(restarts=MAX_RESTARTS + 1)
     assert OracleConfig().restarts == 1000
     assert OracleConfig(restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
+
+
+def test_oracle_config_rejects_a_float_seed():
+    # Unchecked, numpy's SeedSequence would reject it only once Newton ran.
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        OracleConfig(seed=1.5)
+
+
+def test_oracle_config_rejects_a_bool():
+    # Unchecked, True would run one restart.
+    with pytest.raises(ValueError, match="restarts must be an integer"):
+        OracleConfig(restarts=True)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        OracleConfig(seed=False)
+
+
+def test_oracle_config_rejects_a_string():
+    # Unchecked, "10" would raise a TypeError from the range comparison.
+    with pytest.raises(ValueError, match="restarts must be an integer"):
+        OracleConfig(restarts="10")
+
+
+def test_oracle_config_is_frozen_so_its_checks_hold():
+    # Assigning restarts = 0 after construction would make Newton return no pairs.
+    cfg = OracleConfig(restarts=10)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.restarts = 0
+    assert cfg.restarts == 10
+
+
+def test_oracle_config_accepts_numpy_integers():
+    cfg = OracleConfig(restarts=np.int64(5), seed=np.uint64(2**64 - 1))
+    assert len(z_eigs_newton(load_fixture("example2.json"), cfg)) >= 1
 
 
 # -- verification ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,15 @@ def test_constructor_rejects_bad_arrays():
         DenseTensor(np.zeros((2, 3)))  # ragged axes
     with pytest.raises(ValueError):
         DenseTensor(np.array([[1.0, np.nan], [0.0, 0.0]]))
+
+
+def test_constructor_rejects_complex_entries():
+    # The float cast would keep the real parts behind a ComplexWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for data in (np.array([[1 + 2j, 0], [0, 1]]), np.eye(2, dtype=complex), [[1j, 0], [0, 1]]):
+            with pytest.raises(ValueError, match="tensor entries must be real"):
+                DenseTensor(data)
 
 
 def test_constructor_enforces_the_magnitude_limit_of_the_file_format():
