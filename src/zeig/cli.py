@@ -147,7 +147,7 @@ def cmd_bounds(tensor: DenseTensor, args) -> int:
 
 def cmd_regions(tensor: DenseTensor, args) -> int:
     agg = tensor.aggregates()
-    names = ["K", "M", "Omega"] if args.set == "all" else [args.set]
+    names = list(_REGION_BUILDERS) if args.set == "all" else [args.set]
     if args.csv is not None and len(names) != 1:
         raise UsageError("--csv requires a single set (K, M or Omega), not 'all'")
     # Each set is the closed disk [0, sup]: one interval, printed from its sup.
@@ -232,9 +232,9 @@ def cmd_verify(tensor: DenseTensor, args) -> int:
 
 
 def _add_oracle_flags(p: _ArgumentParser) -> None:
-    p.add_argument("--restarts", type=int, default=1000,
-                   help=f"newton restarts (default 1000, at most {MAX_RESTARTS})")
-    p.add_argument("--seed", type=int, default=0, help="newton master seed (default 0)")
+    p.add_argument("--restarts", type=int, default=OracleConfig.restarts,
+                   help=f"newton restarts (default %(default)s, at most {MAX_RESTARTS})")
+    p.add_argument("--seed", type=int, default=OracleConfig.seed, help="newton master seed (default %(default)s)")
 
 
 def build_parser() -> _ArgumentParser:
@@ -255,7 +255,7 @@ def build_parser() -> _ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("regions", parents=[common], help="inclusion regions as radius intervals")
-    p.add_argument("--set", choices=["K", "M", "Omega", "all"], default="all", help="which set to build")
+    p.add_argument("--set", choices=[*_REGION_BUILDERS, "all"], default="all", help="which set to build")
     p.add_argument("--csv", metavar="PATH", help="write the chosen set as CSV (single set only)")
     p.set_defaults(func=cmd_regions)
 

@@ -5,10 +5,10 @@ each one is a disk: its radial trace is the closed interval [0, sup], so a
 set is the one float sup.  region_K, region_M and region_Omega return it for
 the classic single-row disk union (K), the pairwise quadratic/box union (M)
 and the tighter pairwise set (Omega), the last two from the per-pair tables
-RowAggregates builds once (agg.m, agg.omega).  The closed-form bounds on the
-Z-spectral radius are read off the same tables and form the chain omega_max
-(Omega's sup, PairTable.sup) <= chain_middle <= gershgorin (K's sup), which
-compare_report re-checks on the computed values.
+RowAggregates builds once (agg.m, agg.omega), whose column hi is each pair's
+whole interval top.  The closed-form bounds on the Z-spectral radius are the
+three suprema, the chain omega_max (Omega's) <= chain_middle (M's) <=
+gershgorin (K's), which compare_report re-checks on the computed values.
 """
 
 from __future__ import annotations
@@ -50,9 +50,11 @@ class PairTable(NamedTuple):
     Entry k belongs to the k-th ordered pair (i, j), i != j, in
     lexicographic order (see ordered_pairs).  The pair contributes the
     half-open box [0, cap), cap = min(p, q), and the closed band of its
-    quadratic (r - p)(r - q) <= c, whose top is hi; p and q are the two
-    centres.  As c >= 0 the band's smaller root is at most cap, and hi is
-    at least cap, so box and band join into [0, hi].
+    quadratic (r - p)(r - q) <= c; p and q are the two centres.  As c >= 0
+    the band's smaller root is at most cap and its top at least cap (for M,
+    at least max(p, q)), so box and band join into one interval [0, hi].
+    hi is the band's top raised to those lower bounds, so that it is the
+    interval's top in floating point too, where the top rounds below them.
     """
 
     p: np.ndarray
@@ -62,10 +64,8 @@ class PairTable(NamedTuple):
 
     @property
     def sup(self) -> float:
-        """The set's supremum, the largest cap or band top.  cap <= hi in exact
-        arithmetic; cap stays in the max so that the float does not depend on
-        which way hi rounds."""
-        return float(max(self.cap.max(), self.hi.max()))
+        """The set's supremum, the largest pair top."""
+        return float(self.hi.max())
 
 
 def ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,23 +101,25 @@ class RowAggregates:
     @functools.cached_property
     def omega(self) -> PairTable:
         """Omega's pairs: band of (r - P_i^j)(r - P_j^i) = (R_i - P_i^j)(R_j - P_j^i)
-        clipped to [0, R_i], box below min(P_i^j, P_j^i)."""
+        clipped to [0, R_i], box below min(P_i^j, P_j^i); hi is at least cap."""
         i, j = ordered_pairs(self.dim)
         R, P = self.row_sums, self.partial_sums
         p, q = P[i, j], P[j, i]
         top = _band_top(p, q, np.maximum(0.0, R[i] - p) * np.maximum(0.0, R[j] - q))
-        return _read_only(p, q, np.minimum(top, R[i]), np.minimum(p, q))
+        cap = np.minimum(p, q)
+        return _read_only(p, q, np.maximum(np.minimum(top, R[i]), cap), cap)
 
     @functools.cached_property
     def m(self) -> PairTable:
         """M's pairs: band of (r - (R_i - d_ij))(r - P_j^i) = d_ij (R_j - P_j^i),
-        box below min(R_i - d_ij, P_j^i)."""
+        box below min(R_i - d_ij, P_j^i); hi is at least max(p, q)."""
         i, j = ordered_pairs(self.dim)
         R, P, D = self.row_sums, self.partial_sums, self.diag_abs
         d = D[i, j]
         p = np.maximum(0.0, R[i] - d)
         q = P[j, i]
-        return _read_only(p, q, _band_top(p, q, d * np.maximum(0.0, R[j] - q)), np.minimum(p, q))
+        top = _band_top(p, q, d * np.maximum(0.0, R[j] - q))
+        return _read_only(p, q, np.maximum(top, np.maximum(p, q)), np.minimum(p, q))
 
 
 def _read_only(*columns: np.ndarray) -> PairTable:
@@ -204,14 +206,11 @@ def compare_report(tensor: DenseTensor, agg: RowAggregates) -> BoundReport:
     larger crossing would mean an internal defect and is flagged with a
     distinguished warning.
     """
-    omega, m = agg.omega, agg.m
-    omega_max = region_Omega(agg)
+    omega = agg.omega
+    omega_max, middle, gersh = region_Omega(agg), region_M(agg), region_K(agg)
     # The first maximum: the lexicographically smallest attaining pair.
-    k = int(np.argmax(np.maximum(omega.cap, omega.hi)))
+    k = int(np.argmax(omega.hi))
     i, j = ordered_pairs(agg.dim)
-    # p and q stay in: the larger root can round one ulp below max(p, q).
-    middle = float(max(m.hi.max(), m.p.max(), m.q.max()))
-    gersh = region_K(agg)
     nonnegative, weakly_symmetric = tensor.is_nonnegative(), tensor.is_weakly_symmetric()
     warnings = []
     if not nonnegative:

@@ -14,7 +14,7 @@ from zeig.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, render_json
 from zeig.oracle import MAX_RESTARTS, verify_inclusion, z_eigs_newton, z_eigs_sweep_n2
 from zeig.tensor import parse_tensor
 
-from conftest import fixture_path, load_fixture
+from conftest import FIXTURES, fixture_path, load_fixture
 from helpers import brute_render_json
 
 EX1 = str(fixture_path("example1.json"))
@@ -253,6 +253,26 @@ def test_regions_are_one_interval_where_a_band_root_rounds_past_its_box(capsys):
     for doc in json.loads(out).values():
         assert doc["intervals"] == [{"lo": 0.0, "hi": doc["supremum"], "lo_open": False, "hi_open": False}]
     assert run_cli(capsys, "verify", ULP_HOLE)[0] == EXIT_OK
+
+
+# Every fixture the parser accepts, but the two order-22 ones (4M entries each).
+_LOADABLE = sorted(
+    path.name for path in FIXTURES.glob("*.json")
+    if path.name not in {"corrupt.json", "oversized_shape.json", "huge_integer.json", "huge_values.json",
+                         "not_utf8.json", "ones_m22_n2.json", "ones_bumped_m22_n2.json"}
+)
+
+
+@pytest.mark.parametrize("name", _LOADABLE)
+def test_regions_M_supremum_is_bounds_chain_middle_bit_for_bit(capsys, name):
+    # One number per supremum.  In m_sup_ulp_m3_n2.json the band top of M's
+    # largest pair rounds one ulp below its centre 2977707319257296.5.
+    path = str(fixture_path(name))
+    code, out, _ = run_cli(capsys, "regions", path, "--set", "M", "--json")
+    assert code == EXIT_OK
+    sup = json.loads(out)["M"]["supremum"]
+    _, out, _ = run_cli(capsys, "bounds", path, "--json")
+    assert sup == json.loads(out)["chain_middle"]
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from zeig.regions import (
 )
 from zeig.tensor import DenseTensor
 
-from conftest import fixture_path
+from conftest import fixture_path, load_fixture
 from helpers import (
     brute_aggregates,
     brute_in_K,
@@ -249,8 +249,9 @@ def _family_tensors(count, seed):
 
 def test_each_pair_band_joins_its_box_into_one_interval():
     # c >= 0 puts cap = min(p, q) inside the band (r - p)(r - q) <= c, checked
-    # exactly on the tables' floats, and the band's top is at least cap, so
-    # box and band form [0, hi]: the regions are disks.
+    # exactly on the tables' floats, and hi is at least cap on the floats too
+    # (for M at least max(p, q)), so box and band form [0, hi]: the regions
+    # are disks.
     for t in _family_tensors(500, seed=7):
         agg = t.aggregates()
         i, j = ordered_pairs(agg.dim)
@@ -263,8 +264,8 @@ def test_each_pair_band_joins_its_box_into_one_interval():
             table = getattr(agg, name)
             for p, q, cap, ck in zip(*(map(Fraction, v.tolist()) for v in (table.p, table.q, table.cap, c))):
                 assert (cap - p) * (cap - q) <= ck, (name, t.data.tolist())
-            ulps = 4.0 * np.spacing(table.cap)
-            assert np.all(table.hi >= table.cap - ulps), (name, t.data.tolist())
+            assert np.all(table.hi >= table.cap), (name, t.data.tolist())
+        assert np.all(agg.m.hi >= np.maximum(agg.m.p, agg.m.q)), t.data.tolist()
 
 
 def test_built_regions_are_one_closed_interval_from_zero():
@@ -283,13 +284,12 @@ def test_region_suprema_are_the_largest_row_sum_and_pair_table_maxima():
         assert region_Omega(agg) == bound_omega_max(agg)
 
 
-def test_chain_middle_is_M_supremum_or_one_ulp_above():
-    # chain_middle = max(hi, p, q) keeps p and q, as M's band top can round
-    # one ulp below max(p, q); M's supremum is max(cap, hi).
-    for t in _family_tensors(500, seed=7):
+def test_chain_middle_is_M_supremum_bit_for_bit():
+    # In the fixture M's largest band top rounds one ulp below its centre;
+    # both numbers are the pair table's largest hi, which is at least the centre.
+    for t in [*_family_tensors(500, seed=7), load_fixture("m_sup_ulp_m3_n2.json")]:
         agg = t.aggregates()
-        sup_M = region_M(agg)
-        assert sup_M <= compare_report(t, agg).chain_middle <= np.nextafter(sup_M, math.inf), t.data.tolist()
+        assert compare_report(t, agg).chain_middle == region_M(agg), t.data.tolist()
 
 
 def test_bound_chain_holds_at_every_scale():

@@ -103,6 +103,7 @@ def test_parse_checks_magnitudes_without_a_tensor_sized_temporary():
         ('{"order": 3, "dim": 1}', "dim"),
         ('{"order": 2.5, "dim": 2}', "order"),
         ('{"order": 2, "dim": 2, "values": [1, 2, 3]}', "values"),
+        ('{"order": 2, "dim": 2, "values": {}}', "values: expected an array"),
         ('{"order": 2, "dim": 2, "values": [1, 2, 3, "x"]}', "values[3]"),
         ('{"order": 2, "dim": 2, "values": [1, true, 3, 4]}', "values[1]"),
         ('{"order": 2, "dim": 2, "values": [1,2,3,4], "entries": []}', "mutually exclusive"),
@@ -124,6 +125,11 @@ def test_parse_checks_magnitudes_without_a_tensor_sized_temporary():
         ('{"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "value": NaN}]}', "value"),
         ('{"order": 2, "dim": 2, "entries": [{"idx": [1, 1]}]}', "entries[0]"),
         ('{"order": 2, "dim": 2, "entries": [{"idx": [1,1], "value": 1, "z": 2}]}', "entries[0]"),
+        ('{"order": 2, "dim": 2, "entries": 5}', "entries: expected an array"),
+        (  # two keys, but not 'idx' and 'value': the bulk path's KeyError
+            '{"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "val": 1}]}',
+            "entries[0]: expected an object with exactly 'idx' and 'value'",
+        ),
         ('{"order": 40, "dim": 10}', "limit"),
         ('{"order": 100000000000000000000, "dim": 2}', "limit"),
         ('{"order": 10000, "dim": 10, "values": []}', "limit"),
