@@ -24,11 +24,20 @@ back NaN, and the finiteness test that drops diverging restarts drops its
 restart too.  B is singular at every eigenpair with λ = 0 (G x = λx = 0),
 so a restart that lands on a λ = 0 family can be dropped there.
 
+A block of restarts stops once its late restarts stop finding new pairs: at
+the first trip t >= QUIET_FROM with t >= 2 t_new, t_new the last trip on
+which one of them converged to a pair that no restart of the block had
+reached (within the dedupe tolerances; at odd m a mirror is no new pair).
+The restarts still active there are dropped, as at MAX_ITER, so the stop can
+drop a rarely hit pair that only a late restart would reach.
+
 Determinism: restart k starts from a function of (seed, k) only, so the
 first k starts do not depend on how many restarts follow.  The start points
 are the rows of one normal draw from ``default_rng(seed)``: row k for even m;
 for odd m, row j for restart 2j and its antipode for restart 2j + 1, whose
-result is restart 2j's mirrored rather than iterated (z_eigs_newton).
+result is restart 2j's mirrored rather than iterated (z_eigs_newton).  A
+restart's iterates, and with them the trip on which its block stops, also
+depend on the block: the BLAS picks its GEMM kernel by row count.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from .tensor import DenseTensor, _fold, contract
 
 INCLUSION_TOL = 1e-8  # outward relaxation of each region and the bound, per unit of S
 MAX_ITER = 200  # Newton steps per restart
+QUIET_FROM = 40  # first trip on which a block of restarts may stop early (_newton_block)
 # Largest accepted restart count, checked before anything is allocated: at
 # this size a dim-3 Newton call's arrays peak near 39 MB at order 4, and near
 # 26 MB at order 3, which iterates half the restarts (tracemalloc).
@@ -308,16 +318,35 @@ def _newton_step(G: np.ndarray, X: np.ndarray, lam: np.ndarray, m: int) -> tuple
     return (m - 2) / (m - 1) * X + alpha[:, None] * Y, lam / (m - 1) + alpha
 
 
-def _newton_block(newton_map, X: np.ndarray, tol: float, final_x, final_lam, final_res) -> None:
+def _newton_block(newton_map, X: np.ndarray, scale: float, final_x, final_lam, final_res) -> None:
     """Iterate the restarts starting at the rows of X.  Restart k that
-    converges, its residual at most tol, writes its x, Newton λ and loop
-    residual to row k of final_x, final_lam and final_res; the rows of the
-    others are left as they are.  Each trip takes every active restart's
-    _newton_step in one batched solve, then renormalizes x; the finiteness
-    test on the new x and λ drops the restarts whose B was singular."""
+    converges, its residual at most RESIDUAL_TOL * scale, writes its x,
+    Newton λ and loop residual to row k of final_x, final_lam and final_res;
+    the rows of the others are left as they are.  Each trip takes every
+    active restart's _newton_step in one batched solve, then renormalizes x;
+    the finiteness test on the new x and λ drops the restarts whose B was
+    singular.
+
+    The block stops at the first trip t >= QUIET_FROM with t >= 2 t_new, or
+    at MAX_ITER, and drops the restarts still active there.  t_new is the
+    last trip on which a restart converged to a new pair, one that no restart
+    of the block had reached before: λ / scale more than DEDUPE_TOL_LAMBDA
+    or x more than DEDUPE_TOL_X up to sign from each found pair, with |λ| at
+    odd m, where the mirror (-λ, -x) of a pair is no new pair.  Until one
+    pair is found the block does not stop early.  Before QUIET_FROM nothing
+    is compared: each restart's convergence trip is recorded, and at
+    QUIET_FROM _distinct ranked by that trip gives the found pairs, each
+    cluster's first converger; after it only the restarts that converge on a
+    trip are compared with them, in one matrix product."""
+    tol = RESIDUAL_TOL * scale
     AX, G = newton_map(X)
     lam = np.einsum("zi,zi->z", X, AX)
     order = np.arange(len(X))
+    trip = np.full(len(X), -1)  # the trip each restart converged on, up to QUIET_FROM
+    t_new = MAX_ITER  # until a pair is found, 2 t_new is past every trip
+
+    def folded(lam):  # λ / scale, without its sign at odd m, where (-λ, -x) mirrors (λ, x)
+        return np.abs(lam / scale) if newton_map.order % 2 else lam / scale
 
     # Desk-scale blocks make many short trips, so the fixed cost of each counts:
     # one errstate (a singular B's step) for all trips, count_nonzero for any / all.
@@ -329,9 +358,25 @@ def _newton_block(newton_map, X: np.ndarray, tol: float, final_x, final_lam, fin
             if np.count_nonzero(done):
                 hit = order[done]
                 final_x[hit], final_lam[hit], final_res[hit] = X[done], lam[done], res[done]
+                if it <= QUIET_FROM:
+                    trip[hit] = it
+                else:
+                    x, value = X[done], folded(lam[done])
+                    seen = (np.abs(value[:, None] - found_value) <= DEDUPE_TOL_LAMBDA) & (
+                        np.abs(x @ found_x.T) >= 1.0 - DEDUPE_TOL_X**2 / 2  # |x -+ y|^2 = 2 -+ 2 x.y
+                    )
+                    new = ~seen.any(axis=1)
+                    if np.count_nonzero(new):
+                        t_new = it
+                        found_value, found_x = np.append(found_value, value[new]), np.vstack([found_x, x[new]])
+            if it == QUIET_FROM:  # the found pairs: each cluster's first converger
+                hits = np.flatnonzero(trip >= 0)
+                heads = hits[_distinct(folded(final_lam[hits]), final_x[hits], trip[hits])]
+                found_value, found_x = folded(final_lam[heads]), final_x[heads]
+                t_new = int(trip[heads].max()) if len(heads) else MAX_ITER
             active = (res > tol) & (res < np.inf)
             kept = np.count_nonzero(active)
-            if not kept or it == MAX_ITER:
+            if not kept or it == MAX_ITER or (it >= QUIET_FROM and it >= 2 * t_new):
                 break
             if kept < len(active):  # a restart left: keep the others' rows only
                 X, lam, G, order = X[active], lam[active], G[active], order[active]
@@ -355,7 +400,10 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
     contraction map, taken as one n x n solve (_newton_step), renormalizing
     x after every step.  Restarts that fail to reach RESIDUAL_TOL * S within
     MAX_ITER steps, or whose B is singular on the way, are dropped; an empty
-    result is legal.
+    result is legal.  So are those still active when their block stops: at
+    the first trip t >= QUIET_FROM with t >= 2 t_new, t_new the last trip on
+    which a restart of the block converged to a new pair (_newton_block).
+    The stop can drop a rarely hit pair that only a late restart reaches.
 
     For odd m, (x, λ) -> (-x, -λ) maps eigenpairs to eigenpairs.  Restart 2j
     starts at row j and restart 2j + 1 at -row j.  G(-x) = -G(x), so the
@@ -372,10 +420,11 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
     maps and systems or the monomials) holds at most BUDGET items, or of one
     restart when that alone exceeds it, so memory does not grow with the
     restart count.  The BLAS picks its GEMM kernel by row count, so another
-    block size can change a restart's iterates, and with them which rarely
-    hit pairs are found; the same tensor, config and BLAS give the same
-    pairs.  The converged restarts of all blocks, with the mirrors for odd m
-    interleaved, go to _finish, ranked by their loop residual.
+    block size can change a restart's iterates, the trip on which its block
+    stops, and with them which rarely hit pairs are found; the same tensor,
+    config and BLAS give the same pairs.  The converged restarts of all
+    blocks, with the mirrors for odd m interleaved, go to _finish, ranked by
+    their loop residual.
     """
     cfg = config or OracleConfig()
     n, m = tensor.dim, tensor.order
@@ -386,10 +435,10 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
     final_x, final_lam = np.empty((iterated, n)), np.empty(iterated)
     final_res = np.full(iterated, np.inf)
     block = max(1, BUDGET // max(n * n, math.comb(n + m - 3, m - 2)))
-    tol = RESIDUAL_TOL * _scale(tensor)
+    scale = _scale(tensor)
     for lo in range(0, iterated, block):
         rows = slice(lo, lo + block)
-        _newton_block(newton_map, starts[rows], tol, final_x[rows], final_lam[rows], final_res[rows])
+        _newton_block(newton_map, starts[rows], scale, final_x[rows], final_lam[rows], final_res[rows])
 
     if m % 2:  # restart 2j + 1 is restart 2j mirrored
         final_x = np.stack([final_x, -final_x], axis=1).reshape(-1, n)[: cfg.restarts]

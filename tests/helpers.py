@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from zeig.oracle import DEDUPE_TOL_LAMBDA, DEDUPE_TOL_X, MAX_ITER, Eigenpair
+from zeig import oracle
+from zeig.oracle import DEDUPE_TOL_LAMBDA, DEDUPE_TOL_X, MAX_ITER, RESIDUAL_TOL, Eigenpair
 from zeig.tensor import MAX_ABS_VALUE, MAX_ENTRIES, DenseTensor, TensorFormatError, _canonical_classes
 
 
@@ -475,11 +476,13 @@ def finite_difference_jacobian(tensor, x, step=1e-6):
 #
 # The Newton map, step solve, restart loop and dedupe in their first, plainest
 # form: every array of every step allocated anew, every restart compacted on
-# every step, every candidate compared with every other.  One restart loop,
-# two steps: reference_shifted_newton_block takes the library's step, one
-# n x n solve of B y = x, and must do the same floating-point operations in
-# the same order, so z_eigs_newton with it swapped in must give the same bits;
-# reference_newton_block takes the same Newton step from the bordered
+# every step, every candidate compared with every other.  The restart loop
+# ends at the library's stop, with t_new tracked from trip 0: each restart
+# that converges is compared with every one converged before it.  One restart
+# loop, two steps: reference_shifted_newton_block takes the library's step,
+# one n x n solve of B y = x, and must do the same floating-point operations
+# in the same order, so z_eigs_newton with it swapped in must give the same
+# bits; reference_newton_block takes the same Newton step from the bordered
 # (n+1) x (n+1) system instead, an independent check of that step that agrees
 # within rounding, not in the bits.  Kept verbatim: do not tidy.
 
@@ -556,10 +559,12 @@ def shifted_newton_step(J: np.ndarray, X: np.ndarray, lam: np.ndarray, m: int):
         return (m - 2) / (m - 1) * X + alpha[:, None] * Y, lam / (m - 1) + alpha, ok
 
 
-def _reference_restarts(step, newton_map, X: np.ndarray, tol, final_x, final_lam, final_res) -> None:
+def _reference_restarts(step, newton_map, X: np.ndarray, scale, final_x, final_lam, final_res) -> None:
+    tol = RESIDUAL_TOL * scale
     AX, J = newton_map(X)
     lam = np.einsum("zi,zi->z", X, AX)
     order = np.arange(len(X))
+    found, t_new = [], None  # (λ / scale, x) of every converged restart; the last trip with a new pair
 
     for it in range(MAX_ITER + 1):
         res = np.linalg.norm(AX - lam[:, None] * X, axis=1)
@@ -567,8 +572,19 @@ def _reference_restarts(step, newton_map, X: np.ndarray, tol, final_x, final_lam
         done = good & (res <= tol)
         hit = order[done]
         final_x[hit], final_lam[hit], final_res[hit] = X[done], lam[done], res[done]
+        for value, x in zip(lam[done] / scale, X[done]):
+            if newton_map.order % 2:  # (-λ, -x) is the mirror of (λ, x), no new pair
+                value = abs(value)
+            if not any(
+                abs(value - v) <= DEDUPE_TOL_LAMBDA
+                and min(np.linalg.norm(x - y), np.linalg.norm(x + y)) <= DEDUPE_TOL_X
+                for v, y in found
+            ):
+                t_new = it
+            found.append((value, x))
         active = good & ~done
-        if not np.any(active) or it == MAX_ITER:
+        quiet = t_new is not None and it >= oracle.QUIET_FROM and it >= 2 * t_new
+        if not np.any(active) or it == MAX_ITER or quiet:
             break
         X, lam, AX, J, order = X[active], lam[active], AX[active], J[active], order[active]
 

@@ -573,7 +573,7 @@ def _assert_newton_bit_exact(monkeypatch, tensor, cfg):
     kernels = (oracle._newton_block, _newton_map), (reference_shifted_newton_block, reference_newton_map)
     for block, newton_map in kernels:
         final = np.full((cfg.restarts, n), np.nan), np.full(cfg.restarts, np.nan), np.full(cfg.restarts, np.inf)
-        block(newton_map(tensor.data), starts, RESIDUAL_TOL * np.abs(tensor.data).sum(), *final)
+        block(newton_map(tensor.data), starts, np.abs(tensor.data).sum(), *final)
         finals.append(final)
     for got, want in zip(*finals):
         assert np.array_equal(got, want, equal_nan=True)
@@ -695,7 +695,7 @@ def test_newton_iterates_the_antipode_to_the_mirror_bit_for_bit(monkeypatch, ord
     for X in (starts, -starts):
         trips.append([])
         final = np.full((200, 4), np.nan), np.full(200, np.nan), np.full(200, np.inf)
-        oracle._newton_block(_newton_map(t.data), X, RESIDUAL_TOL * np.abs(t.data).sum(), *final)
+        oracle._newton_block(_newton_map(t.data), X, np.abs(t.data).sum(), *final)
         finals.append(final)
     assert len(trips[0]) == len(trips[1]) > 5
     for (B, X), (mirror_B, mirror_X) in zip(*trips):
@@ -704,6 +704,124 @@ def test_newton_iterates_the_antipode_to_the_mirror_bit_for_bit(monkeypatch, ord
     assert np.isfinite(res).sum() > 100
     assert np.array_equal(mirror_x, -x, equal_nan=True) and np.array_equal(mirror_lam, -lam, equal_nan=True)
     assert np.array_equal(mirror_res, res)
+
+
+# -- the stop of a restart block once its late restarts find no new pairs ----------
+
+
+def _run_block(t, starts, monkeypatch, quiet_from=None):
+    """oracle._newton_block on the starts, with QUIET_FROM replaced when
+    given: each restart's final x, λ and residual, and the iterates of every
+    trip, from whose count the trip the block stopped on follows."""
+    base = _newton_map(t.data)
+    iterates = []
+
+    def recorded(X):
+        iterates.append(X.copy())
+        return base(X)
+
+    recorded.order = base.order
+    final = np.full((len(starts), t.dim), np.nan), np.full(len(starts), np.nan), np.full(len(starts), np.inf)
+    with monkeypatch.context() as patch:
+        if quiet_from is not None:
+            patch.setattr(oracle, "QUIET_FROM", quiet_from)
+        oracle._newton_block(recorded, starts, np.abs(t.data).sum(), *final)
+    return final, iterates
+
+
+def _stop_by_rule(t, starts, monkeypatch):
+    """The trip the stop rule ends the block on, and t_new there, read off the
+    block run without the stop: the trip each restart converged on is the one
+    whose iterates hold its final x, and each converged pair is compared with
+    every one converged before it."""
+    (x, lam, res), iterates = _run_block(t, starts, monkeypatch, quiet_from=oracle.MAX_ITER + 1)
+    trips = [next(it for it, X in enumerate(iterates) if (X == x[k]).all(axis=1).any()) if np.isfinite(res[k]) else None
+             for k in range(len(starts))]
+    scale, found, t_new = np.abs(t.data).sum(), [], None
+    for it in range(len(iterates)):
+        for k in (k for k in range(len(starts)) if trips[k] == it):
+            value = abs(lam[k] / scale) if t.order % 2 else lam[k] / scale
+            if not any(abs(value - v) <= DEDUPE_TOL_LAMBDA
+                       and min(np.linalg.norm(x[k] - y), np.linalg.norm(x[k] + y)) <= DEDUPE_TOL_X
+                       for v, y in found):
+                t_new = it
+            found.append((value, x[k]))
+        if t_new is not None and it >= oracle.QUIET_FROM and it >= 2 * t_new:
+            return it, t_new
+    return len(iterates) - 1, t_new
+
+
+def test_newton_block_stops_at_twice_the_last_trip_with_a_new_pair(monkeypatch):
+    # A nonnegative symmetric (5, 5) tensor whose last new pair comes on trip 25:
+    # the block stops on trip 50, not at QUIET_FROM, and not at MAX_ITER.
+    t = random_symmetric_tensor(np.random.default_rng(26), order=5, dim=5)
+    starts = _start_points(5, 200, 26)
+    stop, t_new = _stop_by_rule(t, starts, monkeypatch)
+    assert oracle.QUIET_FROM < 2 * t_new
+    assert stop == max(oracle.QUIET_FROM, 2 * t_new) < oracle.MAX_ITER
+    (x, lam, res), iterates = _run_block(t, starts, monkeypatch)
+    assert len(iterates) - 1 == stop
+    # Up to the stop the block ran as without it: the restarts converged by then keep their bits.
+    (full_x, full_lam, full_res), _ = _run_block(t, starts, monkeypatch, quiet_from=oracle.MAX_ITER + 1)
+    kept = np.isfinite(res)
+    assert kept.sum() < np.isfinite(full_res).sum()
+    assert np.array_equal(x[kept], full_x[kept]) and np.array_equal(lam[kept], full_lam[kept])
+    assert np.array_equal(res[kept], full_res[kept])
+
+
+def test_newton_stops_the_stalled_block_at_quiet_from_with_the_same_pairs(monkeypatch):
+    # The signed (3, 3) tensor of verify_desk: 373 of its 500 iterated restarts
+    # never converge, and both its pairs are found by trip 20.
+    t = load_fixture("stall_m3_n3.json")
+    starts = _start_points(3, 500, 0)
+    _, iterates = _run_block(t, starts, monkeypatch)
+    (_, _, full_res), full_iterates = _run_block(t, starts, monkeypatch, quiet_from=oracle.MAX_ITER + 1)
+    assert (len(iterates) - 1, len(full_iterates) - 1) == (oracle.QUIET_FROM, oracle.MAX_ITER)
+    assert np.isinf(full_res).sum() == 373
+    pairs = z_eigs_newton(t)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "QUIET_FROM", oracle.MAX_ITER + 1)
+        _assert_same_pairs(pairs, z_eigs_newton(t))
+    assert [round(p.value, 6) for p in pairs] == [1.137269, -1.137269]
+
+
+def test_newton_block_takes_the_mirror_of_a_found_pair_as_no_new_pair(monkeypatch):
+    # On the stall tensor, restart 135 beside restart 0, which never converges,
+    # converges after trip 20 to a new pair, so its block runs past QUIET_FROM.
+    # Put first a start that is already an eigenvector, which converges on
+    # trip 0, and restart 135's pair is no new pair if it is that eigenvector's
+    # pair or, at odd m, its mirror: the block stops at QUIET_FROM.
+    t = load_fixture("stall_m3_n3.json")
+    late, stalled = _start_points(3, 500, 0)[[135, 0]]
+    stop, t_new = _stop_by_rule(t, np.array([late, stalled]), monkeypatch)
+    (x, lam, res), iterates = _run_block(t, np.array([late, stalled]), monkeypatch)
+    assert len(iterates) - 1 == stop == 2 * t_new > oracle.QUIET_FROM
+    assert np.isfinite(res[0]) and np.isinf(res[1])
+    for first, first_lam in ((x[0], lam[0]), (-x[0], -lam[0])):  # the pair, then its mirror
+        (_, found_lam, found_res), iterates = _run_block(t, np.array([first, late, stalled]), monkeypatch)
+        assert len(iterates) - 1 == oracle.QUIET_FROM
+        assert np.isfinite(found_res[:2]).all()  # restart 135 converged before the stop
+        assert found_lam[0] == pytest.approx(first_lam)
+
+
+def test_newton_stop_keeps_the_pairs_of_20_desk_tensors(monkeypatch):
+    # Orders 3-5, dims 3-5, signed and nonnegative symmetric, default restarts:
+    # the stop drops no pair.  It can move a cluster's kept representative,
+    # whose rank is its loop residual, so pairs match within the dedupe tolerances.
+    rng = np.random.default_rng(31)
+    for k in range(20):
+        order, dim, signed = int(rng.integers(3, 6)), int(rng.integers(3, 6)), bool(k % 2)
+        t = (random_tensor if signed else random_symmetric_tensor)(rng, order=order, dim=dim, signed=signed)
+        cfg = OracleConfig(seed=k)
+        found = z_eigs_newton(t, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "QUIET_FROM", oracle.MAX_ITER + 1)
+            unstopped = z_eigs_newton(t, cfg)
+        assert len(found) == len(unstopped) > 0, k
+        scale = np.abs(t.data).sum()
+        for p, q in zip(found, unstopped):
+            assert abs(p.value - q.value) <= DEDUPE_TOL_LAMBDA * scale, (k, p, q)
+            assert min(np.linalg.norm(p.x - q.x), np.linalg.norm(p.x + q.x)) <= DEDUPE_TOL_X, (k, p, q)
 
 
 def _planted_singular_batch(rng, k=60, size=6):
