@@ -7,7 +7,9 @@ verification failure (an eigenvalue escaped a region or the bound chain
 ordering failed).
 
 Machine formats print floats with 17 significant digits so that reports
-round-trip bit-exactly; human tables use 6 significant digits.
+round-trip bit-exactly; human tables use 6 significant digits.  The library
+returns numbers and verdicts: this module alone writes every output line
+and every --json document, its keys and their order.
 """
 
 from __future__ import annotations
@@ -132,7 +134,16 @@ def cmd_info(tensor: DenseTensor, args) -> int:
 def cmd_bounds(tensor: DenseTensor, args) -> int:
     report = compare_report(tensor, tensor.aggregates())
     if args.json:
-        sys.stdout.write(render_json(report.to_dict()))
+        doc = {
+            "omega_max": report.omega_max,
+            "omega_hat_max": report.omega_hat_max,
+            "omega_tilde_max": report.omega_tilde_max,
+            "chain_middle": report.chain_middle,
+            "gershgorin": report.gershgorin,
+            "attaining_pair": list(report.attaining_pair),
+            "warnings": report.warnings,
+        }
+        sys.stdout.write(render_json(doc))
     else:
         i, j = report.attaining_pair
         print(f"omega_max: {_fmt(report.omega_max)} (attained at pair ({i}, {j}))")
@@ -183,10 +194,15 @@ def _run_oracle(tensor: DenseTensor, args) -> tuple[str, list[Eigenpair]]:
     return method, z_eigs_sweep_n2(tensor)
 
 
+def _eigenpair_rows(pairs: list[Eigenpair]) -> list[dict]:
+    """The eigenpairs as eigs and verify write them, one JSON object each."""
+    return [{"lambda": p.value, "x": p.x.tolist(), "residual": p.residual} for p in pairs]
+
+
 def cmd_eigs(tensor: DenseTensor, args) -> int:
     method, pairs = _run_oracle(tensor, args)
     if args.json:
-        sys.stdout.write(render_json([p.to_dict() for p in pairs]))
+        sys.stdout.write(render_json(_eigenpair_rows(pairs)))
     else:
         print(f"found {len(pairs)} eigenpair(s) (method: {method}, seed: {args.seed})")
         for p in pairs:
@@ -208,10 +224,14 @@ def cmd_verify(tensor: DenseTensor, args) -> int:
         doc = {
             "method": method,
             "seed": args.seed if method == "newton" else None,
-            "chain_ok": report.chain_ok,  # keeps its place ahead of the eigenpairs
-            "eigenpairs": [p.to_dict() for p in pairs],
+            "chain_ok": report.chain_ok,
+            "eigenpairs": _eigenpair_rows(pairs),
+            "omega_max": report.omega_max,
+            "bound_applies": report.bound_applies,
+            "checks": [{"lambda": c.value, "in_omega": c.in_omega, "in_m": c.in_m, "in_k": c.in_k,
+                        "within_omega_max": c.within_omega_max} for c in report.checks],
+            "all_passed": report.all_passed,
         }
-        doc.update(report.to_dict())
         sys.stdout.write(render_json(doc))
     else:
         print(f"method: {method}")
@@ -220,7 +240,9 @@ def cmd_verify(tensor: DenseTensor, args) -> int:
         print(f"bound applies: {'yes' if report.bound_applies else 'no'}")
         print(f"chain ordering: {'ok' if report.chain_ok else 'VIOLATED'}")
         for check in report.failures():
-            print(f"VIOLATION lambda {_fmt(check.value)}: {'; '.join(check.problems)}")
+            failed = {"not in Omega": not check.in_omega, "not in M": not check.in_m, "not in K": not check.in_k,
+                      "exceeds omega_max": check.within_omega_max is False}
+            print(f"VIOLATION lambda {_fmt(check.value)}: {'; '.join(text for text, bad in failed.items() if bad)}")
         if report.all_passed:
             print("all checks passed")
         else:

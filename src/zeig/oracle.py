@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -77,9 +77,6 @@ class Eigenpair:
     value: float
     x: np.ndarray
     residual: float
-
-    def to_dict(self) -> dict:
-        return {"lambda": self.value, "x": self.x.tolist(), "residual": self.residual}
 
 
 @dataclass(frozen=True)
@@ -462,32 +459,16 @@ class PairCheck:
     within_omega_max: bool | None  # None when the bound hypothesis fails
 
     @property
-    def problems(self) -> list[str]:
-        """The checks this eigenvalue fails, in report order; empty when it passes."""
-        failed = {"not in Omega": not self.in_omega, "not in M": not self.in_m, "not in K": not self.in_k,
-                  "exceeds omega_max": self.within_omega_max is False}
-        return [text for text, bad in failed.items() if bad]
-
-    @property
     def passed(self) -> bool:
-        return not self.problems
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.value,
-            "in_omega": self.in_omega,
-            "in_m": self.in_m,
-            "in_k": self.in_k,
-            "within_omega_max": self.within_omega_max,
-        }
+        return self.in_omega and self.in_m and self.in_k and self.within_omega_max is not False
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
-    checks: list[PairCheck] = field(default_factory=list)
-    omega_max: float = 0.0
-    bound_applies: bool = False
-    chain_ok: bool = True
+    checks: list[PairCheck]
+    omega_max: float
+    bound_applies: bool
+    chain_ok: bool
 
     @property
     def all_passed(self) -> bool:
@@ -495,15 +476,6 @@ class VerificationReport:
 
     def failures(self) -> list[PairCheck]:
         return [c for c in self.checks if not c.passed]
-
-    def to_dict(self) -> dict:
-        return {
-            "chain_ok": self.chain_ok,
-            "omega_max": self.omega_max,
-            "bound_applies": self.bound_applies,
-            "checks": [c.to_dict() for c in self.checks],
-            "all_passed": self.all_passed,
-        }
 
 
 def verify_inclusion(tensor: DenseTensor, pairs: list[Eigenpair]) -> VerificationReport:

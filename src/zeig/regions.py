@@ -14,7 +14,7 @@ gershgorin (K's), which compare_report re-checks on the computed values.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -164,7 +164,7 @@ def region_Omega(agg: RowAggregates) -> float:
     return agg.omega.sup
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundReport:
     """Named bound values plus structural-check warnings."""
 
@@ -176,18 +176,7 @@ class BoundReport:
     attaining_pair: tuple[int, int]
     bound_applies: bool  # nonnegative and weakly symmetric: the bounds are certified
     chain_ok: bool  # omega_max <= chain_middle <= gershgorin held on the computed values
-    warnings: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "omega_max": self.omega_max,
-            "omega_hat_max": self.omega_hat_max,
-            "omega_tilde_max": self.omega_tilde_max,
-            "chain_middle": self.chain_middle,
-            "gershgorin": self.gershgorin,
-            "attaining_pair": list(self.attaining_pair),
-            "warnings": list(self.warnings),
-        }
+    warnings: list[str]
 
 
 # omega_max is Omega's supremum; the public name stays, and bench/spans.py patches it.

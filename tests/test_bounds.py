@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -204,17 +203,3 @@ def test_compare_report_warns_on_weak_symmetry_failure():
     assert any("weakly symmetric" in w for w in report.warnings)
     assert not report.bound_applies
 
-
-def test_report_serialization_keys(example1):
-    doc = compare_report(example1, example1.aggregates()).to_dict()
-    assert list(doc) == [
-        "omega_max",
-        "omega_hat_max",
-        "omega_tilde_max",
-        "chain_middle",
-        "gershgorin",
-        "attaining_pair",
-        "warnings",
-    ]
-    assert doc["attaining_pair"] == [2, 1]
-    json.dumps(doc)  # serializable as-is

@@ -98,6 +98,15 @@ def test_bounds_example1_json(capsys):
     code, out, _ = run_cli(capsys, "bounds", EX1, "--json")
     assert code == EXIT_OK
     doc = json.loads(out)
+    assert list(doc) == [
+        "omega_max",
+        "omega_hat_max",
+        "omega_tilde_max",
+        "chain_middle",
+        "gershgorin",
+        "attaining_pair",
+        "warnings",
+    ]
     assert doc["omega_max"] == pytest.approx(4.3971, abs=1e-4)
     assert doc["gershgorin"] == pytest.approx(5.3333, abs=1e-4)
     assert doc["attaining_pair"] == [2, 1]
@@ -178,14 +187,18 @@ def test_render_json_of_hundreds_of_eigenpairs_matches_item_by_item_rendering(ca
     tensor = parse_tensor(path.read_text(encoding="utf-8"))
     pairs = z_eigs_newton(tensor)
     assert len(pairs) >= 100
-    eigs = [p.to_dict() for p in pairs]
+    eigs = [{"lambda": p.value, "x": p.x.tolist(), "residual": p.residual} for p in pairs]
     assert all(type(v) is float for d in eigs for v in [d["lambda"], d["residual"], *d["x"]])
     code, out, _ = run_cli(capsys, "eigs", str(path), "--method", "newton", "--json")
     assert code == EXIT_OK
     assert out == render_json(eigs) == brute_render_json(eigs) + "\n"
 
     report = verify_inclusion(tensor, pairs)
-    verify = {"method": "newton", "seed": 0, "chain_ok": report.chain_ok, "eigenpairs": eigs, **report.to_dict()}
+    checks = [{"lambda": c.value, "in_omega": c.in_omega, "in_m": c.in_m, "in_k": c.in_k,
+               "within_omega_max": c.within_omega_max} for c in report.checks]
+    verify = {"method": "newton", "seed": 0, "chain_ok": report.chain_ok, "eigenpairs": eigs,
+              "omega_max": report.omega_max, "bound_applies": report.bound_applies, "checks": checks,
+              "all_passed": report.all_passed}
     assert len(verify["checks"]) >= 100
     code, out, _ = run_cli(capsys, "verify", str(path), "--json")
     assert code == EXIT_OK
@@ -296,7 +309,7 @@ def test_eigs_sweep_example1(capsys):
     code, out, _ = run_cli(capsys, "eigs", EX1, "--method", "sweep", "--json")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc
+    assert doc and all(list(item) == ["lambda", "x", "residual"] and len(item["x"]) == 2 for item in doc)
     values = [item["lambda"] for item in doc]
     assert values == sorted(values, reverse=True)
     assert all(item["residual"] <= 1e-12 for item in doc)
@@ -358,10 +371,14 @@ def test_verify_all_ones_order_22(capsys):
 
 
 def test_verify_injected_escape_fails(capsys):
-    code, out, _ = run_cli(capsys, "verify", EX1, "--inject-lambda", "53.33")
-    assert code == EXIT_VERIFY
-    assert "VIOLATION" in out
-    assert "not in Omega" in out
+    # 53.33 escapes every set of example1 and the bound; 12 escapes only
+    # example2's Omega (omega_max 11.73 < 12 < chain_middle 14.24), and with it the bound.
+    for path, value, problems in ((EX1, "53.33", "not in Omega; not in M; not in K; exceeds omega_max"),
+                                  (EX2, "12", "not in Omega; exceeds omega_max")):
+        code, out, _ = run_cli(capsys, "verify", path, "--restarts", "50", "--inject-lambda", value)
+        assert code == EXIT_VERIFY
+        assert f"VIOLATION lambda {value}: {problems}\n" in out
+        assert out.endswith("1 violation(s)\n")
 
 
 def test_verify_injected_escape_of_a_tiny_tensor_fails(capsys):
@@ -393,10 +410,22 @@ def test_verify_json_report(capsys):
     code, out, _ = run_cli(capsys, "verify", EX2, "--restarts", "300", "--json")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["method"] == "newton"
+    assert list(doc) == [
+        "method",
+        "seed",
+        "chain_ok",
+        "eigenpairs",
+        "omega_max",
+        "bound_applies",
+        "checks",
+        "all_passed",
+    ]
+    assert (doc["method"], doc["seed"]) == ("newton", 0)
     assert doc["chain_ok"] is True
     assert doc["all_passed"] is True
-    assert doc["checks"]
+    assert doc["checks"] and len(doc["checks"]) == len(doc["eigenpairs"])
+    assert all(list(item) == ["lambda", "x", "residual"] for item in doc["eigenpairs"])
+    assert all(list(check) == ["lambda", "in_omega", "in_m", "in_k", "within_omega_max"] for check in doc["checks"])
     assert render_json(doc) == out
 
 
@@ -466,11 +495,12 @@ def test_json_output_matches_golden_bytes(capsys, name, command):
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{command[0]}.json").read_bytes()
 
 
+@pytest.mark.parametrize("command", [["info"], ["bounds"], ["regions", "--set", "all"]])
 @pytest.mark.parametrize("name", ["example1", "example2"])
-def test_regions_text_matches_golden_bytes(capsys, name):
-    code, out, _ = run_cli(capsys, "regions", str(fixture_path(f"{name}.json")), "--set", "all")
+def test_text_output_matches_golden_bytes(capsys, name, command):
+    code, out, _ = run_cli(capsys, command[0], str(fixture_path(f"{name}.json")), *command[1:])
     assert code == EXIT_OK
-    assert out.encode("utf-8") == (GOLDEN / f"{name}.regions.txt").read_bytes()
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.{command[0]}.txt").read_bytes()
 
 
 @pytest.mark.parametrize("region", ["K", "M", "Omega"])

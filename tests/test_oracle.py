@@ -1137,9 +1137,3 @@ def test_inclusion_on_random_symmetric_nonnegative_tensors():
         assert report.bound_applies
         assert report.all_passed
 
-
-def test_eigenpair_serialization_shape(example1):
-    pair = z_eigs_sweep_n2(example1)[0]
-    doc = pair.to_dict()
-    assert list(doc) == ["lambda", "x", "residual"]
-    assert isinstance(doc["x"], list) and len(doc["x"]) == 2
