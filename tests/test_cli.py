@@ -495,12 +495,21 @@ def test_json_output_matches_golden_bytes(capsys, name, command):
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{command[0]}.json").read_bytes()
 
 
-@pytest.mark.parametrize("command", [["info"], ["bounds"], ["regions", "--set", "all"]])
-@pytest.mark.parametrize("name", ["example1", "example2"])
-def test_text_output_matches_golden_bytes(capsys, name, command):
-    code, out, _ = run_cli(capsys, command[0], str(fixture_path(f"{name}.json")), *command[1:])
-    assert code == EXIT_OK
-    assert out.encode("utf-8") == (GOLDEN / f"{name}.{command[0]}.txt").read_bytes()
+_TEXT_GOLDENS = [
+    (f"{name}.{command[0]}", [command[0], name, *command[1:]], EXIT_OK)
+    for name in ("example1", "example2") for command in (["info"], ["bounds"], ["regions", "--set", "all"])
+] + [
+    ("example1.verify", ["verify", "example1"], EXIT_OK),
+    # 4.5 lies outside example1's Omega (4.397) and inside its M (5.167) and K (5.333).
+    ("example1.verify_inject", ["verify", "example1", "--inject-lambda", "4.5"], EXIT_VERIFY),
+]
+
+
+@pytest.mark.parametrize("golden, command, expected", _TEXT_GOLDENS, ids=[golden for golden, _, _ in _TEXT_GOLDENS])
+def test_text_output_matches_golden_bytes(capsys, golden, command, expected):
+    code, out, _ = run_cli(capsys, command[0], str(fixture_path(f"{command[1]}.json")), *command[2:])
+    assert code == expected
+    assert out.encode("utf-8") == (GOLDEN / f"{golden}.txt").read_bytes()
 
 
 @pytest.mark.parametrize("region", ["K", "M", "Omega"])
