@@ -8,11 +8,12 @@ reports: one pair per cluster (λ / S within DEDUPE_TOL_LAMBDA, x within
 DEDUPE_TOL_X up to sign), re-verified on A against RESIDUAL_TOL * S rather
 than trusted from the finder, sorted by λ descending.  verify_inclusion
 decides from the tensor alone: it checks found eigenvalues against the three
-inclusion regions, and against the closed-form bound where compare_report
-finds the bound's hypothesis holds, each relaxed by INCLUSION_TOL * S, and
-its verdict includes compare_report's bound chain check.  S, the sum of |A|'s
-entries (1 for the zero tensor), bounds |λ|, and (λ, x) is an eigenpair of A
-iff (s λ, x) is one of s A: every tolerance scales with the tensor.
+inclusion regions, each relaxed by INCLUSION_TOL * S, and its verdict
+includes compare_report's bound chain check.  Where the closed-form bound
+applies it is omega_max, Omega's supremum, so Omega's check is the bound's
+too.  S, the sum of |A|'s entries (1 for the zero tensor), bounds |λ|, and
+(λ, x) is an eigenpair of A iff (s λ, x) is one of s A: every tolerance
+scales with the tensor.
 
 Newton's map and Jacobian come from one GEMM per step, the degree-(m-2)
 monomials of the iterates times the tensor folded over their permutation
@@ -52,7 +53,7 @@ from numpy.linalg import _umath_linalg
 from .regions import bound_omega_max, compare_report, region_K, region_M, region_Omega
 from .tensor import DenseTensor, _fold, contract
 
-INCLUSION_TOL = 1e-8  # outward relaxation of each region and the bound, per unit of S
+INCLUSION_TOL = 1e-8  # outward relaxation of each region, per unit of S
 MAX_ITER = 200  # Newton steps per restart
 QUIET_FROM = 40  # first trip on which a block of restarts may stop early (_newton_block)
 # Largest accepted restart count, checked before anything is allocated: at
@@ -65,7 +66,9 @@ BUDGET = 2**20
 RESIDUAL_TOL = 1e-12  # largest accepted |A x^{m-1} - λ x| / S
 DEDUPE_TOL_LAMBDA = 1e-8  # eigenpairs this close in λ / S ...
 DEDUPE_TOL_X = 1e-6  # ... and in x up to sign are one eigenpair
-# np.roots returns a k-fold root as a ring of radius ~eps^(1/k) (0.18 at k = 21).
+# np.roots makes a k-fold root a ring of k roots of radius r ~ eps^(1/k), symmetric
+# about the real axis: an odd ring has a real member, an even one a member within
+# r sin(pi/k) of the axis (about 0.026 at k = 20), which the filter must pass.
 _ROOT_IMAG = 0.25  # largest imaginary part of a root taken as near-real
 _POLISH_STEPS = 50  # Newton steps per derivative of g
 
@@ -450,17 +453,17 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
 
 @dataclass(frozen=True)
 class PairCheck:
-    """Inclusion results for one eigenpair."""
+    """One eigenvalue's verdict in each region; in_omega is also the bound's
+    verdict where the bound applies, since omega_max is Omega's supremum."""
 
     value: float
     in_omega: bool
     in_m: bool
     in_k: bool
-    within_omega_max: bool | None  # None when the bound hypothesis fails
 
     @property
     def passed(self) -> bool:
-        return self.in_omega and self.in_m and self.in_k and self.within_omega_max is not False
+        return self.in_omega and self.in_m and self.in_k
 
 
 @dataclass(frozen=True)
@@ -480,18 +483,15 @@ class VerificationReport:
 
 def verify_inclusion(tensor: DenseTensor, pairs: list[Eigenpair]) -> VerificationReport:
     """Check every eigenvalue magnitude against the three regions of the
-    tensor, each the disk [0, sup], and against the closed-form bound when
-    compare_report finds that it applies (the tensor is weakly symmetric and
-    nonnegative): |λ| <= sup + INCLUSION_TOL * S.  all_passed also requires
+    tensor, each the disk [0, sup]: |λ| <= sup + INCLUSION_TOL * S.  Where
+    compare_report finds that the closed-form bound applies (the tensor is
+    weakly symmetric and nonnegative), the bound is omega_max, Omega's
+    supremum, and Omega's check decides it.  all_passed also requires
     compare_report's bound chain ordering to hold."""
     agg = tensor.aggregates()
     bounds = compare_report(tensor, agg)
     tol = INCLUSION_TOL * _scale(tensor)
     sups = (region_Omega(agg), region_M(agg), region_K(agg))
-    omega_max = bound_omega_max(agg)
-    checks = []
-    for pair in pairs:
-        r = abs(pair.value)  # a NaN fails every comparison
-        within_omega_max = r <= omega_max + tol if bounds.bound_applies else None
-        checks.append(PairCheck(pair.value, *(r <= sup + tol for sup in sups), within_omega_max))
-    return VerificationReport(checks, omega_max, bounds.bound_applies, bounds.chain_ok)
+    # A NaN fails every comparison.
+    checks = [PairCheck(pair.value, *(abs(pair.value) <= sup + tol for sup in sups)) for pair in pairs]
+    return VerificationReport(checks, bound_omega_max(agg), bounds.bound_applies, bounds.chain_ok)

@@ -1,4 +1,4 @@
-"""Mutation checks: each tolerance behind verify's verdict must matter to a test.
+"""Mutation checks: each tolerance and verdict behind verify's result must matter to a test.
 
 Run from anywhere, with the test dependencies installed:
 
@@ -34,6 +34,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "fixtures", "pyproject.toml")
 TOLERANCES = "tests/test_tolerances.py::"
+SUPS = "sups = (region_Omega(agg), region_M(agg), region_K(agg))"
+ROOT_IMAG_TESTS = ("tests/test_oracle.py", "tests/test_cli.py::test_verify_all_ones_order_22")
 
 
 class Mutant(NamedTuple):
@@ -71,12 +73,21 @@ MUTANTS = [
            ("tests/test_oracle.py::test_newton_bit_exact_across_restart_blocks",)),
     Mutant("QUIET_FROM 20", "src/zeig/oracle.py", "QUIET_FROM = 40 ", "QUIET_FROM = 20 ",
            ("tests/test_oracle.py::test_newton_stops_the_stalled_block_at_quiet_from_with_the_same_pairs",)),
+    Mutant("PairCheck.passed without in_omega", "src/zeig/oracle.py",
+           "return self.in_omega and self.in_m and self.in_k", "return self.in_m and self.in_k",
+           ("tests/test_cli.py::test_verify_injected_escape_fails",)),
+    *(Mutant(f"verify_inclusion's {name} supremum inf", "src/zeig/oracle.py", SUPS, SUPS.replace(call, "math.inf"),
+             (TOLERANCES + "test_inclusion_tol_is_1e_8_of_s_at_each_region_and_the_bound",))
+      for name, call in (("Omega", "region_Omega(agg)"), ("M", "region_M(agg)"), ("K", "region_K(agg)"))),
     Mutant("_ROOT_IMAG 0.5", "src/zeig/oracle.py", "_ROOT_IMAG = 0.25 ", "_ROOT_IMAG = 0.5 ",
-           ("tests/test_oracle.py", "tests/test_cli.py::test_verify_all_ones_order_22"),
+           ROOT_IMAG_TESTS,
            survives="A wider filter only admits more candidates, which _chart_roots polishes and _finish's "
-                    "residual gate drops or _distinct merges; a narrower one keeps, of the ring of radius "
-                    "r ~ eps^(1/k) that np.roots makes of a k-fold root, the member within r sin(pi/k) of the "
-                    "real axis (0.027 at k = 21)."),
+                    "residual gate drops or _distinct merges."),
+    Mutant("_ROOT_IMAG 0.1", "src/zeig/oracle.py", "_ROOT_IMAG = 0.25 ", "_ROOT_IMAG = 0.1 ",
+           ROOT_IMAG_TESTS,
+           survives="Real coefficients give conjugate pairs, so the ring of radius r ~ eps^(1/k) that np.roots "
+                    "makes of a k-fold root keeps a real member when k is odd; when k is even its nearest "
+                    "member is within r sin(pi/k) of the real axis, about 0.026 at k = 20."),
 ]
 
 

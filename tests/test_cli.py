@@ -194,8 +194,7 @@ def test_render_json_of_hundreds_of_eigenpairs_matches_item_by_item_rendering(ca
     assert out == render_json(eigs) == brute_render_json(eigs) + "\n"
 
     report = verify_inclusion(tensor, pairs)
-    checks = [{"lambda": c.value, "in_omega": c.in_omega, "in_m": c.in_m, "in_k": c.in_k,
-               "within_omega_max": c.within_omega_max} for c in report.checks]
+    checks = [{"in_omega": c.in_omega, "in_m": c.in_m, "in_k": c.in_k} for c in report.checks]
     verify = {"method": "newton", "seed": 0, "chain_ok": report.chain_ok, "eigenpairs": eigs,
               "omega_max": report.omega_max, "bound_applies": report.bound_applies, "checks": checks,
               "all_passed": report.all_passed}
@@ -211,8 +210,7 @@ def test_render_json_of_hundreds_of_eigenpairs_matches_item_by_item_rendering(ca
 def test_regions_omega_supremum(capsys):
     code, out, _ = run_cli(capsys, "regions", EX1, "--set", "Omega")
     assert code == EXIT_OK
-    assert "Omega" in out
-    assert "4.39706" in out
+    assert out == "Omega: sup 4.39706\n"
 
 
 def test_regions_all_nested_suprema(capsys):
@@ -235,12 +233,9 @@ def test_regions_csv_export(tmp_path, capsys):
     csv_path = tmp_path / "omega.csv"
     code, _, _ = run_cli(capsys, "regions", EX1, "--set", "Omega", "--csv", str(csv_path))
     assert code == EXIT_OK
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "lo,hi,lo_open,hi_open"
-    lo, hi, lo_open, hi_open = lines[1].split(",")
-    assert float(lo) == 0.0
-    assert float(hi) == pytest.approx(4.3970633623780984, rel=1e-15)
-    assert (lo_open, hi_open) == ("0", "0")
+    header, sup = csv_path.read_text().splitlines()
+    assert header == "supremum"
+    assert float(sup) == pytest.approx(4.3970633623780984, rel=1e-15)
 
 
 def test_regions_csv_requires_single_set(tmp_path, capsys):
@@ -340,6 +335,18 @@ def test_eigs_bad_grid_and_restarts(capsys):
     assert run_cli(capsys, "eigs", EX2, "--restarts", "0")[0] == EXIT_USAGE
 
 
+def test_eigs_text_header_names_the_seed_of_newton_only(capsys):
+    # The exact dim-2 solve takes no seed, as verify --json says with null.
+    code, out, _ = run_cli(capsys, "eigs", EX1, "--seed", "5")
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "found 2 eigenpair(s) (method: sweep)"
+    _, out, _ = run_cli(capsys, "verify", EX1, "--seed", "5", "--json")
+    assert json.loads(out)["seed"] is None
+    code, out, _ = run_cli(capsys, "eigs", EX1, "--method", "newton", "--restarts", "50", "--seed", "5")
+    assert code == EXIT_OK
+    assert out.splitlines()[0].endswith(" eigenpair(s) (method: newton, seed: 5)")
+
+
 def test_eigs_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, "eigs", EX2, "--restarts", "200", "--seed", "42", "--json")
     _, out2, _ = run_cli(capsys, "eigs", EX2, "--restarts", "200", "--seed", "42", "--json")
@@ -371,10 +378,10 @@ def test_verify_all_ones_order_22(capsys):
 
 
 def test_verify_injected_escape_fails(capsys):
-    # 53.33 escapes every set of example1 and the bound; 12 escapes only
-    # example2's Omega (omega_max 11.73 < 12 < chain_middle 14.24), and with it the bound.
-    for path, value, problems in ((EX1, "53.33", "not in Omega; not in M; not in K; exceeds omega_max"),
-                                  (EX2, "12", "not in Omega; exceeds omega_max")):
+    # 53.33 escapes every set of example1; 12 escapes only example2's Omega
+    # (omega_max 11.73 < 12 < chain_middle 14.24), whose supremum is the bound.
+    for path, value, problems in ((EX1, "53.33", "not in Omega; not in M; not in K"),
+                                  (EX2, "12", "not in Omega")):
         code, out, _ = run_cli(capsys, "verify", path, "--restarts", "50", "--inject-lambda", value)
         assert code == EXIT_VERIFY
         assert f"VIOLATION lambda {value}: {problems}\n" in out
@@ -425,7 +432,7 @@ def test_verify_json_report(capsys):
     assert doc["all_passed"] is True
     assert doc["checks"] and len(doc["checks"]) == len(doc["eigenpairs"])
     assert all(list(item) == ["lambda", "x", "residual"] for item in doc["eigenpairs"])
-    assert all(list(check) == ["lambda", "in_omega", "in_m", "in_k", "within_omega_max"] for check in doc["checks"])
+    assert all(list(check) == ["in_omega", "in_m", "in_k"] for check in doc["checks"])
     assert render_json(doc) == out
 
 

@@ -91,8 +91,8 @@ def test_csv_export_format(tmp_path, capsys):
         assert main(["regions", str(fixture_path(f"{name}.json")), "--set", region, "--csv", str(path)]) == 0
         return path.read_text(encoding="utf-8")
 
-    assert csv("example2", "K") == "lo,hi,lo_open,hi_open\n0,14.5,0,0\n"
-    assert csv("example1", "Omega").splitlines()[1] == "0,4.3970633623780984,0,0"
+    assert csv("example2", "K") == "supremum\n14.5\n"
+    assert csv("example1", "Omega") == "supremum\n4.3970633623780984\n"
 
 
 # -- membership ------------------------------------------------------------------
@@ -106,9 +106,10 @@ def test_contains_is_the_closed_disk_widened_by_tol():
     x = np.array([1.0, 0.0, 0.0])
     values = [0.0, 3.0, -3.0, 3.0 + tol / 2, -3.0 - tol / 2, 3.0 + 2 * tol, -3.0 - 2 * tol, 3.1]
     report = verify_inclusion(t, [Eigenpair(v, x, 0.0) for v in values])
+    assert report.bound_applies and report.omega_max == 3.0
     for check in report.checks:
         inside = abs(check.value) <= 3.0 + tol
-        assert (check.in_omega, check.in_m, check.in_k, check.within_omega_max) == (inside,) * 4, check.value
+        assert (check.in_omega, check.in_m, check.in_k) == (inside,) * 3, check.value
     assert [c.in_k for c in report.checks] == [True] * 5 + [False] * 3
 
 

@@ -16,6 +16,7 @@ from zeig.tensor import DenseTensor
 def test_inclusion_tol_is_1e_8_of_s_at_each_region_and_the_bound(example2):
     # example2's entries sum to S = 31.5.  Its suprema, Omega's (the bound,
     # 11.73), M's (14.24) and K's (14.5), lie far more than 2 tol apart.
+    # The bound applies, and it is Omega's supremum, so in_omega is its verdict.
     agg = example2.aggregates()
     tol = 1e-8 * 31.5
     x = np.array([1.0, 0.0, 0.0])
@@ -23,12 +24,12 @@ def test_inclusion_tol_is_1e_8_of_s_at_each_region_and_the_bound(example2):
         for factor, inside in ((0.5, True), (2.0, False)):
             values = [sign * (sup + factor * tol) for sup in (region_Omega(agg), region_M(agg), region_K(agg))]
             report = verify_inclusion(example2, [Eigenpair(v, x, 0.0) for v in values])
-            assert report.bound_applies
-            verdicts = [(c.in_omega, c.in_m, c.in_k, c.within_omega_max) for c in report.checks]
+            assert report.bound_applies and report.omega_max == region_Omega(agg)
+            verdicts = [(c.in_omega, c.in_m, c.in_k) for c in report.checks]
             assert verdicts == [
-                (inside, True, True, inside),
-                (False, inside, True, False),
-                (False, False, inside, False),
+                (inside, True, True),
+                (False, inside, True),
+                (False, False, inside),
             ], (sign, factor)
 
 
