@@ -28,9 +28,11 @@ so a restart that lands on a λ = 0 family can be dropped there.
 A block of restarts stops once its late restarts stop finding new pairs: at
 the first trip t >= QUIET_FROM with t >= 2 t_new, t_new the last trip on
 which one of them converged to a pair that no restart of the block had
-reached (within the dedupe tolerances; at odd m a mirror is no new pair).
-The restarts still active there are dropped, as at MAX_ITER, so the stop can
-drop a rarely hit pair that only a late restart would reach.
+reached, one that _distinct would not merge (at odd m a mirror is no new
+pair).  t_new is counted with one _distinct pass, repeated only on the
+trips where the stop could be due.  The restarts still active there are
+dropped, as at MAX_ITER, so the stop can drop a rarely hit pair that only a
+late restart would reach.
 
 Determinism: restart k starts from a function of (seed, k) only, so the
 first k starts do not depend on how many restarts follow.  The start points
@@ -66,9 +68,9 @@ BUDGET = 2**20
 RESIDUAL_TOL = 1e-12  # largest accepted |A x^{m-1} - λ x| / S
 DEDUPE_TOL_LAMBDA = 1e-8  # eigenpairs this close in λ / S ...
 DEDUPE_TOL_X = 1e-6  # ... and in x up to sign are one eigenpair
-# np.roots makes a k-fold root a ring of k roots of radius r ~ eps^(1/k), symmetric
-# about the real axis: an odd ring has a real member, an even one a member within
-# r sin(pi/k) of the axis (about 0.026 at k = 20), which the filter must pass.
+# np.roots makes a k-fold root a ring of k roots symmetric about the real axis.
+# Measured on k-fold clusters, k <= 22, alone or beside simple roots: the ring's
+# radius reached 0.52, and its member nearest the axis, which the filter must pass, 0.041 off it.
 _ROOT_IMAG = 0.25  # largest imaginary part of a root taken as near-real
 _POLISH_STEPS = 50  # Newton steps per derivative of g
 
@@ -330,20 +332,20 @@ def _newton_block(newton_map, X: np.ndarray, scale: float, final_x, final_lam, f
     The block stops at the first trip t >= QUIET_FROM with t >= 2 t_new, or
     at MAX_ITER, and drops the restarts still active there.  t_new is the
     last trip on which a restart converged to a new pair, one that no restart
-    of the block had reached before: λ / scale more than DEDUPE_TOL_LAMBDA
-    or x more than DEDUPE_TOL_X up to sign from each found pair, with |λ| at
-    odd m, where the mirror (-λ, -x) of a pair is no new pair.  Until one
-    pair is found the block does not stop early.  Before QUIET_FROM nothing
-    is compared: each restart's convergence trip is recorded, and at
-    QUIET_FROM _distinct ranked by that trip gives the found pairs, each
-    cluster's first converger; after it only the restarts that converge on a
-    trip are compared with them, in one matrix product."""
+    of the block had reached before: the latest trip among each cluster's
+    first converger, from _distinct over every converged restart ranked by
+    the trip it converged on, with |λ| / scale at odd m, where the mirror
+    (-λ, -x) of a pair is no new pair.  Until one pair is found the block
+    does not stop early.  t_new is counted only on the trips where the stop
+    could be due, t >= QUIET_FROM with t >= 2 t_new as last counted (0
+    before the first count): the first convergers, taken in trip order, only
+    ever grow, so t_new only grows and the stop cannot be due between counts."""
     tol = RESIDUAL_TOL * scale
     AX, G = newton_map(X)
     lam = np.einsum("zi,zi->z", X, AX)
     order = np.arange(len(X))
-    trip = np.full(len(X), -1)  # the trip each restart converged on, up to QUIET_FROM
-    t_new = MAX_ITER  # until a pair is found, 2 t_new is past every trip
+    trip = np.full(len(X), -1)  # the trip each restart converged on
+    t_new = 0  # the last trip with a new pair, as last counted
 
     def folded(lam):  # λ / scale, without its sign at odd m, where (-λ, -x) mirrors (λ, x)
         return np.abs(lam / scale) if newton_map.order % 2 else lam / scale
@@ -358,26 +360,17 @@ def _newton_block(newton_map, X: np.ndarray, scale: float, final_x, final_lam, f
             if np.count_nonzero(done):
                 hit = order[done]
                 final_x[hit], final_lam[hit], final_res[hit] = X[done], lam[done], res[done]
-                if it <= QUIET_FROM:
-                    trip[hit] = it
-                else:
-                    x, value = X[done], folded(lam[done])
-                    seen = (np.abs(value[:, None] - found_value) <= DEDUPE_TOL_LAMBDA) & (
-                        np.abs(x @ found_x.T) >= 1.0 - DEDUPE_TOL_X**2 / 2  # |x -+ y|^2 = 2 -+ 2 x.y
-                    )
-                    new = ~seen.any(axis=1)
-                    if np.count_nonzero(new):
-                        t_new = it
-                        found_value, found_x = np.append(found_value, value[new]), np.vstack([found_x, x[new]])
-            if it == QUIET_FROM:  # the found pairs: each cluster's first converger
-                hits = np.flatnonzero(trip >= 0)
-                heads = hits[_distinct(folded(final_lam[hits]), final_x[hits], trip[hits])]
-                found_value, found_x = folded(final_lam[heads]), final_x[heads]
-                t_new = int(trip[heads].max()) if len(heads) else MAX_ITER
+                trip[hit] = it
             active = (res > tol) & (res < np.inf)
             kept = np.count_nonzero(active)
-            if not kept or it == MAX_ITER or (it >= QUIET_FROM and it >= 2 * t_new):
+            if not kept or it == MAX_ITER:
                 break
+            if it >= QUIET_FROM and it >= 2 * t_new:  # the stop may be due: count t_new again
+                hits = np.flatnonzero(trip >= 0)
+                if len(hits):  # the new pairs are each cluster's first converger
+                    t_new = int(trip[hits[_distinct(folded(final_lam[hits]), final_x[hits], trip[hits])]].max())
+                    if it >= 2 * t_new:
+                        break
             if kept < len(active):  # a restart left: keep the others' rows only
                 X, lam, G, order = X[active], lam[active], G[active], order[active]
 
@@ -402,8 +395,10 @@ def z_eigs_newton(tensor: DenseTensor, config: OracleConfig | None = None) -> li
     MAX_ITER steps, or whose B is singular on the way, are dropped; an empty
     result is legal.  So are those still active when their block stops: at
     the first trip t >= QUIET_FROM with t >= 2 t_new, t_new the last trip on
-    which a restart of the block converged to a new pair (_newton_block).
-    The stop can drop a rarely hit pair that only a late restart reaches.
+    which a restart of the block converged to a new pair, one that _distinct
+    would not merge, counted again whenever the stop could be due
+    (_newton_block).  The stop can drop a rarely hit pair that only a late
+    restart reaches.
 
     For odd m, (x, λ) -> (-x, -λ) maps eigenpairs to eigenpairs.  Restart 2j
     starts at row j and restart 2j + 1 at -row j.  G(-x) = -G(x), so the

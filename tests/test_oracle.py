@@ -751,20 +751,40 @@ def _stop_by_rule(t, starts, monkeypatch):
     return len(iterates) - 1, t_new
 
 
-def test_newton_block_stops_at_twice_the_last_trip_with_a_new_pair(monkeypatch):
-    # A nonnegative symmetric (5, 5) tensor whose last new pair comes on trip 25:
-    # the block stops on trip 50, not at QUIET_FROM, and not at MAX_ITER.
-    t = random_symmetric_tensor(np.random.default_rng(26), order=5, dim=5)
-    starts = _start_points(5, 200, 26)
+def _stall_block(*rows):
+    """The stall tensor and the given rows of its 500 iterated starts."""
+    return load_fixture("stall_m3_n3.json"), _start_points(3, 500, 0)[list(rows)]
+
+
+@pytest.mark.parametrize("block, expected, drops", [
+    # A nonnegative symmetric (5, 5) tensor whose last new pair comes on trip 45:
+    # the block stops on trip 90, not at QUIET_FROM, and not at MAX_ITER, and
+    # drops restarts that would converge later.
+    pytest.param(lambda: (random_symmetric_tensor(np.random.default_rng(26), order=5, dim=5),
+                          _start_points(5, 200, 26)), 90, True, id="m5_n5"),
+    # Restart 11 finds the block's first pair on trip 53, after QUIET_FROM.
+    pytest.param(lambda: _stall_block(11, 0), 106, False, id="stall_11_0"),
+    pytest.param(lambda: _stall_block(8, 0), 90, False, id="stall_8_0"),
+    # Restart 11 converges on trip 53 to restart 111's pair, so t_new stays 44.
+    pytest.param(lambda: _stall_block(111, 11, 0), 88, False, id="stall_111_11_0"),
+    # Restart 0 never converges: with no pair found the block runs to MAX_ITER.
+    pytest.param(lambda: _stall_block(0), oracle.MAX_ITER, False, id="stall_0"),
+])
+def test_newton_block_stops_at_twice_the_last_trip_with_a_new_pair(monkeypatch, block, expected, drops):
+    t, starts = block()
     stop, t_new = _stop_by_rule(t, starts, monkeypatch)
-    assert oracle.QUIET_FROM < 2 * t_new
-    assert stop == max(oracle.QUIET_FROM, 2 * t_new) < oracle.MAX_ITER
+    if t_new is None:
+        assert stop == oracle.MAX_ITER
+    else:
+        assert oracle.QUIET_FROM < 2 * t_new
+        assert stop == max(oracle.QUIET_FROM, 2 * t_new) < oracle.MAX_ITER
+    assert stop == expected
     (x, lam, res), iterates = _run_block(t, starts, monkeypatch)
     assert len(iterates) - 1 == stop
     # Up to the stop the block ran as without it: the restarts converged by then keep their bits.
     (full_x, full_lam, full_res), _ = _run_block(t, starts, monkeypatch, quiet_from=oracle.MAX_ITER + 1)
     kept = np.isfinite(res)
-    assert kept.sum() < np.isfinite(full_res).sum()
+    assert (kept.sum() < np.isfinite(full_res).sum()) == drops
     assert np.array_equal(x[kept], full_x[kept]) and np.array_equal(lam[kept], full_lam[kept])
     assert np.array_equal(res[kept], full_res[kept])
 

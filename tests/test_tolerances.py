@@ -84,3 +84,14 @@ def test_dedupe_merges_values_within_1e_8_and_keeps_them_apart_beyond():
     X = np.array([[0.6, 0.8], [0.6, 0.8]])
     for gap, count in ((0.5e-8, 1), (2e-8, 2)):
         assert len(_distinct(np.array([0.3, 0.3 + gap]), X, np.arange(2))) == count, gap
+
+
+def test_dedupe_merges_vectors_within_1e_6_up_to_sign_and_keeps_them_apart_beyond():
+    # Two candidates with one value are one pair when their vectors, or one
+    # vector and the other's negative, are within 1e-6 of each other, and two
+    # beyond it.  Turning a unit vector by a small angle moves it by that angle.
+    x = np.array([0.6, 0.8])
+    for sign in (1.0, -1.0):
+        for gap, count in ((0.5e-6, 1), (2e-6, 2)):
+            X = np.array([x, sign * _rotated(x, gap)])
+            assert len(_distinct(np.array([0.3, 0.3]), X, np.arange(2))) == count, (sign, gap)
