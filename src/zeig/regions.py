@@ -4,9 +4,9 @@ Each inclusion set constrains a complex number z only through r = |z|, and
 each one is a disk: its radial trace is the closed interval [0, sup], so a
 set is the one float sup.  region_K, region_M and region_Omega return it for
 the classic single-row disk union (K), the pairwise quadratic/box union (M)
-and the tighter pairwise set (Omega), the last two from the per-pair tables
-RowAggregates builds once (agg.m, agg.omega), whose column hi is each pair's
-whole interval top.  The closed-form bounds on the Z-spectral radius are the
+and the tighter pairwise set (Omega), the last two from the arrays of pair tops
+RowAggregates builds once (agg.m, agg.omega), each entry a pair's whole
+interval top.  The closed-form bounds on the Z-spectral radius are the
 three suprema, the chain omega_max (Omega's) <= chain_middle (M's) <=
 gershgorin (K's), which compare_report re-checks on the computed values.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,30 +44,6 @@ def _band_top(p, q, c):
     return np.where(c == 0.0, np.maximum(p, q), top)[()]
 
 
-class PairTable(NamedTuple):
-    """Per-pair quantities of one pairwise inclusion set.
-
-    Entry k belongs to the k-th ordered pair (i, j), i != j, in
-    lexicographic order (see ordered_pairs).  The pair contributes the
-    half-open box [0, cap), cap = min(p, q), and the closed band of its
-    quadratic (r - p)(r - q) <= c; p and q are the two centres.  As c >= 0
-    the band's smaller root is at most cap and its top at least cap (for M,
-    at least max(p, q)), so box and band join into one interval [0, hi].
-    hi is the band's top raised to those lower bounds, so that it is the
-    interval's top in floating point too, where the top rounds below them.
-    """
-
-    p: np.ndarray
-    q: np.ndarray
-    hi: np.ndarray
-    cap: np.ndarray
-
-    @property
-    def sup(self) -> float:
-        """The set's supremum, the largest pair top."""
-        return float(self.hi.max())
-
-
 def ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """0-based index arrays (i, j) of the ordered pairs i != j, lexicographic."""
     if n < 2:
@@ -87,7 +63,16 @@ class RowAggregates:
     * ``diag_abs[i, j]`` — ``|a[i, j, j, ..., j]|`` (``i != j``).
 
     Diagonal positions of the two tables are unused and left at zero.
-    Omega's and M's per-pair tables are built on first use and kept, read-only.
+
+    Omega's and M's pair tops are built on first use and kept, read-only.
+    Entry k belongs to the k-th ordered pair (i, j), i != j, in lexicographic
+    order (see ordered_pairs).  The pair contributes the half-open box
+    [0, cap), cap = min(p, q), and the closed band of its quadratic
+    (r - p)(r - q) <= c; p and q are the two centres.  As c >= 0 the band's
+    smaller root is at most cap and its top at least cap (for M, at least
+    max(p, q)), so box and band join into one interval [0, top].  The top is
+    the band's top raised to those lower bounds, so that it is the interval's
+    top in floating point too, where the band's top rounds below them.
     """
 
     row_sums: np.ndarray
@@ -99,33 +84,31 @@ class RowAggregates:
         return len(self.row_sums)
 
     @functools.cached_property
-    def omega(self) -> PairTable:
-        """Omega's pairs: band of (r - P_i^j)(r - P_j^i) = (R_i - P_i^j)(R_j - P_j^i)
-        clipped to [0, R_i], box below min(P_i^j, P_j^i); hi is at least cap."""
+    def omega(self) -> np.ndarray:
+        """Omega's pair tops: band of (r - P_i^j)(r - P_j^i) = (R_i - P_i^j)(R_j - P_j^i)
+        clipped to [0, R_i], box below min(P_i^j, P_j^i); each top is at least the cap."""
         i, j = ordered_pairs(self.dim)
         R, P = self.row_sums, self.partial_sums
         p, q = P[i, j], P[j, i]
         top = _band_top(p, q, np.maximum(0.0, R[i] - p) * np.maximum(0.0, R[j] - q))
-        cap = np.minimum(p, q)
-        return _read_only(p, q, np.maximum(np.minimum(top, R[i]), cap), cap)
+        return _read_only(np.maximum(np.minimum(top, R[i]), np.minimum(p, q)))
 
     @functools.cached_property
-    def m(self) -> PairTable:
-        """M's pairs: band of (r - (R_i - d_ij))(r - P_j^i) = d_ij (R_j - P_j^i),
-        box below min(R_i - d_ij, P_j^i); hi is at least max(p, q)."""
+    def m(self) -> np.ndarray:
+        """M's pair tops: band of (r - (R_i - d_ij))(r - P_j^i) = d_ij (R_j - P_j^i),
+        box below min(R_i - d_ij, P_j^i); each top is at least max(p, q)."""
         i, j = ordered_pairs(self.dim)
         R, P, D = self.row_sums, self.partial_sums, self.diag_abs
         d = D[i, j]
         p = np.maximum(0.0, R[i] - d)
         q = P[j, i]
         top = _band_top(p, q, d * np.maximum(0.0, R[j] - q))
-        return _read_only(p, q, np.maximum(top, np.maximum(p, q)), np.minimum(p, q))
+        return _read_only(np.maximum(top, np.maximum(p, q)))
 
 
-def _read_only(*columns: np.ndarray) -> PairTable:
-    for column in columns:
-        column.flags.writeable = False
-    return PairTable(*columns)
+def _read_only(tops: np.ndarray) -> np.ndarray:
+    tops.flags.writeable = False
+    return tops
 
 
 def region_K(agg: RowAggregates) -> float:
@@ -145,7 +128,7 @@ def region_M(agg: RowAggregates) -> float:
     is its larger root, at least max(R_i - d_ij, P_j^i), and its smaller
     root is at most the box's cap, so the pair covers [0, top].
     """
-    return agg.m.sup
+    return float(agg.m.max())
 
 
 def region_Omega(agg: RowAggregates) -> float:
@@ -161,7 +144,7 @@ def region_Omega(agg: RowAggregates) -> float:
     at least P_i^j and its smaller root at most the box's cap, so the pair
     covers [0, top] and the region is the disk [0, omega_max].
     """
-    return agg.omega.sup
+    return float(agg.omega.max())
 
 
 @dataclass(frozen=True)
@@ -169,8 +152,7 @@ class BoundReport:
     """Named bound values plus structural-check warnings."""
 
     omega_max: float
-    omega_hat_max: float
-    omega_tilde_max: float
+    omega_hat_max: float  # the largest box cap, min(P_i^j, P_j^i)
     chain_middle: float
     gershgorin: float
     attaining_pair: tuple[int, int]
@@ -195,11 +177,11 @@ def compare_report(tensor: DenseTensor, agg: RowAggregates) -> BoundReport:
     larger crossing would mean an internal defect and is flagged with a
     distinguished warning.
     """
-    omega = agg.omega
     omega_max, middle, gersh = region_Omega(agg), region_M(agg), region_K(agg)
     # The first maximum: the lexicographically smallest attaining pair.
-    k = int(np.argmax(omega.hi))
+    k = int(np.argmax(agg.omega))
     i, j = ordered_pairs(agg.dim)
+    P = agg.partial_sums
     nonnegative, weakly_symmetric = tensor.is_nonnegative(), tensor.is_weakly_symmetric()
     warnings = []
     if not nonnegative:
@@ -211,8 +193,7 @@ def compare_report(tensor: DenseTensor, agg: RowAggregates) -> BoundReport:
         warnings.append(CHAIN_VIOLATION_WARNING)
     return BoundReport(
         omega_max=omega_max,
-        omega_hat_max=float(omega.cap.max()),
-        omega_tilde_max=float(omega.hi.max()),
+        omega_hat_max=float(np.minimum(P[i, j], P[j, i]).max()),
         chain_middle=middle,
         gershgorin=gersh,
         attaining_pair=(int(i[k]) + 1, int(j[k]) + 1),

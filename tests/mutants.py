@@ -35,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "fixtures", "pyproject.toml")
 TOLERANCES = "tests/test_tolerances.py::"
 SUPS = "sups = (region_Omega(agg), region_M(agg), region_K(agg))"
+OMEGA_TOP = "return _read_only(np.maximum(np.minimum(top, R[i]), np.minimum(p, q)))"
 ROOT_IMAG_TESTS = ("tests/test_oracle.py", "tests/test_cli.py::test_verify_all_ones_order_22")
 STOP_TEST = "tests/test_oracle.py::test_newton_block_stops_at_twice_the_last_trip_with_a_new_pair"
 DEDUPE_X_TEST = TOLERANCES + "test_dedupe_merges_vectors_within_1e_6_up_to_sign_and_keeps_them_apart_beyond"
@@ -90,6 +91,18 @@ MUTANTS = [
     *(Mutant(f"verify_inclusion's {name} supremum inf", "src/zeig/oracle.py", SUPS, SUPS.replace(call, "math.inf"),
              (TOLERANCES + "test_inclusion_tol_is_1e_8_of_s_at_each_region_and_the_bound",))
       for name, call in (("Omega", "region_Omega(agg)"), ("M", "region_M(agg)"), ("K", "region_K(agg)"))),
+    Mutant("M's pair top without its max(p, q) floor", "src/zeig/regions.py",
+           "return _read_only(np.maximum(top, np.maximum(p, q)))", "return _read_only(top)",
+           ("tests/test_bounds.py::test_chain_middle_reaches_band_centres_when_the_root_rounds_down",)),
+    Mutant("Omega's pair top without its floor at the cap", "src/zeig/regions.py", OMEGA_TOP,
+           "return _read_only(np.minimum(top, R[i]))",
+           ("tests/test_regions.py::test_each_pair_band_joins_its_box_into_one_interval",)),
+    Mutant("Omega's pair top without its clip to R_i", "src/zeig/regions.py", OMEGA_TOP,
+           "return _read_only(np.maximum(top, np.minimum(p, q)))",
+           ("tests/test_bounds.py::test_band_top_matches_literal_closed_form",)),
+    Mutant("omega_hat_max from np.maximum", "src/zeig/regions.py",
+           "np.minimum(P[i, j], P[j, i]).max()", "np.maximum(P[i, j], P[j, i]).max()",
+           ("tests/test_cli.py::test_json_output_matches_golden_bytes",)),
     Mutant("_ROOT_IMAG 0.5", "src/zeig/oracle.py", "_ROOT_IMAG = 0.25 ", "_ROOT_IMAG = 0.5 ",
            ROOT_IMAG_TESTS,
            survives="A wider filter only admits more candidates, which _chart_roots polishes and _finish's "

@@ -5,7 +5,6 @@ import pytest
 
 from zeig.regions import (
     CHAIN_VIOLATION_WARNING,
-    PairTable,
     bound_omega_max,
     compare_report,
     ordered_pairs,
@@ -25,7 +24,7 @@ EX2_OMEGA_MAX = 11.726812023536855  # (10 + sqrt(181)) / 2
 def band_tops(agg):
     """Omega's band top min(R_i, delta(i, j)) of each ordered pair (i, j), 1-based."""
     i, j = ordered_pairs(agg.dim)
-    return dict(zip(zip((i + 1).tolist(), (j + 1).tolist()), agg.omega.hi.tolist()))
+    return dict(zip(zip((i + 1).tolist(), (j + 1).tolist()), agg.omega.tolist()))
 
 
 def test_band_top_golden_values(example1, example2):
@@ -58,7 +57,7 @@ def test_bound_omega_max_example1(example1):
     assert bound_omega_max(agg) == pytest.approx(4.3971, abs=1e-4)  # reported value
     report = compare_report(example1, agg)
     assert report.omega_hat_max == 0.5
-    assert report.omega_tilde_max == pytest.approx(EX1_OMEGA_MAX, rel=1e-14)
+    assert report.omega_max == pytest.approx(EX1_OMEGA_MAX, rel=1e-14)
     assert report.omega_max == bound_omega_max(agg)
     assert report.attaining_pair == (2, 1)
 
@@ -115,7 +114,7 @@ def test_chain_violation_of_a_millionth_of_a_tiny_chain_is_caught():
     # by 1e-6 relative puts chain_middle 9e-18 below omega_max.
     tensor = load_fixture("ones_tiny_m3_n3.json")
     agg = tensor.aggregates()
-    vars(agg)["m"] = PairTable(*(column * (1.0 - 1e-6) for column in agg.m))  # fills the cached table
+    vars(agg)["m"] = agg.m * (1.0 - 1e-6)  # fills the cached tops
     report = compare_report(tensor, agg)
     assert report.omega_max > report.chain_middle
     assert report.chain_ok is False
@@ -137,9 +136,16 @@ def test_chain_holds_on_random_nonnegative_tensors():
         mid = report.chain_middle
         top = report.gershgorin
         assert report.omega_max == bound_omega_max(agg)
-        assert report.omega_max == max(report.omega_hat_max, report.omega_tilde_max)
         assert report.omega_max <= mid + 1e-12
         assert mid <= top + 1e-12
+
+
+@pytest.mark.parametrize("signed, seed", [(False, 11), (True, 13)])
+def test_omega_hat_max_is_the_largest_box_cap_of_the_brute_aggregates(signed, seed):
+    for t in _random_ensemble(100, seed=seed, signed=signed):
+        _, P, _ = brute_aggregates(t)
+        caps = [min(P[i][j], P[j][i]) for i in range(t.dim) for j in range(t.dim) if i != j]
+        assert compare_report(t, t.aggregates()).omega_hat_max == pytest.approx(max(caps), rel=1e-12)
 
 
 def test_bounds_equal_region_suprema():

@@ -494,8 +494,17 @@ def test_each_pair_table_is_built_once_per_command(capsys, monkeypatch, path, co
 # -- golden bytes ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("command", [["info"], ["bounds"], ["regions", "--set", "all"]])
-@pytest.mark.parametrize("name", ["example1", "example2"])
+# In m_sup_ulp_m3_n2 M's largest band top rounds one ulp below its centre,
+# which M's pair top is raised to: chain_middle and M's supremum print the centre.
+_JSON_GOLDENS = [
+    (name, command)
+    for name in ("example1", "example2") for command in (["info"], ["bounds"], ["regions", "--set", "all"])
+] + [("m_sup_ulp_m3_n2", ["bounds"]), ("m_sup_ulp_m3_n2", ["regions", "--set", "all"])]
+
+
+@pytest.mark.parametrize(
+    "name, command", _JSON_GOLDENS, ids=[f"{name}.{command[0]}" for name, command in _JSON_GOLDENS]
+)
 def test_json_output_matches_golden_bytes(capsys, name, command):
     code, out, _ = run_cli(capsys, command[0], str(fixture_path(f"{name}.json")), *command[1:], "--json")
     assert code == EXIT_OK
@@ -509,6 +518,7 @@ _TEXT_GOLDENS = [
     ("example1.verify", ["verify", "example1"], EXIT_OK),
     # 4.5 lies outside example1's Omega (4.397) and inside its M (5.167) and K (5.333).
     ("example1.verify_inject", ["verify", "example1", "--inject-lambda", "4.5"], EXIT_VERIFY),
+    ("m_sup_ulp_m3_n2.bounds", ["bounds", "m_sup_ulp_m3_n2"], EXIT_OK),
 ]
 
 

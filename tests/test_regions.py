@@ -22,6 +22,7 @@ from zeig.tensor import DenseTensor
 from conftest import fixture_path, load_fixture
 from helpers import (
     brute_aggregates,
+    brute_delta,
     brute_in_K,
     brute_in_M,
     brute_in_Omega,
@@ -220,13 +221,12 @@ def test_region_intervals_hold_python_scalars(example1):
     assert [type(sup) for sup in (region_K(agg), region_M(agg), region_Omega(agg))] == [float] * 3
 
 
-def test_pair_tables_are_kept_and_read_only(example2):
+def test_pair_tops_are_kept_and_read_only(example2):
     agg = example2.aggregates()
     assert agg.omega is agg.omega and agg.m is agg.m
-    for table in (agg.omega, agg.m):
-        for column in table:
-            with pytest.raises(ValueError, match="read-only"):
-                column[0] = 0.0
+    for tops in (agg.omega, agg.m):
+        with pytest.raises(ValueError, match="read-only"):
+            tops[0] = 0.0
 
 
 def _family_tensors(count, seed):
@@ -248,25 +248,32 @@ def _family_tensors(count, seed):
         yield DenseTensor(a, copy=False)
 
 
+def _pair_bands(agg):
+    """Each pairwise set's centres p, q and product bound c per ordered pair,
+    from the aggregates: the band (r - p)(r - q) <= c and the box below min(p, q)."""
+    i, j = ordered_pairs(agg.dim)
+    R, P, D = agg.row_sums, agg.partial_sums, agg.diag_abs
+    return {
+        "omega": (P[i, j], P[j, i], np.maximum(0.0, R[i] - P[i, j]) * np.maximum(0.0, R[j] - P[j, i])),
+        "m": (np.maximum(0.0, R[i] - D[i, j]), P[j, i], D[i, j] * np.maximum(0.0, R[j] - P[j, i])),
+    }
+
+
 def test_each_pair_band_joins_its_box_into_one_interval():
     # c >= 0 puts cap = min(p, q) inside the band (r - p)(r - q) <= c, checked
-    # exactly on the tables' floats, and hi is at least cap on the floats too
-    # (for M at least max(p, q)), so box and band form [0, hi]: the regions
-    # are disks.
+    # exactly on the aggregates' floats, and each pair top is at least cap on
+    # the floats too (for M at least max(p, q)), so box and band form
+    # [0, top]: the regions are disks.
     for t in _family_tensors(500, seed=7):
         agg = t.aggregates()
-        i, j = ordered_pairs(agg.dim)
-        R, P, D = agg.row_sums, agg.partial_sums, agg.diag_abs
-        products = {
-            "omega": np.maximum(0.0, R[i] - P[i, j]) * np.maximum(0.0, R[j] - P[j, i]),
-            "m": D[i, j] * np.maximum(0.0, R[j] - P[j, i]),
-        }
-        for name, c in products.items():
-            table = getattr(agg, name)
-            for p, q, cap, ck in zip(*(map(Fraction, v.tolist()) for v in (table.p, table.q, table.cap, c))):
-                assert (cap - p) * (cap - q) <= ck, (name, t.data.tolist())
-            assert np.all(table.hi >= table.cap), (name, t.data.tolist())
-        assert np.all(agg.m.hi >= np.maximum(agg.m.p, agg.m.q)), t.data.tolist()
+        bands = _pair_bands(agg)
+        for name, (p, q, c) in bands.items():
+            cap = np.minimum(p, q)
+            for pk, qk, capk, ck in zip(*(map(Fraction, v.tolist()) for v in (p, q, cap, c))):
+                assert (capk - pk) * (capk - qk) <= ck, (name, t.data.tolist())
+            assert np.all(getattr(agg, name) >= cap), (name, t.data.tolist())
+        p, q, _ = bands["m"]
+        assert np.all(agg.m >= np.maximum(p, q)), t.data.tolist()
 
 
 def test_built_regions_are_one_closed_interval_from_zero():
@@ -280,14 +287,15 @@ def test_region_suprema_are_the_largest_row_sum_and_pair_table_maxima():
     for t in _family_tensors(200, seed=13):
         agg = t.aggregates()
         assert region_K(agg) == float(agg.row_sums.max())
-        assert region_M(agg) == float(max(agg.m.cap.max(), agg.m.hi.max()))
+        p, q, _ = _pair_bands(agg)["m"]
+        assert region_M(agg) == float(max(np.minimum(p, q).max(), agg.m.max()))
         # the same float, not merely a close one: verify and bounds print both
         assert region_Omega(agg) == bound_omega_max(agg)
 
 
 def test_chain_middle_is_M_supremum_bit_for_bit():
     # In the fixture M's largest band top rounds one ulp below its centre;
-    # both numbers are the pair table's largest hi, which is at least the centre.
+    # both numbers are the largest of M's pair tops, which is at least the centre.
     for t in [*_family_tensors(500, seed=7), load_fixture("m_sup_ulp_m3_n2.json")]:
         agg = t.aggregates()
         assert compare_report(t, agg).chain_middle == region_M(agg), t.data.tolist()
@@ -311,7 +319,7 @@ def test_ordered_pairs_are_lexicographic_and_need_two_indices():
             ordered_pairs(n)
 
 
-def test_pair_table_centres_and_caps_match_the_brute_aggregates():
+def test_pair_tops_match_the_brute_closed_forms():
     rng = np.random.default_rng(29)
     for _ in range(10):
         t = random_tensor(rng, order=3, dim=4, signed=True)
@@ -319,13 +327,11 @@ def test_pair_table_centres_and_caps_match_the_brute_aggregates():
         R, P, D = brute_aggregates(t)
         i, j = ordered_pairs(agg.dim)
         for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
-            assert agg.omega.p[k] == pytest.approx(P[a][b], rel=1e-12)
-            assert agg.omega.q[k] == pytest.approx(P[b][a], rel=1e-12)
-            assert agg.omega.hi[k] <= R[a] * (1 + 1e-12)
-            assert agg.m.p[k] == pytest.approx(max(0.0, R[a] - D[a][b]), rel=1e-12, abs=1e-12)
-            assert agg.m.q[k] == pytest.approx(P[b][a], rel=1e-12)
-        for table in (agg.omega, agg.m):
-            assert np.array_equal(table.cap, np.minimum(table.p, table.q))
+            assert agg.omega[k] == pytest.approx(min(R[a], brute_delta(R, P, a, b)), rel=1e-12)
+            # M's band (r - (R_a - d_ab)) (r - P_b^a) <= d_ab (R_b - P_b^a), its larger root
+            p, q = max(0.0, R[a] - D[a][b]), P[b][a]
+            top = 0.5 * (p + q + math.sqrt((p - q) ** 2 + 4.0 * D[a][b] * (R[b] - P[b][a])))
+            assert agg.m[k] == pytest.approx(top, rel=1e-12)
 
 
 def test_regions_invariant_under_index_permutation():

@@ -9,7 +9,7 @@ of the tree and requires that these tests catch it.
 import numpy as np
 
 from zeig.oracle import Eigenpair, _distinct, _finish, verify_inclusion, z_eigs_sweep_n2
-from zeig.regions import PairTable, compare_report, region_K, region_M, region_Omega
+from zeig.regions import compare_report, region_K, region_M, region_Omega
 from zeig.tensor import DenseTensor
 
 
@@ -67,12 +67,12 @@ def test_weak_symmetry_limit_is_1e_10_of_the_largest_fold_entry(example2):
 
 
 def test_chain_slack_is_1e_12_of_gershgorin(example1):
-    # M's table scaled so that chain_middle lies f * 1e-12 * gershgorin above gershgorin.
+    # M's tops scaled so that chain_middle lies f * 1e-12 * gershgorin above gershgorin.
     for f, ok in ((0.5, True), (2.0, False)):
         agg = example1.aggregates()
         gershgorin = region_K(agg)
         scale = gershgorin * (1.0 + f * 1e-12) / region_M(agg)
-        vars(agg)["m"] = PairTable(*(column * scale for column in agg.m))  # fills the cached table
+        vars(agg)["m"] = agg.m * scale  # fills the cached tops
         report = compare_report(example1, agg)
         assert 0.9 * f < (report.chain_middle - gershgorin) / (1e-12 * gershgorin) < 1.1 * f
         assert report.chain_ok is ok, f
