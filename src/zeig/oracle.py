@@ -57,7 +57,9 @@ from .tensor import DenseTensor, _fold, contract
 
 INCLUSION_TOL = 1e-8  # outward relaxation of each region, per unit of S
 MAX_ITER = 200  # Newton steps per restart
-QUIET_FROM = 40  # first trip on which a block of restarts may stop early (_newton_block)
+# On the benchmark's Newton tensors (tests/recall.py) a stop from trip 20 loses
+# the pairs that one from trip 40 loses and no more; one from trip 15 loses more.
+QUIET_FROM = 20  # first trip on which a block of restarts may stop early (_newton_block)
 # Largest accepted restart count, checked before anything is allocated: at
 # this size a dim-3 Newton call's arrays peak near 39 MB at order 4, and near
 # 26 MB at order 3, which iterates half the restarts (tracemalloc).

@@ -76,7 +76,9 @@ MUTANTS = [
     Mutant("Newton's convergence test x10", "src/zeig/oracle.py",
            "    tol = RESIDUAL_TOL * scale\n", "    tol = 10 * RESIDUAL_TOL * scale\n",
            ("tests/test_oracle.py::test_newton_bit_exact_across_restart_blocks",)),
-    Mutant("QUIET_FROM 20", "src/zeig/oracle.py", "QUIET_FROM = 40 ", "QUIET_FROM = 20 ",
+    Mutant("QUIET_FROM 10", "src/zeig/oracle.py", "QUIET_FROM = 20 ", "QUIET_FROM = 10 ",
+           ("tests/test_oracle.py::test_newton_stop_from_quiet_from_keeps_a_pair_that_a_stop_from_trip_10_drops",)),
+    Mutant("QUIET_FROM 40", "src/zeig/oracle.py", "QUIET_FROM = 20 ", "QUIET_FROM = 40 ",
            ("tests/test_oracle.py::test_newton_stops_the_stalled_block_at_quiet_from_with_the_same_pairs",)),
     Mutant("the Newton stop at t >= t_new", "src/zeig/oracle.py", "if it >= 2 * t_new:", "if it >= t_new:",
            (STOP_TEST,)),

@@ -789,59 +789,86 @@ def test_newton_block_stops_at_twice_the_last_trip_with_a_new_pair(monkeypatch, 
     assert np.array_equal(res[kept], full_res[kept])
 
 
+def _assert_same_pairs_within_dedupe(got, want, scale):
+    """The stop can move a cluster's kept representative, whose rank is its
+    loop residual, so pairs match within the dedupe tolerances."""
+    assert len(got) == len(want) > 0
+    for p, q in zip(got, want):
+        assert abs(p.value - q.value) <= DEDUPE_TOL_LAMBDA * scale, (p, q)
+        assert min(np.linalg.norm(p.x - q.x), np.linalg.norm(p.x + q.x)) <= DEDUPE_TOL_X, (p, q)
+
+
+def _unstopped_z_eigs_newton(monkeypatch, tensor, cfg=None):
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "QUIET_FROM", oracle.MAX_ITER + 1)
+        return z_eigs_newton(tensor, cfg)
+
+
 def test_newton_stops_the_stalled_block_at_quiet_from_with_the_same_pairs(monkeypatch):
     # The signed (3, 3) tensor of verify_desk: 373 of its 500 iterated restarts
-    # never converge, and both its pairs are found by trip 20.
+    # never converge, and its last new pair comes on trip 4, so its one block
+    # stops at QUIET_FROM, trip 20.
     t = load_fixture("stall_m3_n3.json")
     starts = _start_points(3, 500, 0)
     _, iterates = _run_block(t, starts, monkeypatch)
     (_, _, full_res), full_iterates = _run_block(t, starts, monkeypatch, quiet_from=oracle.MAX_ITER + 1)
-    assert (len(iterates) - 1, len(full_iterates) - 1) == (oracle.QUIET_FROM, oracle.MAX_ITER)
+    assert _stop_by_rule(t, starts, monkeypatch) == (oracle.QUIET_FROM, 4)
+    assert (len(iterates) - 1, len(full_iterates) - 1) == (oracle.QUIET_FROM, oracle.MAX_ITER) == (20, 200)
     assert np.isinf(full_res).sum() == 373
+    # The stop moves each cluster's kept representative, so the pairs match the
+    # run without the stop within the dedupe tolerances; bit for bit they are
+    # the pairs of the fresh-array kernel, whose stop tracks t_new from trip 0.
     pairs = z_eigs_newton(t)
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "QUIET_FROM", oracle.MAX_ITER + 1)
-        _assert_same_pairs(pairs, z_eigs_newton(t))
+    _assert_same_pairs(pairs, _reference_z_eigs_newton(monkeypatch, t, OracleConfig()))
+    _assert_same_pairs_within_dedupe(pairs, _unstopped_z_eigs_newton(monkeypatch, t), np.abs(t.data).sum())
     assert [round(p.value, 6) for p in pairs] == [1.137269, -1.137269]
 
 
 def test_newton_block_takes_the_mirror_of_a_found_pair_as_no_new_pair(monkeypatch):
-    # On the stall tensor, restart 135 beside restart 0, which never converges,
-    # converges after trip 20 to a new pair, so its block runs past QUIET_FROM.
-    # Put first a start that is already an eigenvector, which converges on
-    # trip 0, and restart 135's pair is no new pair if it is that eigenvector's
-    # pair or, at odd m, its mirror: the block stops at QUIET_FROM.
+    # On the stall tensor, restart 246 beside restart 0, which never converges,
+    # converges on trip 15 to a new pair, so its block runs past QUIET_FROM to
+    # trip 30.  Put first a start that is already an eigenvector, which converges
+    # on trip 0, and restart 246's pair is no new pair if it is that
+    # eigenvector's pair or, at odd m, its mirror: the block stops at QUIET_FROM.
     t = load_fixture("stall_m3_n3.json")
-    late, stalled = _start_points(3, 500, 0)[[135, 0]]
+    late, stalled = _start_points(3, 500, 0)[[246, 0]]
     stop, t_new = _stop_by_rule(t, np.array([late, stalled]), monkeypatch)
     (x, lam, res), iterates = _run_block(t, np.array([late, stalled]), monkeypatch)
-    assert len(iterates) - 1 == stop == 2 * t_new > oracle.QUIET_FROM
+    assert len(iterates) - 1 == stop == 2 * t_new > oracle.QUIET_FROM > t_new
     assert np.isfinite(res[0]) and np.isinf(res[1])
     for first, first_lam in ((x[0], lam[0]), (-x[0], -lam[0])):  # the pair, then its mirror
         (_, found_lam, found_res), iterates = _run_block(t, np.array([first, late, stalled]), monkeypatch)
         assert len(iterates) - 1 == oracle.QUIET_FROM
-        assert np.isfinite(found_res[:2]).all()  # restart 135 converged before the stop
+        assert np.isfinite(found_res[:2]).all()  # restart 246 converged before the stop
         assert found_lam[0] == pytest.approx(first_lam)
 
 
 def test_newton_stop_keeps_the_pairs_of_20_desk_tensors(monkeypatch):
     # Orders 3-5, dims 3-5, signed and nonnegative symmetric, default restarts:
-    # the stop drops no pair.  It can move a cluster's kept representative,
-    # whose rank is its loop residual, so pairs match within the dedupe tolerances.
+    # the stop drops no pair.
     rng = np.random.default_rng(31)
     for k in range(20):
         order, dim, signed = int(rng.integers(3, 6)), int(rng.integers(3, 6)), bool(k % 2)
         t = (random_tensor if signed else random_symmetric_tensor)(rng, order=order, dim=dim, signed=signed)
         cfg = OracleConfig(seed=k)
         found = z_eigs_newton(t, cfg)
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle, "QUIET_FROM", oracle.MAX_ITER + 1)
-            unstopped = z_eigs_newton(t, cfg)
-        assert len(found) == len(unstopped) > 0, k
-        scale = np.abs(t.data).sum()
-        for p, q in zip(found, unstopped):
-            assert abs(p.value - q.value) <= DEDUPE_TOL_LAMBDA * scale, (k, p, q)
-            assert min(np.linalg.norm(p.x - q.x), np.linalg.norm(p.x + q.x)) <= DEDUPE_TOL_X, (k, p, q)
+        _assert_same_pairs_within_dedupe(found, _unstopped_z_eigs_newton(monkeypatch, t, cfg), np.abs(t.data).sum())
+
+
+def test_newton_stop_from_quiet_from_keeps_a_pair_that_a_stop_from_trip_10_drops(monkeypatch):
+    # A nonnegative symmetric (4, 5) tensor at the default config: its blocks,
+    # stopped from trip 20, keep the 29 pairs of the run without the stop;
+    # stopped from trip 10 they drop λ = 0.3619, which only late restarts reach.
+    t = random_symmetric_tensor(np.random.default_rng(1), order=4, dim=5)
+    scale = np.abs(t.data).sum()
+    unstopped = _unstopped_z_eigs_newton(monkeypatch, t)
+    assert len(unstopped) == 29
+    _assert_same_pairs_within_dedupe(z_eigs_newton(t), unstopped, scale)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "QUIET_FROM", 10)
+        early = z_eigs_newton(t)
+    assert [round(p.value, 4) for p in unstopped if not any(abs(p.value - q.value) <= DEDUPE_TOL_LAMBDA * scale
+                                                            for q in early)] == [0.3619]
 
 
 def _planted_singular_batch(rng, k=60, size=6):
