@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # tensor.py imports this module
     from .tensor import DenseTensor
 
 _CHAIN_SLACK = 1e-12
-CHAIN_VIOLATION_WARNING = "internal error: bound chain ordering violated"
 
 
 def _band_top(p, q, c):
@@ -149,16 +148,21 @@ def region_Omega(agg: RowAggregates) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Named bound values plus structural-check warnings."""
+    """Named bound values and the verdicts of the theorem's hypotheses."""
 
     omega_max: float
     omega_hat_max: float  # the largest box cap, min(P_i^j, P_j^i)
     chain_middle: float
     gershgorin: float
     attaining_pair: tuple[int, int]
-    bound_applies: bool  # nonnegative and weakly symmetric: the bounds are certified
+    nonnegative: bool
+    weakly_symmetric: bool
     chain_ok: bool  # omega_max <= chain_middle <= gershgorin held on the computed values
-    warnings: list[str]
+
+    @property
+    def bound_applies(self) -> bool:
+        """Both hypotheses hold: the bounds are certified."""
+        return self.nonnegative and self.weakly_symmetric
 
 
 # omega_max is Omega's supremum; the public name stays, and bench/spans.py patches it.
@@ -171,33 +175,23 @@ def compare_report(tensor: DenseTensor, agg: RowAggregates) -> BoundReport:
 
     The bound values are certified spectral-radius bounds only for weakly
     symmetric nonnegative tensors; when either check fails they are still
-    computed as formal quantities and a warning is recorded.  The chain
-    ordering is re-verified on the computed values, rounded from different
-    sums of the same entries, within _CHAIN_SLACK relative to gershgorin; a
-    larger crossing would mean an internal defect and is flagged with a
-    distinguished warning.
+    computed, as formal quantities.  The chain ordering is re-verified on the
+    computed values, rounded from different sums of the same entries, within
+    _CHAIN_SLACK relative to gershgorin; a larger crossing would mean an
+    internal defect.
     """
     omega_max, middle, gersh = region_Omega(agg), region_M(agg), region_K(agg)
     # The first maximum: the lexicographically smallest attaining pair.
     k = int(np.argmax(agg.omega))
     i, j = ordered_pairs(agg.dim)
     P = agg.partial_sums
-    nonnegative, weakly_symmetric = tensor.is_nonnegative(), tensor.is_weakly_symmetric()
-    warnings = []
-    if not nonnegative:
-        warnings.append("tensor has negative entries; bounds are formal quantities only")
-    if not weakly_symmetric:
-        warnings.append("tensor is not weakly symmetric; bounds are formal quantities only")
-    chain_ok = max(omega_max - middle, middle - gersh) <= _CHAIN_SLACK * gersh
-    if not chain_ok:
-        warnings.append(CHAIN_VIOLATION_WARNING)
     return BoundReport(
         omega_max=omega_max,
         omega_hat_max=float(np.minimum(P[i, j], P[j, i]).max()),
         chain_middle=middle,
         gershgorin=gersh,
         attaining_pair=(int(i[k]) + 1, int(j[k]) + 1),
-        bound_applies=nonnegative and weakly_symmetric,
-        chain_ok=chain_ok,
-        warnings=warnings,
+        nonnegative=tensor.is_nonnegative(),
+        weakly_symmetric=tensor.is_weakly_symmetric(),
+        chain_ok=max(omega_max - middle, middle - gersh) <= _CHAIN_SLACK * gersh,
     )

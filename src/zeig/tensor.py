@@ -104,6 +104,8 @@ class DenseTensor:
 
     def apply(self, x) -> np.ndarray:
         """The vector whose i-th component contracts row i with x in every slot."""
+        if np.iscomplexobj(x):
+            raise ValueError("vector entries must be real")
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"vector must have length {self.dim}, got shape {x.shape}")

@@ -36,6 +36,7 @@ COPIED = ("src", "tests", "fixtures", "pyproject.toml")
 TOLERANCES = "tests/test_tolerances.py::"
 SUPS = "sups = (region_Omega(agg), region_M(agg), region_K(agg))"
 OMEGA_TOP = "return _read_only(np.maximum(np.minimum(top, R[i]), np.minimum(p, q)))"
+BOUND_APPLIES = "return self.nonnegative and self.weakly_symmetric"
 ROOT_IMAG_TESTS = ("tests/test_oracle.py", "tests/test_cli.py::test_verify_all_ones_order_22")
 STOP_TEST = "tests/test_oracle.py::test_newton_block_stops_at_twice_the_last_trip_with_a_new_pair"
 DEDUPE_X_TEST = TOLERANCES + "test_dedupe_merges_vectors_within_1e_6_up_to_sign_and_keeps_them_apart_beyond"
@@ -93,6 +94,9 @@ MUTANTS = [
     *(Mutant(f"verify_inclusion's {name} supremum inf", "src/zeig/oracle.py", SUPS, SUPS.replace(call, "math.inf"),
              (TOLERANCES + "test_inclusion_tol_is_1e_8_of_s_at_each_region_and_the_bound",))
       for name, call in (("Omega", "region_Omega(agg)"), ("M", "region_M(agg)"), ("K", "region_K(agg)"))),
+    *(Mutant(f"bound_applies from or, on {case.replace('_', ' ')}", "src/zeig/regions.py", BOUND_APPLIES,
+             BOUND_APPLIES.replace(" and ", " or "), (f"tests/test_bounds.py::test_bound_does_not_apply_to_{case}",))
+      for case in ("a_symmetric_tensor_with_a_negative_entry", "a_nonnegative_tensor_that_is_not_weakly_symmetric")),
     Mutant("M's pair top without its max(p, q) floor", "src/zeig/regions.py",
            "return _read_only(np.maximum(top, np.maximum(p, q)))", "return _read_only(top)",
            ("tests/test_bounds.py::test_chain_middle_reaches_band_centres_when_the_root_rounds_down",)),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from zeig.regions import (
-    CHAIN_VIOLATION_WARNING,
     bound_omega_max,
     compare_report,
     ordered_pairs,
@@ -118,7 +117,6 @@ def test_chain_violation_of_a_millionth_of_a_tiny_chain_is_caught():
     report = compare_report(tensor, agg)
     assert report.omega_max > report.chain_middle
     assert report.chain_ok is False
-    assert CHAIN_VIOLATION_WARNING in report.warnings
 
 
 def _random_ensemble(count, seed, signed):
@@ -179,7 +177,7 @@ def test_compare_report_example1(example1):
     assert report.omega_max == pytest.approx(EX1_OMEGA_MAX, rel=1e-13)
     assert report.chain_middle == pytest.approx(31 / 6, rel=1e-13)
     assert report.gershgorin == pytest.approx(16 / 3, rel=1e-14)
-    assert report.warnings == []
+    assert report.nonnegative and report.weakly_symmetric and report.bound_applies and report.chain_ok
     assert report.omega_max <= report.chain_middle <= report.gershgorin
 
 
@@ -187,25 +185,26 @@ def test_compare_report_example2(example2):
     report = compare_report(example2, example2.aggregates())
     assert report.omega_max == pytest.approx(11.7268, abs=5e-4)
     assert report.omega_max < report.chain_middle < report.gershgorin == 14.5
-    assert report.warnings == []
+    assert report.nonnegative and report.weakly_symmetric and report.bound_applies and report.chain_ok
 
 
-def test_compare_report_warns_on_negative_entries():
+def test_bound_does_not_apply_to_a_symmetric_tensor_with_a_negative_entry():
+    # Symmetric, so weakly symmetric: the sign alone fails the hypotheses.
     data = np.full((2, 2, 2), 0.5)
-    data[0, 1, 1] = -0.5
+    data[0, 1, 1] = data[1, 0, 1] = data[1, 1, 0] = -0.5
     t = DenseTensor(data)
     report = compare_report(t, t.aggregates())
-    assert any("negative" in w for w in report.warnings)
+    assert (report.nonnegative, report.weakly_symmetric) == (False, True)
     assert not report.bound_applies
     assert report.omega_max > 0.0  # still computed
-    assert CHAIN_VIOLATION_WARNING not in report.warnings
+    assert report.chain_ok
 
 
-def test_compare_report_warns_on_weak_symmetry_failure():
+def test_bound_does_not_apply_to_a_nonnegative_tensor_that_is_not_weakly_symmetric():
     data = np.zeros((2, 2, 2))
     data[0, 0, 1] = 1.0
     t = DenseTensor(data)
     report = compare_report(t, t.aggregates())
-    assert any("weakly symmetric" in w for w in report.warnings)
+    assert (report.nonnegative, report.weakly_symmetric) == (True, False)
     assert not report.bound_applies
 

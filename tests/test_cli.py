@@ -33,6 +33,7 @@ ONES_TINY = str(fixture_path("ones_tiny_m3_n3.json"))
 ONES_HUGE = str(fixture_path("ones_1e20_m4_n3.json"))
 ULP_HOLE = str(fixture_path("omega_ulp_hole_m3_n3.json"))
 CHAIN_ULP = str(fixture_path("chain_ulp_m2_n6.json"))
+ONES_M4_N5 = str(fixture_path("ones_m4_n5.json"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -111,6 +112,30 @@ def test_bounds_example1_json(capsys):
     assert doc["gershgorin"] == pytest.approx(5.3333, abs=1e-4)
     assert doc["attaining_pair"] == [2, 1]
     assert doc["warnings"] == []
+
+
+_NEGATIVE = "tensor has negative entries; bounds are formal quantities only"
+_NOT_WEAK = "tensor is not weakly symmetric; bounds are formal quantities only"
+_CLASS_122 = [[1, 2, 2], [2, 1, 2], [2, 2, 1]]  # one permutation class
+
+
+@pytest.mark.parametrize("indices, value, warnings", [
+    (_CLASS_122, -0.5, [_NEGATIVE]),  # still symmetric
+    (_CLASS_122[:1], 1.0, [_NOT_WEAK]),
+    (_CLASS_122[:1], -0.5, [_NEGATIVE, _NOT_WEAK]),
+    ([], None, []),
+], ids=["negative", "not_weakly_symmetric", "both", "neither"])
+def test_bounds_warns_once_per_failed_hypothesis(capsys, tmp_path, indices, value, warnings):
+    # Order 3, dim 2: every entry 0.5 but value at the given indices.
+    path = str(tmp_path / "t.json")
+    doc = {"order": 3, "dim": 2, "default": 0.5, "entries": [{"idx": idx, "value": value} for idx in indices]}
+    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "bounds", path, "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["warnings"] == warnings
+    code, out, _ = run_cli(capsys, "bounds", path)
+    assert code == EXIT_OK
+    assert out.splitlines()[5:] == [f"warning: {warning}" for warning in warnings]
 
 
 def test_bounds_example2_json(capsys):
@@ -353,6 +378,32 @@ def test_eigs_deterministic_output(capsys):
     assert out1 == out2
 
 
+_RUN_TO_RUN = [
+    # At odd order each Newton pair comes with its mirror; all 1e-12 entries.
+    ("ones_tiny_m3_n3", ["--method", "newton"], None),
+    # All ones at order 4: many Newton steps meet a singular system and come
+    # back NaN, without a numpy warning (an error under this suite's filter).
+    ("ones_m4_n5", ["--method", "newton"], None),
+    # 373 of 500 iterated restarts never converge; the block stops at trip 20.
+    ("stall_m3_n3", ["--method", "newton"], 2),
+    ("example1", ["--method", "newton"], None),
+    ("example2", ["--method", "newton"], None),
+    ("example1", [], None),  # the exact dim-2 solve
+]
+
+
+@pytest.mark.parametrize("name, flags, pairs", _RUN_TO_RUN,
+                         ids=[f"{name}-{flags[-1] if flags else 'default'}" for name, flags, _ in _RUN_TO_RUN])
+def test_eigs_json_is_identical_run_to_run(capsys, name, flags, pairs):
+    # Identical file, flags and seed give identical stdout.
+    first, second = (run_cli(capsys, "eigs", str(fixture_path(f"{name}.json")), *flags, "--json") for _ in range(2))
+    assert first == second
+    code, out, err = first
+    assert (code, err) == (EXIT_OK, "")
+    found = json.loads(out)
+    assert found and (pairs is None or len(found) == pairs)
+
+
 # -- verify ----------------------------------------------------------------------
 
 
@@ -360,6 +411,12 @@ def test_verify_example1_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", EX1)
     assert code == EXIT_OK
     assert "all checks passed" in out
+
+
+def test_verify_passes_on_all_ones_with_singular_newton_systems(capsys):
+    code, out, err = run_cli(capsys, "verify", ONES_M4_N5)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.endswith("\nall checks passed\n")
 
 
 def test_verify_example2_passes(capsys):
@@ -458,7 +515,10 @@ def test_violated_bound_chain_fails_the_library_and_the_cli_alike(capsys, monkey
 
     code, out, _ = run_cli(capsys, "bounds", EX1)
     assert code == EXIT_VERIFY
-    assert f"warning: {regions.CHAIN_VIOLATION_WARNING}\n" in out
+    assert out.endswith("\ngershgorin: 5.33333\nwarning: internal error: bound chain ordering violated\n")
+    code, out, _ = run_cli(capsys, "bounds", EX1, "--json")
+    assert code == EXIT_VERIFY
+    assert json.loads(out)["warnings"] == ["internal error: bound chain ordering violated"]
 
 
 @pytest.mark.parametrize("command", ["bounds", "verify"])
@@ -625,26 +685,46 @@ def test_closed_stdout_exits_1_without_a_traceback(args):
 # -- per-process state: the one parser, the GC pause -----------------------------
 
 
+# Each command of every kind, with the exit code it must give, in an order in
+# which a flag of one command could reach the next.
+_SEQUENCE = [
+    ([command, path, *flags, "--json"], EXIT_OK) for path in (EX1, EX2) for command, *flags in (
+        ["info"], ["bounds"], ["regions", "--set", "all"], ["eigs", "--method", "newton"], ["verify"])
+] + [
+    (["eigs", EX1, "--json"], EXIT_OK),
+    (["verify", EX1, "--inject-lambda", "nan"], EXIT_USAGE),
+    (["eigs", EX1, "--restarts", "0"], EXIT_USAGE),
+    (["verify", EX1, "--seed", "-1"], EXIT_USAGE),
+    (["verify", EX1, "--inject-lambda", "100", "--json"], EXIT_VERIFY),
+    (["--help"], EXIT_OK),
+    (["verify", EX1, "--seed", "x"], EXIT_USAGE),
+    (["verify", EX1, "--json"], EXIT_OK),
+    (["regions", EX1, "--set", "all"], EXIT_OK),
+    (["eigs", "--help"], EXIT_OK),
+    (["verify", "--help"], EXIT_OK),
+    ([], EXIT_USAGE),
+]
+
+
 def test_reused_parser_gives_each_command_its_output_run_alone(capsys, monkeypatch):
     # main reuses one parser for the life of the process.  A flag given to one
     # command must not reach the next, nor --help or a usage error in between.
     monkeypatch.setenv("COLUMNS", "80")  # help's width, here and in the lone processes
-    sequence = [
-        ["verify", EX1, "--inject-lambda", "100", "--json"],
-        ["--help"],
-        ["verify", EX1, "--seed", "x"],
-        ["verify", EX1, "--json"],
-    ]
-    in_process = [run_cli(capsys, *argv) for argv in sequence]
-    for argv, got in zip(sequence, in_process):
+    in_process = [run_cli(capsys, *argv) for argv, _ in _SEQUENCE]
+    for (argv, expected), got in zip(_SEQUENCE, in_process):
+        assert got[0] == expected, argv
         alone = subprocess.run([sys.executable, "-m", "zeig.cli", *argv], capture_output=True, text=True)
         assert got == (alone.returncode, alone.stdout, alone.stderr), argv
-    (injected_code, injected, _), _, (usage_code, _, _), (code, out, _) = in_process
-    assert injected_code == EXIT_VERIFY and usage_code == EXIT_USAGE
-    assert 100.0 in [p["lambda"] for p in json.loads(injected)["eigenpairs"]]
-    assert code == EXIT_OK
-    doc = json.loads(out)
-    assert doc["all_passed"] and 100.0 not in [p["lambda"] for p in doc["eigenpairs"]]
+    # 100 escapes K: one check row per pair, and only the injected one fails;
+    # the chain still holds.  The verify that follows holds no injected pair.
+    out = {tuple(argv): got[1] for (argv, _), got in zip(_SEQUENCE, in_process)}
+    injected = json.loads(out["verify", EX1, "--inject-lambda", "100", "--json"])
+    after = json.loads(out["verify", EX1, "--json"])
+    assert injected["chain_ok"] and not injected["all_passed"]
+    assert 100.0 in [p["lambda"] for p in injected["eigenpairs"]]
+    assert len(injected["checks"]) == len(injected["eigenpairs"])
+    assert [c["in_k"] for c in injected["checks"]].count(False) == 1
+    assert after["all_passed"] and 100.0 not in [p["lambda"] for p in after["eigenpairs"]]
 
 
 def test_gc_is_paused_while_a_document_is_parsed(capsys, monkeypatch):

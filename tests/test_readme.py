@@ -20,8 +20,10 @@ def test_readme_library_snippet_prints_its_commented_values():
     snippet = _library_snippet()
     comments = [line.split("#", 1)[1] for line in snippet.splitlines() if line.startswith("print(")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", snippet], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
+    # Under -W error a file left open prints its ResourceWarning on stderr.
+    run = subprocess.run([sys.executable, "-W", "error", "-c", snippet], cwd=ROOT, env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
     printed = [float(line) for line in run.stdout.splitlines()]
     assert len(printed) == len(comments) == 3
     omega_max, supremum, newton = printed

@@ -401,6 +401,15 @@ def test_apply_rejects_wrong_length(example1):
         example1.apply([1.0, 2.0, 3.0])
 
 
+def test_apply_rejects_a_complex_vector(example2):
+    # The float cast would keep the real parts behind a ComplexWarning, as in the constructor.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (np.array([1 + 1j, 0, 0]), np.zeros(3, dtype=complex), [1j, 0, 0]):
+            with pytest.raises(ValueError, match="vector entries must be real"):
+                example2.apply(x)
+
+
 def test_apply_dotted_with_x_is_the_form():
     rng = np.random.default_rng(17)
     for _ in range(10):
